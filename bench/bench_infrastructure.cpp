@@ -121,20 +121,20 @@ void diagnostic_section() {
   const auto stress_on = [&](double degradation) {
     auto p = base_params();
     p.workload.peak_arrival_rate_per_hour = 0.0;
-    sim::ClusterSimulation c(p);
-    c.set_workload_enabled(false);
+    auto c = std::make_unique<sim::ClusterSimulation>(p);
+    c->set_workload_enabled(false);
     if (degradation > 1.0) {
-      c.faults().schedule({sim::FaultKind::kPumpDegradation, "facility", 0,
-                           100 * kDay, degradation});
+      c->faults().schedule({sim::FaultKind::kPumpDegradation, "facility", 0,
+                            100 * kDay, degradation});
     }
     return c;
   };
   auto healthy_plant = stress_on(1.0);
   const auto baseline =
-      analytics::run_cooling_stress_test(healthy_plant, 0.0);
+      analytics::run_cooling_stress_test(*healthy_plant, 0.0);
   auto degraded_plant = stress_on(1.7);
   const auto verdict = analytics::run_cooling_stress_test(
-      degraded_plant, baseline.time_constant_s);
+      *degraded_plant, baseline.time_constant_s);
   std::printf("active stress test (setpoint step, fitted loop tau):\n");
   std::printf("  healthy tau=%.0f s (fit rmse %.2f C); degraded plant "
               "tau=%.0f s -> slowdown x%.2f, degraded=%s\n\n",

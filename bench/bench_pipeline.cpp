@@ -4,6 +4,9 @@
 // cost at several machine sizes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_util.hpp"
 
 #include "common/rng.hpp"
@@ -107,6 +110,74 @@ void BM_CollectorPass(benchmark::State& state) {
       static_cast<double>(collector.catalog().size());
 }
 BENCHMARK(BM_CollectorPass)->Arg(1)->Arg(4)->Arg(16);
+
+// The same serial pass under the facility-tick benchmark's chaos density:
+// read faults on 7% of the sensors (3 in 5 dropouts at p = 0.65, the rest
+// 3.5 s stalls) and value overlays on 3% (stuck, drift, spike, noise in
+// turn). Windows tile a 30-day horizon, each open for a quarter of it, so a
+// quarter of the faulted sensors are faulty at any time; the simulator
+// steps between passes (untimed) so breaker cooldowns elapse and half-open
+// probes run as they do in the tick.
+void BM_CollectorPassFaulted(benchmark::State& state) {
+  sim::ClusterParams params;
+  params.racks = static_cast<std::size_t>(state.range(0));
+  params.nodes_per_rack = 16;
+  sim::ClusterSimulation cluster(params);
+  const auto& defs = cluster.sensors();
+  std::vector<std::size_t> order(defs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Rng rng(0xC4A05ULL);
+  rng.shuffle(order);
+  const TimePoint horizon = 30 * kDay;
+  const auto schedule = [&](sim::FaultEvent e, std::size_t k, std::size_t n) {
+    e.start = horizon * static_cast<TimePoint>(k) / static_cast<TimePoint>(n);
+    const TimePoint end = e.start + horizon / 4;
+    e.end = std::min(end, horizon);
+    cluster.faults().schedule(e);
+    if (end > horizon) {
+      e.start = 0;
+      e.end = end - horizon;
+      cluster.faults().schedule(e);
+    }
+  };
+  const std::size_t n_read = defs.size() * 7 / 100;
+  const std::size_t n_overlay = defs.size() * 3 / 100;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n_read; ++i, ++k) {
+    const bool dropout = i % 5 < 3;
+    schedule({dropout ? sim::FaultKind::kSensorDropout
+                      : sim::FaultKind::kSensorStall,
+              defs[order[k]].path, 0, 0, dropout ? 0.65 : 3.5},
+             i, n_read);
+  }
+  constexpr sim::FaultKind kOverlays[] = {
+      sim::FaultKind::kSensorStuck, sim::FaultKind::kSensorDrift,
+      sim::FaultKind::kSensorSpike, sim::FaultKind::kSensorNoise};
+  for (std::size_t i = 0; i < n_overlay; ++i, ++k) {
+    const sim::FaultKind kind = kOverlays[i % 4];
+    schedule({kind, defs[order[k]].path, 0, 0,
+              kind == sim::FaultKind::kSensorSpike ? 50.0 : 2.5},
+             i, n_overlay);
+  }
+
+  telemetry::TimeSeriesStore store(1 << 12);
+  telemetry::Collector collector(cluster, &store, nullptr);
+  collector.add_all_sensors(cluster.dt());
+  cluster.step();
+  collector.collect();  // warm-up: first insert allocates each ring buffer
+  for (auto _ : state) {
+    state.PauseTiming();
+    cluster.step();
+    state.ResumeTiming();
+    collector.collect();
+  }
+  state.counters["sensors"] =
+      static_cast<double>(collector.catalog().size());
+  state.counters["gaps_per_pass"] = benchmark::Counter(
+      static_cast<double>(collector.gaps_total()) /
+      static_cast<double>(state.iterations() + 1));
+}
+BENCHMARK(BM_CollectorPassFaulted)->Arg(16);
 
 // The tracing cost ladder (trace.hpp's cost model). Both sinks off must
 // price a span at one relaxed atomic load — compare against RecorderOnly

@@ -103,17 +103,20 @@ void sample_into(SamplingProfiler::Ring& ring, void* uctx) noexcept {
   fp = 0;
 #endif
 #endif
-  const char* lo = ring.stack_lo;
-  const char* hi = ring.stack_hi;
+  // Bounds are checked on integers without adding to `fp`: it may hold any
+  // value (code built without frame pointers, libc included, uses rbp as a
+  // scratch register), and `fp + 16` wraps past `hi` for fp near the top
+  // of the address space.
+  const auto lo = reinterpret_cast<std::uintptr_t>(ring.stack_lo);
+  const auto hi = reinterpret_cast<std::uintptr_t>(ring.stack_hi);
   bool bad_walk = false;
-  if (lo != nullptr && hi != nullptr) {
+  if (lo != 0 && hi > lo && hi - lo >= 2 * sizeof(void*)) {
     while (depth < ring.max_frames && fp != 0) {
       if (fp % alignof(void*) != 0) {
         bad_walk = depth == 1;
         break;
       }
-      const char* frame = reinterpret_cast<const char*>(fp);
-      if (frame < lo || frame + 2 * sizeof(void*) > hi) {
+      if (fp < lo || fp > hi - 2 * sizeof(void*)) {
         bad_walk = depth == 1;
         break;
       }

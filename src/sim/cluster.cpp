@@ -101,6 +101,9 @@ void ClusterSimulation::build_sensors() {
     ODA_REQUIRE(sensor_index_.emplace(sensors_[i].path, i).second,
                 "duplicate sensor path: " + sensors_[i].path);
   }
+  faults_.bind_sensors(sensors_.size(), [this](const std::string& path) {
+    return find_sensor(path);
+  });
 }
 
 void ClusterSimulation::apply_component_fault(const FaultEvent& event,
@@ -252,44 +255,51 @@ void ClusterSimulation::run_for(Duration d) {
   while (now_ < target) step();
 }
 
-bool ClusterSimulation::has_sensor(const std::string& path) const {
-  return sensor_index_.count(path) != 0;
+std::optional<std::size_t> ClusterSimulation::find_sensor(
+    const std::string& path) const {
+  const auto it = sensor_index_.find(path);
+  if (it == sensor_index_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::size_t ClusterSimulation::sensor_handle(const std::string& path) const {
+  const std::optional<std::size_t> handle = find_sensor(path);
+  ODA_REQUIRE(handle.has_value(), "unknown sensor: " + path);
+  return *handle;
 }
 
 double ClusterSimulation::read_sensor(const std::string& path) {
-  return read_sensor(path, rng_);
-}
-
-double ClusterSimulation::read_sensor(const std::string& path, Rng& rng) const {
-  const auto it = sensor_index_.find(path);
-  ODA_REQUIRE(it != sensor_index_.end(), "unknown sensor: " + path);
-  const double raw = sensors_[it->second].read();
-  return faults_.apply_sensor_faults(path, raw, now_, rng);
+  return read_sensor(sensor_handle(path), rng_);
 }
 
 SensorReadResult ClusterSimulation::try_read_sensor(const std::string& path) {
-  return try_read_sensor(path, rng_);
+  return try_read_sensor(sensor_handle(path), rng_);
 }
 
-SensorReadResult ClusterSimulation::try_read_sensor(const std::string& path,
+double ClusterSimulation::read_sensor(std::size_t handle, Rng& rng) const {
+  ODA_REQUIRE(handle < sensors_.size(), "sensor handle out of range");
+  return faults_.apply_sensor_faults(handle, sensors_[handle].read(), now_,
+                                     rng);
+}
+
+SensorReadResult ClusterSimulation::try_read_sensor(std::size_t handle,
                                                     Rng& rng) const {
   SensorReadResult result;
-  const ReadFault fault = faults_.read_fault_at(path, now_, rng);
+  const ReadFault fault = faults_.read_fault_at(handle, now_, rng);
   result.latency_s = fault.stall_seconds;
   if (fault.dropout) {
     result.ok = false;
     return result;
   }
-  result.value = read_sensor(path, rng);
+  result.value = read_sensor(handle, rng);
   return result;
 }
 
 std::vector<std::pair<std::string, double>> ClusterSimulation::sample_all() {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(sensors_.size());
-  for (const auto& s : sensors_) {
-    out.emplace_back(s.path,
-                     faults_.apply_sensor_faults(s.path, s.read(), now_, rng_));
+  for (std::size_t i = 0; i < sensors_.size(); ++i) {
+    out.emplace_back(sensors_[i].path, read_sensor(i, rng_));
   }
   return out;
 }

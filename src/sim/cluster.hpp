@@ -4,14 +4,17 @@
 // workload generator (applications pillar) — one component per pillar of the
 // 4-Pillar Framework, which is exactly why the ODA grid maps cleanly onto it.
 //
-// Telemetry is read through read_sensor()/sample_all(), which apply the
-// fault injector's sensor overlays; analytics therefore sees lying sensors
-// exactly as a production monitoring system would.
+// Telemetry is read through read_sensor()/try_read_sensor()/sample_all(),
+// which apply the fault injector's sensor overlays; analytics therefore sees
+// lying sensors exactly as a production monitoring system would. Sensors are
+// addressed by dense handles (the index into sensors()), which the injector
+// shares, so a read does no string work.
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,6 +63,10 @@ struct ClusterParams {
 class ClusterSimulation {
  public:
   explicit ClusterSimulation(const ClusterParams& params);
+  // Sensor readers, the component-fault hook and the injector's sensor
+  // resolver all capture `this`, so the simulation stays at one address.
+  ClusterSimulation(const ClusterSimulation&) = delete;
+  ClusterSimulation& operator=(const ClusterSimulation&) = delete;
 
   // -- time ------------------------------------------------------------------
   void step();
@@ -68,22 +75,35 @@ class ClusterSimulation {
   Duration dt() const { return params_.dt; }
 
   // -- monitoring plane --------------------------------------------------------
-  /// All sensor definitions (stable order, fault-free raw readers).
+  /// All sensor definitions (stable order, fault-free raw readers). A
+  /// sensor's dense handle is its index here.
   const std::vector<SensorDef>& sensors() const { return sensors_; }
-  /// Reading with the fault overlay applied — what ODA should consume.
-  double read_sensor(const std::string& path);
-  /// Same, but drawing overlay randomness (spike/noise faults) from the
-  /// caller's Rng instead of the simulation stream. Safe to call from many
-  /// threads at once over a quiescent simulator (between step()s) — the
-  /// collector's parallel read path uses one split Rng per chunk.
-  double read_sensor(const std::string& path, Rng& rng) const;
+  /// Handle of the sensor named `path`, or nullopt.
+  std::optional<std::size_t> find_sensor(const std::string& path) const;
+  bool has_sensor(const std::string& path) const {
+    return find_sensor(path).has_value();
+  }
+
+  /// Reading of sensor `handle` with the fault overlay applied — what ODA
+  /// should consume — drawing overlay randomness (spike/noise faults) from
+  /// `rng`. Safe to call from many threads at once over a quiescent
+  /// simulator (between step()s) — the collector's parallel read path uses
+  /// one split Rng per chunk.
+  double read_sensor(std::size_t handle, Rng& rng) const;
   /// Failure-aware read: rolls the injector's read faults (dropout/stall)
-  /// before producing a value. With no read fault active on `path` this is
-  /// exactly read_sensor() — same value, same random stream, zero latency —
-  /// so fault-free pipelines behave bit-identically to the plain read.
+  /// before producing a value. With no read fault active on the sensor this
+  /// is exactly read_sensor() — same value, same random stream, zero
+  /// latency — so fault-free pipelines behave bit-identically to the plain
+  /// read. Thread-safety matches read_sensor(handle, rng).
+  SensorReadResult try_read_sensor(std::size_t handle, Rng& rng) const;
+  /// Same, drawing from the simulation's own stream.
+  SensorReadResult try_read_sensor(std::size_t handle) {
+    return try_read_sensor(handle, rng_);
+  }
+  /// Path-addressed wrappers over the handle forms, drawing from the
+  /// simulation's own stream (tests, examples). Throw on an unknown path.
+  double read_sensor(const std::string& path);
   SensorReadResult try_read_sensor(const std::string& path);
-  SensorReadResult try_read_sensor(const std::string& path, Rng& rng) const;
-  bool has_sensor(const std::string& path) const;
   /// Samples every sensor (fault overlay applied).
   std::vector<std::pair<std::string, double>> sample_all();
 
@@ -120,6 +140,7 @@ class ClusterSimulation {
 
  private:
   void build_sensors();
+  std::size_t sensor_handle(const std::string& path) const;
   void apply_component_fault(const FaultEvent& event, bool activate);
   void update_rack_inlets();
 
@@ -136,7 +157,7 @@ class ClusterSimulation {
   KnobRegistry knobs_;
 
   std::vector<SensorDef> sensors_;
-  std::map<std::string, std::size_t> sensor_index_;
+  std::unordered_map<std::string, std::size_t> sensor_index_;
 
   TimePoint now_ = 0;
   bool workload_enabled_ = true;

@@ -1,6 +1,8 @@
 #include "sim/faults.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -44,7 +46,11 @@ bool is_read_fault(FaultKind k) {
 FaultInjector::FaultInjector(FaultInjector&& other) noexcept
     : events_(std::move(other.events_)),
       activated_(std::move(other.activated_)),
-      hook_(std::move(other.hook_)) {
+      hook_(std::move(other.hook_)),
+      resolve_(std::move(other.resolve_)),
+      target_lists_(std::move(other.target_lists_)),
+      target_slot_(std::move(other.target_slot_)),
+      bound_sensors_(std::exchange(other.bound_sensors_, 0)) {
   // Lock the source while stealing its stuck state: a reader still applying
   // overlays on `other` must not observe half-moved vectors. (The analysis
   // exempts constructors for *this* object's members; `other`'s guarded
@@ -59,6 +65,10 @@ FaultInjector& FaultInjector::operator=(FaultInjector&& other) noexcept {
     events_ = std::move(other.events_);
     activated_ = std::move(other.activated_);
     hook_ = std::move(other.hook_);
+    resolve_ = std::move(other.resolve_);
+    target_lists_ = std::move(other.target_lists_);
+    target_slot_ = std::move(other.target_slot_);
+    bound_sensors_ = std::exchange(other.bound_sensors_, 0);
     // Two sequential critical sections (never nested, so no ordering edge):
     // steal the source's stuck state under its lock, then install it under
     // ours.
@@ -80,9 +90,44 @@ void FaultInjector::schedule(FaultEvent event) {
   ODA_REQUIRE(event.end > event.start, "fault window must be non-empty");
   events_.push_back(std::move(event));
   activated_.push_back(false);
-  MutexLock lock(stuck_mu_);
-  stuck_values_.push_back(0.0);
-  stuck_captured_.push_back(false);
+  {
+    MutexLock lock(stuck_mu_);
+    stuck_values_.push_back(0.0);
+    stuck_captured_.push_back(false);
+  }
+  index_event(events_.size() - 1);
+}
+
+void FaultInjector::bind_sensors(std::size_t count, SensorResolver resolve) {
+  resolve_ = std::move(resolve);
+  bound_sensors_ = count;
+  target_slot_.clear();
+  target_lists_.assign(count, EventList{});
+  for (std::size_t i = 0; i < events_.size(); ++i) index_event(i);
+}
+
+void FaultInjector::index_event(std::size_t i) {
+  const FaultEvent& e = events_[i];
+  if (!is_sensor_fault(e.kind)) return;
+  auto [it, inserted] = target_slot_.try_emplace(e.target, 0);
+  if (inserted) {
+    const std::optional<std::size_t> handle =
+        resolve_ ? resolve_(e.target) : std::nullopt;
+    if (handle.has_value()) {
+      ODA_REQUIRE(*handle < bound_sensors_, "resolved handle out of range");
+      it->second = *handle;
+    } else {
+      it->second = target_lists_.size();
+      target_lists_.emplace_back();
+    }
+  }
+  target_lists_[it->second].push_back(static_cast<std::uint32_t>(i));
+}
+
+const FaultInjector::EventList* FaultInjector::target_events(
+    const std::string& path) const {
+  const auto it = target_slot_.find(path);
+  return it == target_slot_.end() ? nullptr : &target_lists_[it->second];
 }
 
 void FaultInjector::step(TimePoint prev, TimePoint now) {
@@ -102,12 +147,22 @@ void FaultInjector::step(TimePoint prev, TimePoint now) {
 
 double FaultInjector::apply_sensor_faults(const std::string& path, double raw,
                                           TimePoint now, Rng& rng) const {
+  const EventList* list = target_events(path);
+  return list == nullptr ? raw : apply_overlays(*list, raw, now, rng);
+}
+
+ReadFault FaultInjector::read_fault_at(const std::string& path, TimePoint now,
+                                       Rng& rng) const {
+  const EventList* list = target_events(path);
+  return list == nullptr ? ReadFault{} : roll_read_faults(*list, now, rng);
+}
+
+double FaultInjector::apply_overlays(const EventList& list, double raw,
+                                     TimePoint now, Rng& rng) const {
   double value = raw;
-  for (std::size_t i = 0; i < events_.size(); ++i) {
+  for (const std::uint32_t i : list) {
     const FaultEvent& e = events_[i];
-    if (!is_sensor_fault(e.kind) || is_read_fault(e.kind) || e.target != path) {
-      continue;
-    }
+    if (is_read_fault(e.kind)) continue;
     if (!e.active_at(now)) {
       if (e.kind == FaultKind::kSensorStuck) {
         MutexLock lock(stuck_mu_);
@@ -145,13 +200,12 @@ double FaultInjector::apply_sensor_faults(const std::string& path, double raw,
   return value;
 }
 
-ReadFault FaultInjector::read_fault_at(const std::string& path, TimePoint now,
-                                       Rng& rng) const {
+ReadFault FaultInjector::roll_read_faults(const EventList& list, TimePoint now,
+                                          Rng& rng) const {
   ReadFault out;
-  for (const auto& e : events_) {
-    if (!is_read_fault(e.kind) || e.target != path || !e.active_at(now)) {
-      continue;
-    }
+  for (const std::uint32_t i : list) {
+    const FaultEvent& e = events_[i];
+    if (!is_read_fault(e.kind) || !e.active_at(now)) continue;
     switch (e.kind) {
       case FaultKind::kSensorDropout: {
         const double p = std::min(1.0, std::max(0.0, e.magnitude));

@@ -7,10 +7,14 @@
 // lets the benchmark harness score diagnostic analytics (precision/recall).
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "common/types.hpp"
@@ -63,23 +67,41 @@ struct FaultEvent {
 
 /// Applies sensor-fault overlays and drives component fault hooks. The
 /// cluster registers one apply/clear callback pair per component-fault kind.
+///
+/// Sensor faults are indexed per target: every distinct target of a sensor
+/// fault owns a list of its event indices, in schedule order, which
+/// schedule() appends to. A read looks up its target's list (by dense
+/// sensor handle after bind_sensors(), else by hashing the target string)
+/// and walks only that list, never the whole schedule; a read by handle
+/// does no string work at all.
 class FaultInjector {
  public:
   using ComponentHook = std::function<void(const FaultEvent&, bool activate)>;
+  /// Maps a target path to the dense handle of the sensor it names, or
+  /// nullopt when no sensor has that path.
+  using SensorResolver =
+      std::function<std::optional<std::size_t>(const std::string&)>;
 
   FaultInjector() = default;
-  // Movable so ClusterSimulation stays movable: the stuck-state mutex is not
-  // moved (the destination gets a fresh one), but the source's mutex IS
-  // taken while its stuck state is moved out, so a reader concurrently
-  // applying overlays on the source observes either the full state or the
-  // moved-from empty vectors — never a half-moved vector.
+  // Movable: the stuck-state mutex is not moved (the destination gets a
+  // fresh one), but the source's mutex IS taken while its stuck state is
+  // moved out, so a reader concurrently applying overlays on the source
+  // observes either the full state or the moved-from empty vectors — never
+  // a half-moved vector.
   FaultInjector(FaultInjector&& other) noexcept;
   FaultInjector& operator=(FaultInjector&& other) noexcept;
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
+  /// Appends `event`; a sensor fault also joins its target's event list.
   void schedule(FaultEvent event);
   const std::vector<FaultEvent>& events() const { return events_; }
+
+  /// Declares `count` sensors addressed by dense handles 0..count-1, named
+  /// through `resolve`. The target lists are rebuilt so that a sensor's
+  /// list is reachable by its handle; targets `resolve` does not know stay
+  /// reachable by string only. Call before reads start.
+  void bind_sensors(std::size_t count, SensorResolver resolve);
 
   /// Registers the handler invoked when a component fault starts/ends.
   void set_component_hook(ComponentHook hook) { hook_ = std::move(hook); }
@@ -89,19 +111,33 @@ class FaultInjector {
   void step(TimePoint prev, TimePoint now);
 
   /// Transforms a raw sensor reading according to the sensor faults active
-  /// at `now` for `path`. Thread-safe for concurrent readers as long as each
-  /// caller brings its own Rng (the collector's parallel read path does) and
-  /// no thread is mutating the schedule; the lazily captured stuck-fault
-  /// state is internally locked.
+  /// at `now` for the sensor with handle `sensor` (see bind_sensors()).
+  /// Thread-safe for concurrent readers as long as each caller brings its
+  /// own Rng (the collector's parallel read path does) and no thread is
+  /// mutating the schedule; the lazily captured stuck-fault state is
+  /// internally locked.
+  double apply_sensor_faults(std::size_t sensor, double raw, TimePoint now,
+                             Rng& rng) const {
+    ODA_REQUIRE(sensor < bound_sensors_, "unbound sensor handle");
+    const EventList& list = target_lists_[sensor];
+    return list.empty() ? raw : apply_overlays(list, raw, now, rng);
+  }
+  /// Same, for the sensor-fault target named `path`.
   double apply_sensor_faults(const std::string& path, double raw,
                              TimePoint now, Rng& rng) const;
 
-  /// Rolls the read-fault dice for one read attempt on `path` at `now`:
+  /// Rolls the read-fault dice for one read attempt on `sensor` at `now`:
   /// dropout faults fail the read with their magnitude as probability, stall
   /// faults add jittered simulated latency. Draws from `rng` only while a
-  /// read fault is active on `path`, so fault-free runs consume an identical
-  /// random stream to a build without this feature. Thread-safety matches
-  /// apply_sensor_faults().
+  /// read fault is active on the sensor, so fault-free runs consume an
+  /// identical random stream to a build without this feature.
+  /// Thread-safety matches apply_sensor_faults().
+  ReadFault read_fault_at(std::size_t sensor, TimePoint now, Rng& rng) const {
+    ODA_REQUIRE(sensor < bound_sensors_, "unbound sensor handle");
+    const EventList& list = target_lists_[sensor];
+    return list.empty() ? ReadFault{} : roll_read_faults(list, now, rng);
+  }
+  /// Same, for the sensor-fault target named `path`.
   ReadFault read_fault_at(const std::string& path, TimePoint now,
                           Rng& rng) const;
 
@@ -111,9 +147,27 @@ class FaultInjector {
   bool any_active_at(TimePoint t, const std::string& target_prefix) const;
 
  private:
+  using EventList = std::vector<std::uint32_t>;
+
+  /// Adds sensor-fault event `i` to its target's list.
+  void index_event(std::size_t i);
+  /// The event list for `path`, or null when no sensor fault targets it.
+  const EventList* target_events(const std::string& path) const;
+  double apply_overlays(const EventList& list, double raw, TimePoint now,
+                        Rng& rng) const;
+  ReadFault roll_read_faults(const EventList& list, TimePoint now,
+                             Rng& rng) const;
+
   std::vector<FaultEvent> events_;
   std::vector<bool> activated_;  // component faults currently applied
   ComponentHook hook_;
+  SensorResolver resolve_;
+  // Per-target sensor-fault event indices, in schedule order. Slots
+  // 0..bound_sensors_-1 belong to the bound sensors (slot == handle); a
+  // target no sensor resolves gets a slot after them.
+  std::vector<EventList> target_lists_;
+  std::unordered_map<std::string, std::size_t> target_slot_;
+  std::size_t bound_sensors_ = 0;
   // Per stuck-fault frozen value, keyed by event index (lazily captured
   // during reads, so guarded for the parallel-collector path; only touched
   // when a stuck fault targets the path being read). Leaf lock: nothing is

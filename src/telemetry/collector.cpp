@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <tuple>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/string_util.hpp"
@@ -36,8 +36,11 @@ Collector::Collector(sim::ClusterSimulation& cluster, TimeSeriesStore* store,
       store_(store),
       bus_(bus),
       pool_(pool),
+      breakers_(cluster.sensors().size()),
       overlay_rng_(cluster.params().seed ^ 0x0DAC0113C708ULL),
       serial_backoff_rng_(cluster.params().seed ^ 0x0DABACC0FFULL) {
+  // Filled in sensors() order from unique paths, so a sensor's catalog
+  // index is its cluster handle (add_group() relies on this).
   for (const auto& s : cluster.sensors()) {
     catalog_.add({s.path, s.unit});
   }
@@ -58,15 +61,11 @@ Collector::Collector(sim::ClusterSimulation& cluster, TimeSeriesStore* store,
 std::size_t Collector::add_group(CollectorGroup group) {
   Group g;
   g.def = std::move(group);
-  g.sensor_paths = catalog_.match(g.def.pattern);
-  g.sensor_ids.reserve(g.sensor_paths.size());
-  for (const auto& path : g.sensor_paths) {
-    const SeriesId id = SeriesInterner::global().intern(path);
-    g.sensor_ids.push_back(id);
-    // piecewise: Breaker holds an atomic, so it is neither copyable nor
-    // movable — construct it in place.
-    breakers_.emplace(std::piecewise_construct,
-                      std::forward_as_tuple(id.value), std::forward_as_tuple());
+  g.sensor_handles = catalog_.match_indices(g.def.pattern);
+  g.sensor_ids.reserve(g.sensor_handles.size());
+  for (const std::size_t handle : g.sensor_handles) {
+    g.sensor_ids.push_back(
+        SeriesInterner::global().intern(catalog_.paths()[handle]));
   }
   auto& registry = obs::MetricsRegistry::global();
   g.samples = &registry.counter("oda_collector_samples_total",
@@ -83,7 +82,7 @@ std::size_t Collector::add_group(CollectorGroup group) {
         "Samples lost to failed or skipped reads, by reason",
         {{"group", g.def.name}, {"reason", read_outcome_name(kGapReasons[i])}});
   }
-  const std::size_t matched = g.sensor_paths.size();
+  const std::size_t matched = g.sensor_handles.size();
   if (matched == 0) {
     ODA_LOG_WARN << "collector group '" << g.def.name << "' pattern '"
                  << g.def.pattern << "' matched no sensors";
@@ -167,12 +166,38 @@ void Collector::on_read_failure(Breaker& breaker, TimePoint now) {
   }
 }
 
-Collector::SlotResult Collector::attempt_read(const std::string& path,
-                                              SeriesId id, TimePoint now,
-                                              Rng* value_rng, Rng& aux_rng) {
+sim::SensorReadResult Collector::read_once(std::size_t handle,
+                                          Rng* value_rng) {
+  return value_rng != nullptr ? cluster_.try_read_sensor(handle, *value_rng)
+                              : cluster_.try_read_sensor(handle);
+}
+
+Collector::SlotResult Collector::attempt_read(std::size_t handle,
+                                              TimePoint now, Rng* value_rng,
+                                              Rng& aux_rng) {
+  Breaker& breaker = breakers_[handle];
+  // relaxed: see transition_breaker — single mutating thread per breaker.
+  if (breaker.state.load(std::memory_order_relaxed) != BreakerState::kClosed) {
+    return read_slow(handle, breaker, now, value_rng, aux_rng, nullptr);
+  }
+  const sim::SensorReadResult first = read_once(handle, value_rng);
+  if (!first.ok || first.latency_s > retry_.read_deadline_s) {
+    return read_slow(handle, breaker, now, value_rng, aux_rng, &first);
+  }
+  on_read_success(breaker, now);
+  SlotResult slot;
+  slot.value = first.value;
+  return slot;
+}
+
+Collector::SlotResult Collector::read_slow(std::size_t handle,
+                                           Breaker& breaker, TimePoint now,
+                                           Rng* value_rng, Rng& aux_rng,
+                                           const sim::SensorReadResult* first) {
+  // Opened only off the fast path, so the retry, breaker and skip instants
+  // below keep the failing sensor's read span as their parent.
   ODA_TRACE_SPAN_CAT("collector.read_sensor", "collector");
   SlotResult slot;
-  Breaker& breaker = breakers_.find(id.value)->second;
 
   // relaxed: see transition_breaker — single mutating thread per breaker.
   if (breaker.state.load(std::memory_order_relaxed) == BreakerState::kOpen) {
@@ -186,9 +211,9 @@ Collector::SlotResult Collector::attempt_read(const std::string& path,
 
   double cost_s = 0.0;
   for (int attempt = 0;; ++attempt) {
-    const sim::SensorReadResult r = value_rng != nullptr
-                                        ? cluster_.try_read_sensor(path, *value_rng)
-                                        : cluster_.try_read_sensor(path);
+    const sim::SensorReadResult r = attempt == 0 && first != nullptr
+                                        ? *first
+                                        : read_once(handle, value_rng);
     cost_s += r.latency_s;
     if (cost_s > retry_.read_deadline_s) {
       // The attempt chain blew its latency budget: give up now, whatever
@@ -227,7 +252,7 @@ void Collector::read_group(const Group& group, TimePoint now,
   // Child of the collect() pass root; chunk spans below nest under this one
   // across the pool boundary via the context captured by submit().
   ODA_TRACE_SPAN_CAT("collector.read_group", "collector");
-  const std::size_t n = group.sensor_paths.size();
+  const std::size_t n = group.sensor_handles.size();
   if (pool_ != nullptr && n >= 64) {
     // Genuinely parallel reads: overlay_rng_ advances exactly once per
     // group (serially, here), and each chunk derives its own stream from
@@ -247,14 +272,13 @@ void Collector::read_group(const Group& group, TimePoint now,
       ODA_TRACE_SPAN_CAT("collector.read_chunk", "collector");
       auto rng = Rng::from_draw(overlay_draw, lo);
       for (std::size_t i = lo; i < hi; ++i) {
-        slots[i] = attempt_read(group.sensor_paths[i], group.sensor_ids[i],
-                                now, &rng, rng);
+        slots[i] = attempt_read(group.sensor_handles[i], now, &rng, rng);
       }
     });
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      slots[i] = attempt_read(group.sensor_paths[i], group.sensor_ids[i], now,
-                              nullptr, serial_backoff_rng_);
+      slots[i] = attempt_read(group.sensor_handles[i], now, nullptr,
+                              serial_backoff_rng_);
     }
   }
 }
@@ -283,18 +307,18 @@ void Collector::collect() {
     std::uint64_t gap_counts[3] = {0, 0, 0};
     for (std::size_t i = 0; i < n; ++i) {
       const SlotResult& slot = slots[i];
+      const std::string& path = catalog_.paths()[group.sensor_handles[i]];
       pass_retries += slot.retries;
       if (slot.outcome == ReadOutcome::kOk) {
         readings.push_back(IdReading{group.sensor_ids[i], {now, slot.value}});
         if (health_ != nullptr) {
-          health_->record_success(group.sensor_ids[i], group.sensor_paths[i],
-                                  now, slot.value);
+          health_->record_success(group.sensor_ids[i], path, now, slot.value);
         }
       } else {
         ++gap_counts[static_cast<int>(slot.outcome) - 1];
         if (health_ != nullptr) {
-          health_->record_failure(group.sensor_ids[i], group.sensor_paths[i],
-                                  now, slot.outcome);
+          health_->record_failure(group.sensor_ids[i], path, now,
+                                  slot.outcome);
         }
       }
     }
@@ -331,13 +355,11 @@ void Collector::collect() {
 }
 
 BreakerState Collector::breaker_state(const std::string& path) const {
-  const auto id = SeriesInterner::global().lookup(path);
-  if (!id.has_value()) return BreakerState::kClosed;
-  const auto it = breakers_.find(id->value);
-  if (it == breakers_.end()) return BreakerState::kClosed;
+  const std::optional<std::size_t> handle = cluster_.find_sensor(path);
+  if (!handle.has_value()) return BreakerState::kClosed;
   // relaxed: tear-free observation of a state another thread may be
   // transitioning mid-pass; any recent value is an acceptable answer.
-  return it->second.state.load(std::memory_order_relaxed);
+  return breakers_[*handle].state.load(std::memory_order_relaxed);
 }
 
 }  // namespace oda::telemetry

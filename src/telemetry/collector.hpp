@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -133,19 +132,21 @@ class Collector {
  private:
   struct Group {
     CollectorGroup def;
-    std::vector<std::string> sensor_paths;
-    std::vector<SeriesId> sensor_ids;  // interned once at add_group()
+    // Per matched sensor, resolved once at add_group(): the cluster's dense
+    // sensor handle (also the index into breakers_) and the series id.
+    std::vector<std::size_t> sensor_handles;
+    std::vector<SeriesId> sensor_ids;
     obs::Counter* samples = nullptr;   // owned by the global registry
     obs::Counter* retries = nullptr;
     // Gap counters indexed by ReadOutcome (kDropout/kDeadline/kBreakerOpen).
     obs::Counter* gaps[3] = {nullptr, nullptr, nullptr};
   };
 
-  /// Per-sensor breaker. Entries are created in add_group() and the map is
-  /// never mutated during collect(); each sensor belongs to exactly one
-  /// chunk of one group pass, so its entry is only mutated by one thread at
-  /// a time (pass boundaries synchronize via the pool's futures). `state`
-  /// is additionally atomic because breaker_state() observes it from
+  /// Per-sensor breaker, indexed by sensor handle. The array is sized once
+  /// in the constructor; each sensor belongs to exactly one chunk of one
+  /// group pass, so its entry is only mutated by one thread at a time (pass
+  /// boundaries synchronize via the pool's futures). `state` is
+  /// additionally atomic because breaker_state() observes it from
   /// arbitrary threads while a parallel pass is transitioning it.
   struct Breaker {
     std::atomic<BreakerState> state{BreakerState::kClosed};
@@ -161,11 +162,20 @@ class Collector {
     ReadOutcome outcome = ReadOutcome::kOk;
   };
 
-  /// Runs the breaker gate + retry loop for one sensor. `value_rng` draws
-  /// the fault-overlay randomness (null = the simulation's own stream, the
-  /// serial path); `aux_rng` draws backoff jitter. May run on pool threads.
-  SlotResult attempt_read(const std::string& path, SeriesId id, TimePoint now,
-                          Rng* value_rng, Rng& aux_rng);
+  /// Reads one sensor. The fast path — breaker closed, first attempt
+  /// succeeds within the deadline — records no trace event; anything else
+  /// continues in read_slow(). `value_rng` draws the fault-overlay
+  /// randomness (null = the simulation's own stream, the serial path);
+  /// `aux_rng` draws backoff jitter. May run on pool threads.
+  SlotResult attempt_read(std::size_t handle, TimePoint now, Rng* value_rng,
+                          Rng& aux_rng);
+  /// The breaker gate and retry loop, under a per-sensor read span.
+  /// `first` is the already-taken first attempt when the breaker was
+  /// closed, null when the gate has yet to run.
+  SlotResult read_slow(std::size_t handle, Breaker& breaker, TimePoint now,
+                       Rng* value_rng, Rng& aux_rng,
+                       const sim::SensorReadResult* first);
+  sim::SensorReadResult read_once(std::size_t handle, Rng* value_rng);
   void transition_breaker(Breaker& breaker, BreakerState to, TimePoint now);
   void on_read_success(Breaker& breaker, TimePoint now);
   void on_read_failure(Breaker& breaker, TimePoint now);
@@ -182,7 +192,7 @@ class Collector {
   RetryPolicy retry_;
   BreakerPolicy breaker_;
   SensorHealthTracker* health_ = nullptr;
-  std::unordered_map<std::uint32_t, Breaker> breakers_;
+  std::vector<Breaker> breakers_;
   std::atomic<std::uint64_t> samples_collected_{0};
   std::atomic<std::uint64_t> samples_expected_{0};
   std::atomic<std::uint64_t> gaps_total_{0};

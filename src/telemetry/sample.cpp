@@ -27,8 +27,15 @@ std::optional<SensorInfo> SensorCatalog::find(const std::string& path) const {
 
 std::vector<std::string> SensorCatalog::match(const std::string& pattern) const {
   std::vector<std::string> out;
-  for (const auto& path : order_) {
-    if (glob_match(pattern, path)) out.push_back(path);
+  for (const std::size_t i : match_indices(pattern)) out.push_back(order_[i]);
+  return out;
+}
+
+std::vector<std::size_t> SensorCatalog::match_indices(
+    const std::string& pattern) const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    if (glob_match(pattern, order_[i])) out.push_back(i);
   }
   return out;
 }

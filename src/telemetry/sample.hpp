@@ -34,6 +34,8 @@ class SensorCatalog {
   std::optional<SensorInfo> find(const std::string& path) const;
   /// Paths matching a glob pattern ('*' and '?'), in insertion order.
   std::vector<std::string> match(const std::string& pattern) const;
+  /// Insertion indices (into paths()) of the paths matching `pattern`.
+  std::vector<std::size_t> match_indices(const std::string& pattern) const;
   std::size_t size() const { return order_.size(); }
   const std::vector<std::string>& paths() const { return order_; }
 

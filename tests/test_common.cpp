@@ -36,6 +36,8 @@ TEST(Types, FormatDuration) {
 TEST(Types, FormatTime) {
   EXPECT_EQ(format_time(0), "d00 00:00:00");
   EXPECT_EQ(format_time(kDay + kHour), "d01 01:00:00");
+  EXPECT_EQ(format_time(-kMinute), "t-00:01:00");
+  EXPECT_EQ(format_time(-(2 * kDay + 3 * kHour)), "t-2d 03:00:00");
 }
 
 TEST(Types, UnitConversions) {

@@ -68,6 +68,12 @@ struct QuantileCase {
   int distribution;  // 0 normal, 1 exponential, 2 uniform, 3 bimodal
 };
 
+// Without this gtest prints the raw bytes of the case, the name pointer
+// included, so the listed test name (and its ctest name) changed per run.
+void PrintTo(const QuantileCase& c, std::ostream* os) {
+  *os << c.name << " q=" << c.q;
+}
+
 class P2Property : public ::testing::TestWithParam<QuantileCase> {};
 
 TEST_P(P2Property, TracksExactQuantile) {

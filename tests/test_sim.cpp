@@ -5,7 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/cluster.hpp"
@@ -475,6 +479,184 @@ TEST(Faults, GroundTruthQuery) {
   EXPECT_FALSE(inj.any_active_at(150, "rack01"));
 }
 
+// The per-target event index must answer exactly as the linear scan over
+// every event that it replaced. This is that scan, kept as the reference
+// model (single-threaded, so the stuck state needs no lock).
+class LinearScanFaults {
+ public:
+  void schedule(const FaultEvent& event) {
+    events_.push_back(event);
+    stuck_values_.push_back(0.0);
+    stuck_captured_.push_back(false);
+  }
+
+  double apply(const std::string& path, double raw, TimePoint now, Rng& rng) {
+    double value = raw;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      const FaultEvent& e = events_[i];
+      if (!is_sensor_fault(e.kind) || is_read_fault(e.kind) ||
+          e.target != path) {
+        continue;
+      }
+      if (!e.active_at(now)) {
+        if (e.kind == FaultKind::kSensorStuck) stuck_captured_[i] = false;
+        continue;
+      }
+      switch (e.kind) {
+        case FaultKind::kSensorStuck:
+          if (!stuck_captured_[i]) {
+            stuck_values_[i] = value;
+            stuck_captured_[i] = true;
+          }
+          value = stuck_values_[i];
+          break;
+        case FaultKind::kSensorDrift: {
+          const double hours = static_cast<double>(now - e.start) /
+                               static_cast<double>(kHour);
+          value += e.magnitude * hours;
+          break;
+        }
+        case FaultKind::kSensorSpike:
+          if (rng.bernoulli(0.05)) value += e.magnitude;
+          break;
+        case FaultKind::kSensorNoise:
+          value += rng.normal(0.0, e.magnitude);
+          break;
+        default:
+          break;
+      }
+    }
+    return value;
+  }
+
+  ReadFault read_fault(const std::string& path, TimePoint now, Rng& rng) const {
+    ReadFault out;
+    for (const auto& e : events_) {
+      if (!is_read_fault(e.kind) || e.target != path || !e.active_at(now)) {
+        continue;
+      }
+      if (e.kind == FaultKind::kSensorDropout) {
+        if (rng.bernoulli(std::min(1.0, std::max(0.0, e.magnitude)))) {
+          out.dropout = true;
+        }
+      } else {
+        out.stall_seconds += e.magnitude * rng.uniform(0.8, 1.2);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<FaultEvent> events_;
+  std::vector<double> stuck_values_;
+  std::vector<bool> stuck_captured_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Randomized schedules: several events per target, overlapping windows,
+// stuck windows that close and re-arm (the read clock sometimes steps back
+// into a window it has left, so a re-armed stuck fault captures afresh),
+// targets no sensor has, component kinds aimed at sensor paths (ignored by
+// the read path), events scheduled before bind_sensors() and after reads
+// have begun. Sensors are read by handle and by path in turn; every read
+// must give bit-equal values, equal ReadFaults, and leave both Rngs in the
+// same state.
+TEST(Faults, IndexedLookupMatchesLinearScan) {
+  constexpr std::size_t kSensors = 10;
+  std::vector<std::string> targets;
+  for (std::size_t i = 0; i < kSensors; ++i) {
+    targets.push_back("rack00/node0" + std::to_string(i) + "/power");
+  }
+  targets.emplace_back("ghost/a");  // match no sensor
+  targets.emplace_back("ghost/b");
+  const FaultKind kKinds[] = {
+      FaultKind::kSensorStuck,   FaultKind::kSensorDrift,
+      FaultKind::kSensorSpike,   FaultKind::kSensorNoise,
+      FaultKind::kSensorDropout, FaultKind::kSensorStall,
+      FaultKind::kFanFailure};
+
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng gen(seed);
+    auto random_event = [&] {
+      FaultEvent e;
+      // Skewed towards the first targets, so several events share one.
+      const auto pick = static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<std::int64_t>(targets.size()) - 1));
+      e.target = targets[pick % (gen.bernoulli(0.5) ? 4 : targets.size())];
+      e.kind = kKinds[gen.uniform_int(0, 6)];
+      e.start = 15 * gen.uniform_int(0, 40);
+      e.end = e.start + 15 * gen.uniform_int(1, 20);
+      e.magnitude = e.kind == FaultKind::kSensorDropout
+                        ? gen.uniform(-0.2, 1.2)
+                        : gen.uniform(0.5, 20.0);
+      return e;
+    };
+
+    FaultInjector indexed;
+    LinearScanFaults reference;
+    const auto pre_bind = gen.uniform_int(0, 4);
+    for (std::int64_t k = 0; k < pre_bind; ++k) {
+      const FaultEvent e = random_event();
+      indexed.schedule(e);
+      reference.schedule(e);
+    }
+    indexed.bind_sensors(kSensors, [&](const std::string& path)
+                                       -> std::optional<std::size_t> {
+      for (std::size_t i = 0; i < kSensors; ++i) {
+        if (targets[i] == path) return i;
+      }
+      return std::nullopt;
+    });
+
+    Rng rng_indexed(seed * 977);
+    Rng rng_reference(seed * 977);
+    TimePoint now = 0;
+    for (int step = 0; step < 80; ++step) {
+      now = gen.bernoulli(0.15) ? 15 * gen.uniform_int(0, now / 15)
+                                : now + 15;
+      if (gen.bernoulli(0.3)) {
+        const auto more = gen.uniform_int(1, 3);
+        for (std::int64_t k = 0; k < more; ++k) {
+          const FaultEvent e = random_event();
+          indexed.schedule(e);
+          reference.schedule(e);
+        }
+      }
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        const std::string& path = targets[t];
+        const bool by_handle = t < kSensors && (now / 15 + t) % 2 == 0;
+        const double raw = gen.uniform(-50.0, 50.0);
+        const ReadFault got =
+            by_handle ? indexed.read_fault_at(t, now, rng_indexed)
+                      : indexed.read_fault_at(path, now, rng_indexed);
+        const ReadFault want = reference.read_fault(path, now, rng_reference);
+        ASSERT_EQ(got.dropout, want.dropout) << path << " t=" << now;
+        ASSERT_TRUE(same_bits(got.stall_seconds, want.stall_seconds))
+            << path << " t=" << now;
+        const double value =
+            by_handle ? indexed.apply_sensor_faults(t, raw, now, rng_indexed)
+                      : indexed.apply_sensor_faults(path, raw, now, rng_indexed);
+        const double expected = reference.apply(path, raw, now, rng_reference);
+        ASSERT_TRUE(same_bits(value, expected))
+            << path << " t=" << now << ": " << value << " vs " << expected;
+      }
+    }
+    // Same final Rng state, including the cached second normal variate.
+    EXPECT_EQ(rng_indexed.normal(), rng_reference.normal()) << "seed " << seed;
+    EXPECT_EQ(rng_indexed.next(), rng_reference.next()) << "seed " << seed;
+  }
+}
+
+TEST(Faults, UnboundHandleThrows) {
+  FaultInjector inj;
+  Rng rng(1);
+  EXPECT_THROW(inj.apply_sensor_faults(std::size_t{0}, 1.0, 0, rng),
+               ContractError);
+}
+
 // ---------------------------------------------------------------- cluster
 
 TEST(Cluster, RunsAndAccumulatesEnergy) {
@@ -518,6 +700,47 @@ TEST(Cluster, UnknownSensorThrows) {
   EXPECT_THROW(cluster.read_sensor("no/such/sensor"), ContractError);
   EXPECT_FALSE(cluster.has_sensor("no/such/sensor"));
   EXPECT_TRUE(cluster.has_sensor("facility/pue"));
+}
+
+TEST(Cluster, HandleIsIndexIntoSensors) {
+  ClusterParams params;
+  params.racks = 1;
+  params.nodes_per_rack = 2;
+  ClusterSimulation cluster(params);
+  for (std::size_t h = 0; h < cluster.sensors().size(); ++h) {
+    ASSERT_EQ(cluster.find_sensor(cluster.sensors()[h].path), h);
+  }
+  EXPECT_FALSE(cluster.find_sensor("no/such/sensor").has_value());
+  EXPECT_THROW(cluster.try_read_sensor(cluster.sensors().size()),
+               ContractError);
+}
+
+// The path wrappers and the handle form are one read: same value, same
+// stream, with overlay and read faults active.
+TEST(Cluster, PathAndHandleReadsAgree) {
+  ClusterParams params;
+  params.racks = 1;
+  params.nodes_per_rack = 2;
+  ClusterSimulation by_path(params), by_handle(params);
+  for (ClusterSimulation* c : {&by_path, &by_handle}) {
+    c->faults().schedule({FaultKind::kSensorNoise, "facility/pue", 0, kHour, 0.5});
+    c->faults().schedule(
+        {FaultKind::kSensorDropout, "facility/pue", 0, kHour, 0.5});
+    c->run_for(15 * kMinute);
+  }
+  const std::size_t pue = *by_handle.find_sensor("facility/pue");
+  for (int i = 0; i < 50; ++i) {
+    const SensorReadResult a = by_path.try_read_sensor("facility/pue");
+    const SensorReadResult b = by_handle.try_read_sensor(pue);
+    ASSERT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.value, b.value);
+  }
+  const auto all_a = by_path.sample_all();
+  const auto all_b = by_handle.sample_all();
+  ASSERT_EQ(all_a.size(), all_b.size());
+  for (std::size_t i = 0; i < all_a.size(); ++i) {
+    EXPECT_EQ(all_a[i].second, all_b[i].second) << all_a[i].first;
+  }
 }
 
 TEST(Cluster, KnobChangesPropagate) {

@@ -267,6 +267,49 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
             std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
+
+// Span contract of the read path: a read that stays on the fast path
+// (breaker closed, first attempt succeeds) records nothing of its own, so a
+// fault-free pooled pass costs one span per group, per chunk and for the
+// pass root — never one per sensor.
+TEST_F(CausalTraceTest, FaultFreePassRecordsNoPerSensorSpans) {
+  Tracer& tracer = Tracer::global();
+  tracer.set_capacity(1 << 16);
+  tracer.set_enabled(true);
+
+  sim::ClusterParams params;
+  params.racks = 2;
+  params.nodes_per_rack = 8;
+  params.dt = 15;
+  params.seed = 11;
+  sim::ClusterSimulation cluster(params);
+  telemetry::TimeSeriesStore store;
+  ThreadPool pool(4);
+  telemetry::Collector collector(cluster, &store, nullptr, &pool);
+  // One pooled group (>= 64 sensors) and one small serial group.
+  ASSERT_GE(collector.add_group({"nodes", "rack*/node*", 15}), 64u);
+  ASSERT_GT(collector.add_group({"facility", "facility/*", 15}), 0u);
+  const std::size_t groups = 2;
+
+  cluster.step();
+  tracer.clear();
+  collector.collect();
+  pool.shutdown();
+  ASSERT_EQ(collector.gaps_total(), 0u);
+  ASSERT_EQ(collector.retries_total(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+
+  std::size_t collector_spans = 0;
+  std::size_t chunks = 0;
+  for (const auto& e : tracer.events()) {
+    if (e.kind != TraceEventKind::kSpan) continue;
+    EXPECT_NE(e.name, "collector.read_sensor");
+    if (e.name.rfind("collector.", 0) == 0) ++collector_spans;
+    if (e.name == "collector.read_chunk") ++chunks;
+  }
+  EXPECT_GT(chunks, 0u);  // the pooled path ran
+  EXPECT_LE(collector_spans, groups + chunks + 1);
+}
 #endif  // ODA_TRACING_ENABLED
 
 // --------------------------------------------------------- flight recorder
