@@ -11,9 +11,7 @@
 //
 // Plain BenchReport executable: `--json <path>` writes the machine-readable
 // record scripts/collect_bench.py aggregates; `--quick` shortens the runs
-// to CI smoke pace. Under ODA_NET=OFF the executable reports net_enabled=0
-// and exits 0 without the http metrics (the CI gate only requires them in
-// net-enabled builds).
+// to CI smoke pace.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -28,7 +26,6 @@
 
 #include "bench_util.hpp"
 #include "net/obs_server.hpp"
-#include "net/reactor.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 
@@ -149,12 +146,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--quick") quick = true;
   }
   oda::bench::BenchReport report("bench_net", argc, argv);
-  report.add("net_enabled", oda::net::net_enabled() ? 1.0 : 0.0, "");
-  if (!oda::net::net_enabled()) {
-    std::printf("bench_net: ODA_NET=OFF — nothing to measure\n");
-    return 0;
-  }
-
   populate_registry();
 
   // ----------------------------------------------------- scrape latency

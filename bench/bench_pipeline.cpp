@@ -182,9 +182,8 @@ BENCHMARK(BM_CollectorPassFaulted)->Arg(16);
 // The tracing cost ladder (trace.hpp's cost model). Both sinks off must
 // price a span at one relaxed atomic load — compare against RecorderOnly
 // (the always-on default: clock reads + ring stores) and Full (tracer
-// buffer push on top). Spans are taken via the TraceSpan class directly so
-// the ladder is measurable in ODA_TRACING=OFF builds too; the macro path
-// compiles to literally nothing there.
+// buffer push on top). Spans are taken via the TraceSpan class directly,
+// which is what the macro expands to.
 void BM_TraceSpanDisabled(benchmark::State& state) {
   obs::Tracer::global().set_enabled(false);
   obs::FlightRecorder::global().set_enabled(false);
@@ -220,7 +219,7 @@ void BM_TraceSpanFull(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanFull);
 
-// The profiler gate ladder (profiler.hpp's cost model): compiled in but
+// The profiler gate ladder (profiler.hpp's cost model): with the profiler
 // stopped, SamplingProfiler::active() must price at one relaxed load —
 // the entire steady-state cost instrumented threads pay when nobody is
 // profiling. Compare against BM_TraceSpanDisabled, the same claim for

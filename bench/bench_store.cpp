@@ -342,7 +342,6 @@ int main(int argc, char** argv) {
   // parallelism coefficient (total busy / root duration). Structural
   // metrics from span nesting, not a wall-clock re-timing — so they also
   // explain *why* the pooled frame is faster, not just that it is.
-#if ODA_TRACING_ENABLED
   {
     oda::obs::Tracer& tracer = oda::obs::Tracer::global();
     tracer.clear();
@@ -364,7 +363,6 @@ int main(int argc, char** argv) {
       break;
     }
   }
-#endif
 
   // ------------------------------------------------- collector pass time
   // Serial vs. pool-fanned sensor reads (the fault overlay no longer
@@ -407,7 +405,6 @@ int main(int argc, char** argv) {
 
   // One traced parallel collect() pass, same structural analysis as the
   // frame above: how much of the pass the pool actually overlaps.
-#if ODA_TRACING_ENABLED
   {
     oda::sim::ClusterParams params;
     params.racks = 4;
@@ -438,13 +435,12 @@ int main(int argc, char** argv) {
       break;
     }
   }
-#endif
 
   // ------------------------------------------------------------------ WAL
   // Durable-tier cost: batch ingest with the write-ahead log attached
   // (group commit + fsync per flush) vs. the bare store, and how long
   // recovery takes to replay the segments into a fresh store.
-  if (oda::telemetry::wal_enabled()) {
+  {
     const std::string wal_dir = "/tmp/oda_bench_wal";
     const std::string scrub = "rm -rf " + wal_dir;
     (void)std::system(scrub.c_str());

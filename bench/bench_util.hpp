@@ -141,8 +141,8 @@ class ScopedBenchProfile {
       profiling_ = obs::SamplingProfiler::global().start(popts);
       if (!profiling_) {
         std::fprintf(stderr,
-                     "bench_util: profiler unavailable (compiled out or "
-                     "already running); no profile will be written\n");
+                     "bench_util: profiler unavailable (already running); "
+                     "no profile will be written\n");
       }
     }
     if (!opts_.trace_out.empty()) {

@@ -20,9 +20,10 @@
 //
 // With a wal_dir ("-" or empty disables), ingest is write-ahead logged: a
 // prior run's segments are replayed into the store before collection starts
-// and every batch is group-committed to disk (telemetry/wal.hpp). SIGTERM
-// requests a graceful shutdown: the HTTP plane quiesces first (stop
-// accepting, drain in-flight responses), then the run loop's WAL is flushed
+// and every batch is group-committed to disk (telemetry/wal.hpp); a wal_dir
+// that cannot be created ends the run with exit code 3. SIGTERM requests a
+// graceful shutdown: the HTTP plane quiesces first (stop accepting, drain
+// in-flight responses), then the run loop's WAL is flushed
 // and fsynced (an orderly stop leaves no tail for recovery to truncate),
 // final metrics are exported, and the process exits 0.
 //
@@ -122,8 +123,7 @@ int main(int argc, char** argv) {
   recorder.set_dump_path(flight_out);
 
   // The stack profiles itself too: sample every watched thread (the pool
-  // workers plus this main thread) for the whole run. In ODA_PROFILE=OFF
-  // builds start() reports false and dump_folded() writes an empty file.
+  // workers plus this main thread) for the whole run.
   WatchedThreadScope main_scope("main");
   obs::SamplingProfiler& profiler = obs::SamplingProfiler::global();
   const bool profiling = profiler.start();
@@ -140,13 +140,18 @@ int main(int argc, char** argv) {
 
   // Durable tier: replay any previous run's segments BEFORE attaching the
   // WAL (an attached store would re-log its own replay), then log every
-  // batch from here on. Inert when no dir is given or ODA_WAL=OFF.
+  // batch from here on. Inert when no dir is given; a directory that cannot
+  // be created ends the run, since it could not be durable.
   std::optional<telemetry::Wal> wal;
-  if (!wal_dir.empty() && wal_dir != "-" && telemetry::wal_enabled()) {
+  if (!wal_dir.empty() && wal_dir != "-") {
     wal.emplace(telemetry::WalOptions{.dir = wal_dir});
     const auto recovered = wal->recover_into(store);
+    if (!wal->start()) {
+      std::fprintf(stderr, "wal: directory %s unusable\n", wal_dir.c_str());
+      if (profiling) profiler.stop();
+      return 3;
+    }
     store.set_wal(&*wal);
-    wal->start();
     std::printf("wal: replayed %llu samples from %llu segment(s)%s\n",
                 static_cast<unsigned long long>(recovered.samples_replayed),
                 static_cast<unsigned long long>(recovered.segments_scanned),
@@ -155,10 +160,10 @@ int main(int argc, char** argv) {
 
   // Live introspection plane: HTTP endpoints over the running process plus
   // the reflexive scrape loop feeding oda_* metrics back into `store`.
-  // Inert when no port is given or ODA_NET=OFF (start() reports false).
+  // Inert when no port is given.
   net::SelfScrape selfscrape(store);
   std::optional<net::ObsServer> obs_server;
-  if (http_port != "-" && net::net_enabled()) {
+  if (http_port != "-") {
     net::ObsServerOptions obs_opts;
     obs_opts.http.port =
         static_cast<std::uint16_t>(std::atoi(http_port.c_str()));

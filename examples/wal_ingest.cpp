@@ -140,7 +140,7 @@ int run_ingest(const Args& a) {
   store.insert_batch(std::span<const IdReading>(recovered));
   store.set_wal(&wal);
   if (!wal.start()) {
-    std::fprintf(stderr, "wal disabled or directory unusable\n");
+    std::fprintf(stderr, "wal: directory %s unusable\n", a.dir.c_str());
     return 3;
   }
   std::printf("resuming stream at sample %zu (%llu truncated bytes)\n",
@@ -287,10 +287,6 @@ int main(int argc, char** argv) {
   if (a.paths == 0 || a.batch_size == 0 || a.flush_every == 0) {
     std::fprintf(stderr, "paths/batch-size/flush-every must be positive\n");
     return 64;
-  }
-  if (!oda::telemetry::wal_enabled()) {
-    std::printf("wal disabled (ODA_WAL=OFF): nothing to do\n");
-    return 0;
   }
   if (a.mode == "ingest") return run_ingest(a);
   if (a.mode == "verify") return run_verify(a);

@@ -11,9 +11,9 @@ announced ephemeral port from stdout, then:
   * GET /metrics.json   -> parses as JSON with a "families" array;
   * GET /healthz        -> 200 or 503, non-empty report;
   * GET /trace, /flight -> check_trace.py (live URL mode);
-  * GET /profile        -> folded stacks -> check_folded.py (or a clean
-                           503 when the build has ODA_PROFILE=OFF);
-  * GET /varz           -> parses as JSON, "net": true;
+  * GET /profile        -> 200, folded stacks -> check_folded.py;
+  * GET /varz           -> parses as JSON with uptime_seconds and at least
+                           one watched thread;
   * GET /selfscrape     -> parses as JSON, series_count > 0 (the process's
                            own oda_* series are queryable from its store);
   * GET /unknown        -> 404; POST /metrics -> 405.
@@ -182,7 +182,7 @@ def main():
             time.sleep(0.05)
     if listen is None:
         proc.kill()
-        return fail("no 'obs server listening' line (ODA_NET=OFF build?)")
+        return fail("no 'obs server listening' line")
 
     host, _, port_text = listen[len(LISTEN_PREFIX):].rpartition(":")
     port = int(port_text)
@@ -225,27 +225,28 @@ def main():
         if not ok:
             problems.append(f"{target} failed check_trace.py")
 
-    # -- /profile: folded stacks (or a clean 503 under ODA_PROFILE=OFF).
+    # -- /profile: folded stacks through check_folded.py.
     code, body = get(base, "/profile?seconds=0.3", timeout=30.0)
-    if code == 200:
-        if body.strip() != "(no samples)":
-            with open(out("live.folded"), "w", encoding="utf-8") as f:
-                f.write(body)
-            ok, text = run_checker(
-                checker("check_folded.py"),
-                [out("live.folded"), "--min-samples", "1"])
-            print(text)
-            if not ok:
-                problems.append("/profile output failed check_folded.py")
-    elif code != 503:
-        problems.append(f"/profile: unexpected code {code}")
+    if code != 200:
+        problems.append(f"/profile: expected 200, got {code}")
+    else:
+        with open(out("live.folded"), "w", encoding="utf-8") as f:
+            f.write(body)
+        ok, text = run_checker(
+            checker("check_folded.py"),
+            [out("live.folded"), "--min-lines", "1", "--min-samples", "1"])
+        print(text)
+        if not ok:
+            problems.append("/profile output failed check_folded.py")
 
     # -- /varz
     code, body = get(base, "/varz")
     try:
         doc = json.loads(body)
-        if code != 200 or doc.get("build", {}).get("net") is not True:
-            problems.append(f"/varz: code {code} or build.net != true")
+        watched = doc.get("threads", {}).get("watched", 0)
+        if code != 200 or "uptime_seconds" not in doc or watched < 1:
+            problems.append(f"/varz: code {code}, uptime_seconds missing or "
+                            f"threads.watched {watched!r} < 1")
     except json.JSONDecodeError as e:
         problems.append(f"/varz is not JSON: {e}")
 

@@ -147,7 +147,7 @@ def main() -> int:
                 time.sleep(0.05)
         if listen is None:
             proc.kill()
-            print("no 'obs server listening' line (ODA_NET=OFF build?)")
+            print("no 'obs server listening' line")
             return 1
         host, _, port_text = listen[len(LISTEN_PREFIX):].rpartition(":")
         scraper = ShutdownScraper(host, int(port_text))

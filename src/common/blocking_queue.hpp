@@ -1,6 +1,6 @@
 // Bounded multi-producer/multi-consumer blocking queue. Mutex + condition
 // variables: simple, correct, and fast enough for control-plane traffic
-// (task dispatch, alerts); the data plane uses SpscQueue.
+// (task dispatch, alerts).
 #pragma once
 
 #include <cstddef>

@@ -21,7 +21,7 @@ ThreadPool::~ThreadPool() { shutdown(); }
 void ThreadPool::worker_loop() {
   // Register with the thread-watch registry so the sampling profiler can
   // signal this worker (obs/profiler.hpp). One registration per worker
-  // lifetime; a no-op with profiling compiled out.
+  // lifetime.
   WatchedThreadScope watch("pool.worker");
   for (;;) {
     // relaxed (both): parked_workers() is an advisory gauge — a reader

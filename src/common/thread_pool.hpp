@@ -16,12 +16,6 @@
 #include "common/sync.hpp"
 #include "common/trace_context.hpp"
 
-// Defined PUBLIC on oda_common by CMake; default on so bare compiles of this
-// header (lint self-contained check) see the full code path.
-#ifndef ODA_TRACING_ENABLED
-#define ODA_TRACING_ENABLED 1
-#endif
-
 namespace oda {
 
 class ThreadPool {
@@ -88,7 +82,6 @@ class ThreadPool {
     const bool timed = timing_armed_.load(std::memory_order_acquire);
     const auto enqueued = timed ? std::chrono::steady_clock::now()
                                 : std::chrono::steady_clock::time_point{};
-#if ODA_TRACING_ENABLED
     // Capture the submitter's trace context so spans opened inside the task
     // stay children of the span that submitted it (causal tracing across the
     // pool boundary). Costs one thread-local read + a 16-byte copy.
@@ -103,17 +96,6 @@ class ThreadPool {
             (*task)();
           }
         });
-#else
-    const bool accepted = tasks_.push([this, task, timed, enqueued] {
-      if (timed) {
-        const auto started = std::chrono::steady_clock::now();
-        (*task)();
-        note_task_timing(enqueued, started);
-      } else {
-        (*task)();
-      }
-    });
-#endif
     if (!accepted) {
       // Pool already shut down: run inline so the future is still satisfied.
       // relaxed: statistics counter (see rejected_count()).

@@ -98,18 +98,12 @@ void ThreadWatchRegistry::remove(const WatchedThread* rec) {
 WatchedThread* current_watched_thread() noexcept { return t_current; }
 
 WatchedThreadScope::WatchedThreadScope(const char* role) {
-#if ODA_PROFILING_ENABLED
   if (t_current != nullptr) return;  // nested scope: outermost wins
   rec_ = ThreadWatchRegistry::global().add(role);
-#else
-  (void)role;
-#endif
 }
 
 WatchedThreadScope::~WatchedThreadScope() {
-#if ODA_PROFILING_ENABLED
   if (rec_) ThreadWatchRegistry::global().remove(rec_.get());
-#endif
 }
 
 }  // namespace oda

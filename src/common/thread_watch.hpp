@@ -12,9 +12,6 @@
 // have exited yet — signalling it is race-free. The registry never frees a
 // record while a consumer holds its shared_ptr, so per-thread profiler
 // attachments survive thread exit until the profiler drops them.
-//
-// With ODA_PROFILE=OFF (-DODA_PROFILING_ENABLED=0) the scope compiles to an
-// empty object and registration is skipped entirely.
 #pragma once
 
 #include <pthread.h>
@@ -27,12 +24,6 @@
 #include <vector>
 
 #include "common/sync.hpp"
-
-// Defined PUBLIC on oda_common by CMake; default on so bare compiles of this
-// header (lint self-contained check) see the full code path.
-#ifndef ODA_PROFILING_ENABLED
-#define ODA_PROFILING_ENABLED 1
-#endif
 
 namespace oda {
 
@@ -92,8 +83,7 @@ class ThreadWatchRegistry {
 WatchedThread* current_watched_thread() noexcept;
 
 /// RAII registration of the current thread. Nested scopes on one thread are
-/// inert (the outermost wins); with profiling compiled out the scope is an
-/// empty object.
+/// inert (the outermost wins).
 class WatchedThreadScope {
  public:
   explicit WatchedThreadScope(const char* role);

@@ -3,8 +3,7 @@
 // and is fed raw bytes as they arrive; it exposes exactly one completed
 // request at a time and retains pipelined leftovers for the next round, so
 // a connection state machine never re-buffers. The parser itself has no OS
-// dependencies and is always compiled (even under ODA_NET=OFF) — only the
-// reactor/server around it are gated.
+// dependencies.
 //
 // Scope: the observability plane is GET-only, so bodies are bounded by
 // Limits::max_body_bytes (default 0 — any payload draws 413) and chunked

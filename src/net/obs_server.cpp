@@ -16,7 +16,6 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "telemetry/store.hpp"
-#include "telemetry/wal.hpp"
 
 namespace oda::net {
 
@@ -196,7 +195,7 @@ bool ObsServer::handle_profile(const HttpRequest& req,
     const bool piggyback = profiler.running();
     if (!piggyback && !profiler.start(obs::ProfilerOptions{})) {
       resp.code = 503;
-      resp.body = "profiler unavailable (ODA_PROFILE=OFF)\n";
+      resp.body = "profiler unavailable: another profiler instance is active\n";
     } else {
       std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
       if (!piggyback) profiler.stop();
@@ -222,15 +221,6 @@ HttpResponse ObsServer::varz() const {
   std::string body = "{\n";
   body += "  \"pid\": " + std::to_string(::getpid()) + ",\n";
   body += "  \"uptime_seconds\": " + format_double(uptime_s) + ",\n";
-  body += "  \"build\": {";
-  body += std::string("\"tracing\": ") +
-          (ODA_TRACING_ENABLED ? "true" : "false");
-  body += std::string(", \"profiling\": ") +
-          (ODA_PROFILING_ENABLED ? "true" : "false");
-  body += std::string(", \"wal\": ") +
-          (telemetry::wal_enabled() ? "true" : "false");
-  body += std::string(", \"net\": ") + (net_enabled() ? "true" : "false");
-  body += "},\n";
   body += "  \"threads\": {\"watched\": " +
           std::to_string(ThreadWatchRegistry::global().size()) +
           ", \"roles\": {";

@@ -9,7 +9,7 @@
 //   GET /trace            Chrome trace JSON (?clear=1 drains the tracer)
 //   GET /profile?seconds= sampling-profiler run -> folded stacks (deferred)
 //   GET /flight           FlightRecorder snapshot (Chrome trace JSON)
-//   GET /varz             build flags, uptime, thread registry, http stats
+//   GET /varz             pid, uptime, thread registry, http stats
 //   GET /selfscrape       self-scraped oda/* series in the attached store
 //
 // Unknown paths collapse to the "other" label of oda_http_requests_total

@@ -1,6 +1,5 @@
 #include "net/reactor.hpp"
 
-#if ODA_NET_ENABLED
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -11,13 +10,8 @@
 
 #include "common/log.hpp"
 #include "common/thread_watch.hpp"
-#endif
 
 namespace oda::net {
-
-bool net_enabled() noexcept { return ODA_NET_ENABLED != 0; }
-
-#if ODA_NET_ENABLED
 
 namespace {
 
@@ -222,26 +216,5 @@ void Reactor::loop() {
   }
   run_posted();
 }
-
-#else  // !ODA_NET_ENABLED — inert stubs: no fds, no thread, no epoll.
-
-Reactor::Reactor() = default;
-Reactor::~Reactor() = default;
-bool Reactor::start(const char*) { return false; }
-void Reactor::stop() {}
-bool Reactor::on_loop_thread() const noexcept { return false; }
-bool Reactor::add_fd(int, std::uint32_t, IoHandler) { return false; }
-void Reactor::del_fd(int) {}
-std::uint64_t Reactor::schedule(double, Task) { return 0; }
-void Reactor::cancel(std::uint64_t) {}
-void Reactor::post(Task) {}
-void Reactor::wake() {}
-int Reactor::next_timeout_ms() const { return 0; }
-void Reactor::run_posted() {}
-void Reactor::run_due_timers() {}
-double Reactor::now_s() { return 0.0; }
-void Reactor::loop() {}
-
-#endif  // ODA_NET_ENABLED
 
 }  // namespace oda::net

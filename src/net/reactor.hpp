@@ -5,11 +5,6 @@
 // shared state is the posted-task queue, guarded by an oda::Mutex leaf
 // lock — so handlers run lock-free and the analysis has nothing to prove
 // about them.
-//
-// With ODA_NET=OFF the reactor compiles to inert stubs: the constructor
-// opens nothing, start() returns false, and no thread is ever spawned —
-// callers gate setup (and tests skip) on net_enabled(), mirroring the
-// wal_enabled()/profiling gates.
 #pragma once
 
 #include <atomic>
@@ -21,17 +16,7 @@
 
 #include "common/sync.hpp"
 
-// Defined PUBLIC on oda_net by CMake; default on so bare compiles of this
-// header (lint self-contained check) see the full code path.
-#ifndef ODA_NET_ENABLED
-#define ODA_NET_ENABLED 1
-#endif
-
 namespace oda::net {
-
-/// True when the network plane is compiled in (ODA_NET=ON). With the
-/// option off, Reactor/HttpServer start() return false and callers skip.
-bool net_enabled() noexcept;
 
 // Event mask bits handed to io handlers (translated from epoll).
 inline constexpr std::uint32_t kEventRead = 1u << 0;
@@ -48,8 +33,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Spawns the loop thread. Returns false when the net plane is compiled
-  /// out, setup failed, or the reactor is already running.
+  /// Spawns the loop thread. Returns false when setup failed or the
+  /// reactor is already running.
   bool start(const char* role = "net.reactor");
   /// Requests shutdown and joins the loop thread. Pending posted tasks and
   /// timers are dropped; registered fds are deregistered but not closed

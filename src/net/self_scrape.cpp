@@ -51,7 +51,6 @@ SelfScrape::SelfScrape(telemetry::TimeSeriesStore& store,
 SelfScrape::~SelfScrape() { stop(); }
 
 std::size_t SelfScrape::scrape_once(TimePoint now) {
-  if (!net_enabled()) return 0;
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::global().snapshot();
   std::vector<telemetry::IdReading> batch;
@@ -85,7 +84,6 @@ std::size_t SelfScrape::scrape_once(TimePoint now) {
 }
 
 bool SelfScrape::start(std::function<TimePoint()> clock) {
-  if (!net_enabled()) return false;
   if (running_.load(std::memory_order_relaxed)) return false;
   stop_requested_.store(false, std::memory_order_relaxed);
   running_.store(true, std::memory_order_relaxed);

@@ -44,12 +44,12 @@ class SelfScrape {
   SelfScrape& operator=(const SelfScrape&) = delete;
 
   /// One scrape pass: snapshot the registry, ingest everything at time
-  /// `now`. Returns the number of samples ingested (0 under ODA_NET=OFF).
+  /// `now`. Returns the number of samples ingested.
   std::size_t scrape_once(TimePoint now);
 
   /// Spawns the periodic background scraper ("net.self_scrape"); `clock`
-  /// supplies the ingest timestamp per pass. False when the net plane is
-  /// compiled out or the scraper is already running.
+  /// supplies the ingest timestamp per pass. False when the scraper is
+  /// already running.
   bool start(std::function<TimePoint()> clock);
   void stop();
 

@@ -1,23 +1,19 @@
 #include "net/server.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <utility>
-
-#include "obs/trace.hpp"
-
-#if ODA_NET_ENABLED
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
-#endif
+#include "obs/trace.hpp"
 
 namespace oda::net {
 
@@ -26,7 +22,6 @@ namespace {
 constexpr const char* kRequestsHelp =
     "Observability HTTP requests by normalized path and status code";
 
-#if ODA_NET_ENABLED
 double steady_now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -39,7 +34,6 @@ std::uint64_t steady_now_us() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-#endif  // ODA_NET_ENABLED
 
 }  // namespace
 
@@ -135,8 +129,6 @@ void HttpServer::signal_drained() {
   drained_ = true;
   drain_cv_.notify_all();
 }
-
-#if ODA_NET_ENABLED
 
 bool HttpServer::start() {
   if (running_.load(std::memory_order_relaxed)) return false;
@@ -483,25 +475,5 @@ void HttpServer::force_close_all() {
   }
   if (draining_ && conns_.empty()) signal_drained();
 }
-
-#else  // !ODA_NET_ENABLED — inert stubs: no sockets, no threads.
-
-bool HttpServer::start() { return false; }
-void HttpServer::stop() {}
-void HttpServer::on_accept() {}
-void HttpServer::on_conn_event(std::uint64_t, std::uint32_t) {}
-void HttpServer::service(std::uint64_t) {}
-void HttpServer::begin_request(Conn*) {}
-void HttpServer::complete_request(std::uint64_t, HttpResponse) {}
-void HttpServer::queue_error_response(Conn*) {}
-bool HttpServer::flush_out(Conn*) { return false; }
-int HttpServer::fill_from_socket(Conn*) { return 0; }
-void HttpServer::close_conn(Conn*) {}
-void HttpServer::shed_connection(int) {}
-void HttpServer::sweep_idle() {}
-void HttpServer::begin_drain() {}
-void HttpServer::force_close_all() {}
-
-#endif  // ODA_NET_ENABLED
 
 }  // namespace oda::net

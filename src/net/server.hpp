@@ -75,8 +75,8 @@ class HttpServer {
   void set_handler(Handler handler);             ///< before start()
   void set_path_normalizer(PathNormalizer fn);   ///< before start()
 
-  /// Binds, listens, and spawns the reactor thread. False when the net
-  /// plane is compiled out or the socket setup failed.
+  /// Binds, listens, and spawns the reactor thread. False when already
+  /// running or the socket setup failed.
   bool start();
   /// Graceful quiesce: stop accepting, drain in-flight responses (bounded
   /// by drain_timeout_s), then join the reactor. Idempotent.

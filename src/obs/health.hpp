@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/blocking_queue.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -101,24 +100,6 @@ InstrumentationHandles register_tracer(MetricsRegistry& registry,
 InstrumentationHandles register_flight_recorder(
     MetricsRegistry& registry, const FlightRecorder& recorder,
     const std::string& recorder_label);
-
-/// Exports an SpscQueue's depth gauge and reject counter:
-///   oda_queue_depth{queue=}, oda_queue_rejected_total{queue=}.
-template <typename T>
-InstrumentationHandles register_spsc_queue(MetricsRegistry& registry,
-                                           const SpscQueue<T>& queue,
-                                           const std::string& queue_label) {
-  InstrumentationHandles out;
-  out.handles.push_back(registry.gauge_callback(
-      "oda_queue_depth", "Items currently queued",
-      {{"queue", queue_label}, {"kind", "spsc"}},
-      [&queue] { return static_cast<double>(queue.size_approx()); }));
-  out.handles.push_back(registry.counter_callback(
-      "oda_queue_rejected_total", "Pushes rejected because the queue was full",
-      {{"queue", queue_label}, {"kind", "spsc"}},
-      [&queue] { return static_cast<double>(queue.rejected_count()); }));
-  return out;
-}
 
 /// Exports a BlockingQueue's depth gauge and reject counter:
 ///   oda_queue_depth{queue=}, oda_queue_rejected_total{queue=}.

@@ -1,7 +1,12 @@
 #include "obs/profiler.hpp"
 
+#include <cxxabi.h>
+#include <dlfcn.h>
+#include <ucontext.h>
+
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 
@@ -12,14 +17,6 @@
 #include <unordered_map>
 
 #include "common/log.hpp"
-
-#if ODA_PROFILING_ENABLED
-#include <cxxabi.h>
-#include <dlfcn.h>
-#include <ucontext.h>
-
-#include <cstdlib>
-#endif
 
 namespace oda::obs {
 
@@ -49,8 +46,6 @@ struct SamplingProfiler::Ring {
   const char* stack_lo = nullptr;
   const char* stack_hi = nullptr;
 };
-
-#if ODA_PROFILING_ENABLED
 
 namespace {
 
@@ -121,8 +116,7 @@ void sample_into(SamplingProfiler::Ring& ring, void* uctx) noexcept {
         break;
       }
       // [fp] = caller's fp, [fp+8] = return address (fp-chain ABI layout,
-      // valid because the tree builds with -fno-omit-frame-pointer under
-      // ODA_PROFILE).
+      // valid because the tree builds with -fno-omit-frame-pointer).
       const std::uintptr_t next_fp =
           *reinterpret_cast<const std::uintptr_t*>(fp);
       const std::uintptr_t ret =
@@ -244,8 +238,6 @@ std::string symbolize_pc(std::uintptr_t pc) {
 
 }  // namespace
 
-#endif  // ODA_PROFILING_ENABLED
-
 // ------------------------------------------------------------ lifecycle
 
 SamplingProfiler& SamplingProfiler::global() {
@@ -254,8 +246,6 @@ SamplingProfiler& SamplingProfiler::global() {
 }
 
 SamplingProfiler::~SamplingProfiler() { stop(); }
-
-#if ODA_PROFILING_ENABLED
 
 bool SamplingProfiler::running() const {
   return g_active_profiler.load(std::memory_order_relaxed) == this &&
@@ -507,31 +497,5 @@ void SamplingProfiler::clear() {
   MutexLock lock(rings_mu_);
   rings_.clear();
 }
-
-#else  // !ODA_PROFILING_ENABLED
-
-bool SamplingProfiler::running() const { return false; }
-void SamplingProfiler::attach(WatchedThread&) {}
-void SamplingProfiler::register_hook_trampoline(WatchedThread&) {}
-bool SamplingProfiler::start(const ProfilerOptions&) { return false; }
-void SamplingProfiler::stop() {}
-void SamplingProfiler::watcher_loop(std::uint64_t) {}
-std::vector<ProfileSample> SamplingProfiler::samples() const { return {}; }
-std::string SamplingProfiler::folded() const { return {}; }
-bool SamplingProfiler::dump_folded(const std::string& path) const {
-  // Still writes the (empty) file so export pipelines keep working with
-  // profiling compiled out.
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-std::uint64_t SamplingProfiler::sampled_total() const { return 0; }
-std::uint64_t SamplingProfiler::truncated_total() const { return 0; }
-std::uint64_t SamplingProfiler::signals_sent() const { return 0; }
-std::size_t SamplingProfiler::thread_count() const { return 0; }
-void SamplingProfiler::clear() {}
-
-#endif  // ODA_PROFILING_ENABLED
 
 }  // namespace oda::obs

@@ -22,9 +22,9 @@
 //
 // Output: folded stacks ("role;frame;frame;... count", root first — the
 // format scripts/stack_collapse-style tooling and flamegraph.pl consume),
-// plus raw samples for tests. Compile out with -DODA_PROFILE=OFF; the
-// disabled runtime cost of an installed-but-stopped profiler is one relaxed
-// load (SamplingProfiler::active(), measured by BM_ProfilerGateDisabled).
+// plus raw samples for tests. The disabled runtime cost of an
+// installed-but-stopped profiler is one relaxed load
+// (SamplingProfiler::active(), measured by BM_ProfilerGateDisabled).
 #pragma once
 
 #include <atomic>
@@ -77,15 +77,15 @@ class SamplingProfiler {
   static SamplingProfiler& global();
 
   /// True while any profiler is sampling. One relaxed load — this is the
-  /// entire hot-path cost of compiled-in-but-stopped profiling.
+  /// entire hot-path cost of a stopped profiler.
   static bool active() noexcept {
     // relaxed: advisory gate; the stop() handshake uses its own seq_cst
     // protocol, this read is for cheap steady-state checks.
     return detail::g_profiler_active.load(std::memory_order_relaxed);
   }
 
-  /// Starts sampling every watched thread. Returns false if profiling is
-  /// compiled out, another profiler is active, or this one already runs.
+  /// Starts sampling every watched thread. Returns false if another
+  /// profiler is active or this one already runs.
   /// Retained samples from a previous run are dropped.
   bool start(const ProfilerOptions& opts = {});
 

@@ -18,11 +18,8 @@
 // (a retry, a breaker transition) inside the owning span.
 //
 // Cost model:
-//   * ODA_TRACING=OFF (CMake option): the macros expand to nothing — zero
-//     code, zero data, zero overhead. The Tracer class itself still links
-//     so tooling code compiles either way.
-//   * compiled in, Tracer disabled and FlightRecorder disabled: one relaxed
-//     atomic load (of the shared sink mask) per scope entry.
+//   * Tracer disabled and FlightRecorder disabled: one relaxed atomic load
+//     (of the shared sink mask) per scope entry.
 //   * FlightRecorder only (the default — see obs/recorder.hpp): two
 //     steady-clock reads plus a handful of relaxed stores into a bounded
 //     per-thread ring.
@@ -42,10 +39,6 @@
 
 #include "common/sync.hpp"
 #include "common/trace_context.hpp"
-
-#ifndef ODA_TRACING_ENABLED
-#define ODA_TRACING_ENABLED 1
-#endif
 
 namespace oda::obs {
 
@@ -171,7 +164,7 @@ class Tracer {
 /// RAII causal span: on entry joins the thread's active trace (or roots a
 /// new one), installs itself as the current context, and on exit restores
 /// the parent and records into whichever sinks are armed. Prefer the
-/// ODA_TRACE_SPAN macro, which compiles out under ODA_TRACING=OFF.
+/// ODA_TRACE_SPAN macro.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "oda")
@@ -218,19 +211,14 @@ inline void trace_instant(const char* name, const char* category) {
 #define ODA_TRACE_CONCAT_INNER(a, b) a##b
 #define ODA_TRACE_CONCAT(a, b) ODA_TRACE_CONCAT_INNER(a, b)
 
-#if ODA_TRACING_ENABLED
 /// Traces the enclosing scope as a span named `name` (a string literal) in
-/// layer `category`. Compiles to nothing when ODA_TRACING=OFF.
+/// layer `category`.
 #define ODA_TRACE_SPAN_CAT(name, category)                 \
   ::oda::obs::TraceSpan ODA_TRACE_CONCAT(oda_trace_span_, \
                                          __LINE__)((name), (category))
 /// Marks a point occurrence (retry, state flip) inside the current span.
 #define ODA_TRACE_INSTANT_CAT(name, category) \
   ::oda::obs::trace_instant((name), (category))
-#else
-#define ODA_TRACE_SPAN_CAT(name, category) static_cast<void>(0)
-#define ODA_TRACE_INSTANT_CAT(name, category) static_cast<void>(0)
-#endif
 
 #define ODA_TRACE_SPAN(name) ODA_TRACE_SPAN_CAT(name, "oda")
 #define ODA_TRACE_INSTANT(name) ODA_TRACE_INSTANT_CAT(name, "oda")

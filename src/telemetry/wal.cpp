@@ -19,14 +19,6 @@
 
 namespace oda::telemetry {
 
-bool wal_enabled() noexcept {
-#if defined(ODA_WAL_ENABLED) && ODA_WAL_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 // ------------------------------------------------------------------- crc32c
 
 namespace {
@@ -442,8 +434,6 @@ std::string Wal::segment_path(std::uint64_t seq) const {
 WalRecoveryStats Wal::recover(std::vector<IdReading>& out) {
   ODA_REQUIRE(!writer_.joinable(), "Wal::recover after start()");
   recovered_ = true;
-  if (!wal_enabled()) return recovery_stats_;
-
   WalRecoveryStats stats;
   // Collect segments as (seq, filename), ordered by sequence number.
   std::vector<std::pair<std::uint64_t, std::string>> segments;
@@ -636,7 +626,6 @@ WalRecoveryStats Wal::recover_into(TimeSeriesStore& store) {
 }
 
 bool Wal::start() {
-  if (!wal_enabled()) return false;
   if (!recovered_) {
     std::vector<IdReading> discard;
     recover(discard);
@@ -672,7 +661,6 @@ void Wal::stop() {
 }
 
 bool Wal::append(std::span<const IdReading> readings) {
-  if (!wal_enabled()) return false;
   if (readings.empty()) return !degraded();
   WalMetrics& m = WalMetrics::get();
   m.appended.inc(readings.size());
@@ -704,7 +692,6 @@ bool Wal::append(std::span<const IdReading> readings) {
 }
 
 bool Wal::flush() {
-  if (!wal_enabled()) return false;
   MutexLock lock(mu_);
   if (committed_seq_ >= appended_seq_ && pending_.empty()) {
     return !degraded();

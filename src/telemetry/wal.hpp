@@ -54,11 +54,6 @@ namespace oda::telemetry {
 
 class TimeSeriesStore;
 
-/// True when the durable tier is compiled in (ODA_WAL=ON). With the option
-/// off, Wal::start() returns false and every append is a cheap no-op, so
-/// callers gate setup (and tests skip) on this one predicate.
-bool wal_enabled() noexcept;
-
 /// CRC32C (Castagnoli), software table-driven — the per-record checksum.
 /// Exposed so tests can forge/verify records without a private header.
 std::uint32_t crc32c(const void* data, std::size_t n,
@@ -257,17 +252,16 @@ class Wal {
   /// attached yet).
   WalRecoveryStats recover_into(TimeSeriesStore& store);
 
-  /// Spawns the writer thread. Returns false (and the Wal stays inert or
-  /// degraded) when the durable tier is compiled out or the directory
-  /// cannot be created. Implies recover() into the void if the caller
-  /// skipped it, so intern continuity always holds.
+  /// Spawns the writer thread. Returns false (and the Wal stays degraded)
+  /// when the directory cannot be created. Implies recover() into the void
+  /// if the caller skipped it, so intern continuity always holds.
   bool start();
   /// Drains the queue, commits, fsyncs, and joins the writer. Idempotent.
   void stop();
 
   /// Copies `readings` into the commit queue. Blocks while the queue is at
   /// capacity (bounded-memory backpressure). Returns false — counting every
-  /// sample lost — when degraded, stopped, or compiled out.
+  /// sample lost — when degraded or stopped.
   bool append(std::span<const IdReading> readings);
   /// Blocks until everything append()ed before this call is written and
   /// fsynced. False when that cannot be guaranteed (degraded/stopped).

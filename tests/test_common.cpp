@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -14,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/stats.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
@@ -317,94 +315,6 @@ TEST(RingBuffer, IndexOutOfRangeThrows) {
   RingBuffer<int> rb(2);
   rb.push(1);
   EXPECT_THROW(rb[1], ContractError);
-}
-
-TEST(SpscQueue, FifoOrder) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.try_pop().value(), i);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(SpscQueue, FullRejectsPush) {
-  SpscQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  // capacity rounded up to power of two minus the sentinel slot: at least 2.
-  while (q.try_push(0)) {
-  }
-  EXPECT_FALSE(q.try_push(99));
-}
-
-TEST(SpscQueue, ConcurrentTransferPreservesAll) {
-  SpscQueue<int> q(1024);
-  constexpr int kCount = 100000;
-  std::atomic<long long> sum{0};
-  std::thread consumer([&] {
-    int received = 0;
-    while (received < kCount) {
-      if (auto v = q.try_pop()) {
-        sum += *v;
-        ++received;
-      }
-    }
-  });
-  for (int i = 0; i < kCount; ++i) {
-    while (!q.try_push(i)) {
-    }
-  }
-  consumer.join();
-  EXPECT_EQ(sum.load(), static_cast<long long>(kCount) * (kCount - 1) / 2);
-}
-
-TEST(SpscQueue, CapacityOneRing) {
-  // capacity 1 rounds the internal ring to 2 slots (1 usable + sentinel):
-  // strict ping-pong must work indefinitely, two pushes in a row never.
-  SpscQueue<int> q(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(q.try_push(i));
-    EXPECT_FALSE(q.try_push(i + 1000));
-    EXPECT_EQ(q.size_approx(), 1u);
-    EXPECT_EQ(q.try_pop().value(), i);
-    EXPECT_FALSE(q.try_pop().has_value());
-    EXPECT_TRUE(q.empty_approx());
-  }
-}
-
-TEST(SpscQueue, WrapAroundManyLaps) {
-  // Drive the masked indices through many laps of the ring (including
-  // partial fills at every offset) to exercise wrap-around arithmetic far
-  // past the first index cycle.
-  SpscQueue<int> q(4);  // internal ring: 8 slots
-  int next_push = 0;
-  int next_pop = 0;
-  for (int lap = 0; lap < 1000; ++lap) {
-    const int burst = 1 + lap % 4;
-    for (int i = 0; i < burst; ++i) EXPECT_TRUE(q.try_push(next_push++));
-    for (int i = 0; i < burst; ++i) EXPECT_EQ(q.try_pop().value(), next_pop++);
-  }
-  EXPECT_TRUE(q.empty_approx());
-  EXPECT_EQ(next_pop, next_push);
-}
-
-TEST(SpscQueue, MoveOnlyPayload) {
-  // capacity 1 is exact (2-slot ring, 1 usable), so the full boundary is
-  // deterministic — larger capacities round up to a power of two.
-  SpscQueue<std::unique_ptr<int>> q(1);
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(1)));
-
-  // A failed push must leave the caller's move-only value intact so it can
-  // be retried instead of being silently destroyed.
-  auto keep = std::make_unique<int>(2);
-  EXPECT_FALSE(q.try_push(std::move(keep)));
-  ASSERT_NE(keep, nullptr);
-  EXPECT_EQ(*keep, 2);
-
-  EXPECT_EQ(*q.try_pop().value(), 1);
-  EXPECT_TRUE(q.try_push(std::move(keep)));
-  EXPECT_EQ(keep, nullptr);  // success does consume the value
-  EXPECT_EQ(*q.try_pop().value(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
 }
 
 TEST(BlockingQueue, PushPopAndClose) {

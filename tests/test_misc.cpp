@@ -8,7 +8,6 @@
 #include "analytics/predictive/whatif.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/table.hpp"
 #include "math/ar_model.hpp"
 #include "sim/cluster.hpp"
@@ -135,22 +134,6 @@ TEST(TextTable, SeparatorAndTitle) {
   const auto out = t.render();
   EXPECT_NE(out.find("TITLE"), std::string::npos);
   EXPECT_EQ(t.row_count(), 3u);  // two rows + separator marker
-}
-
-// ---------------------------------------------------------- queue wrap-around
-
-TEST(SpscQueue, SurvivesManyWrapArounds) {
-  SpscQueue<int> q(8);
-  int popped = 0;
-  for (int round = 0; round < 1000; ++round) {
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(round * 5 + i));
-    for (int i = 0; i < 5; ++i) {
-      const auto v = q.try_pop();
-      ASSERT_TRUE(v.has_value());
-      EXPECT_EQ(*v, popped++);
-    }
-  }
-  EXPECT_TRUE(q.empty_approx());
 }
 
 // ---------------------------------------------------------------- facility

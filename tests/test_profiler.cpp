@@ -288,8 +288,6 @@ TEST(WaitAttribution, LockContentionExportsPerRankHistogram) {
 
 // ---------------------------------------------------------- profiler
 
-#if ODA_PROFILING_ENABLED
-
 TEST(Profiler, LifecycleStartStopRestart) {
   obs::SamplingProfiler& prof = obs::SamplingProfiler::global();
   EXPECT_FALSE(obs::SamplingProfiler::active());
@@ -370,21 +368,6 @@ TEST(Profiler, RegisterProfilerExportsCounters) {
   EXPECT_NE(snap.find("oda_profiler_truncated_total"), nullptr);
   EXPECT_NE(snap.find("oda_profiler_threads_watched"), nullptr);
 }
-
-#else  // !ODA_PROFILING_ENABLED
-
-TEST(Profiler, CompiledOutStubsAreInert) {
-  obs::SamplingProfiler& prof = obs::SamplingProfiler::global();
-  EXPECT_FALSE(prof.start());
-  EXPECT_FALSE(prof.running());
-  EXPECT_FALSE(obs::SamplingProfiler::active());
-  prof.stop();  // no-op
-  EXPECT_TRUE(prof.samples().empty());
-  EXPECT_TRUE(prof.folded().empty());
-  EXPECT_EQ(prof.sampled_total(), 0u);
-}
-
-#endif  // ODA_PROFILING_ENABLED
 
 }  // namespace
 }  // namespace oda

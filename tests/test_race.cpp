@@ -1,5 +1,5 @@
 // Concurrency stress tests aimed at ThreadSanitizer. Each test hammers one
-// of the concurrent primitives (SpscQueue, BlockingQueue, ThreadPool,
+// of the concurrent primitives (BlockingQueue, ThreadPool,
 // telemetry::MessageBus) with the interleavings most likely to turn a latent
 // ordering bug into a deterministic TSan report: multi-producer/consumer
 // loads, shutdown-while-publishing, and subscribe/unsubscribe during
@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/blocking_queue.hpp"
-#include "common/spsc_queue.hpp"
 #include "common/thread_pool.hpp"
 #include "common/thread_watch.hpp"
 #include "common/trace_context.hpp"
@@ -43,98 +41,8 @@ namespace {
 
 // Iteration counts are sized so the whole file stays in the low seconds even
 // under TSan's ~5-15x slowdown on a small CI machine.
-constexpr int kSpscItems = 50000;
 constexpr int kQueueItemsPerProducer = 5000;
 constexpr int kBusMessages = 2000;
-
-// ------------------------------------------------------------- SpscQueue
-
-TEST(RaceSpscQueue, ProducerConsumerTransfersEverything) {
-  SpscQueue<int> q(64);
-  std::uint64_t consumed_sum = 0;
-  int consumed = 0;
-
-  std::thread consumer([&] {
-    while (consumed < kSpscItems) {
-      if (auto v = q.try_pop()) {
-        // FIFO must hold exactly: the i-th pop is the value i.
-        ASSERT_EQ(*v, consumed);
-        consumed_sum += static_cast<std::uint64_t>(*v);
-        ++consumed;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  for (int i = 0; i < kSpscItems; ++i) {
-    while (!q.try_push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-
-  const std::uint64_t want =
-      static_cast<std::uint64_t>(kSpscItems) * (kSpscItems - 1) / 2;
-  EXPECT_EQ(consumed_sum, want);
-  EXPECT_TRUE(q.empty_approx());
-}
-
-// Heap-allocated payloads make use-after-free / double-free visible to ASan
-// and racing accesses to the payload itself visible to TSan, which plain
-// ints cannot: the release/acquire pair on the ring indices must also
-// publish the pointed-to memory.
-TEST(RaceSpscQueue, HeapPayloadsSurviveHandoff) {
-  SpscQueue<std::unique_ptr<std::string>> q(8);
-  constexpr int kItems = 20000;
-
-  std::thread consumer([&] {
-    for (int i = 0; i < kItems;) {
-      if (auto v = q.try_pop()) {
-        ASSERT_NE(*v, nullptr);
-        ASSERT_EQ(**v, std::to_string(i));
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  for (int i = 0; i < kItems; ++i) {
-    auto item = std::make_unique<std::string>(std::to_string(i));
-    while (!q.try_push(std::move(item))) std::this_thread::yield();
-  }
-  consumer.join();
-}
-
-// size_approx is documented as approximate; the stress here is that the
-// unsynchronized snapshot of head/tail must still never produce a value
-// outside [0, capacity] while both sides are running.
-TEST(RaceSpscQueue, SizeApproxStaysInRange) {
-  constexpr std::size_t kCap = 16;
-  SpscQueue<int> q(kCap);
-  std::atomic<bool> stop{false};
-
-  std::thread producer([&] {
-    int i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      q.try_push(i++);
-    }
-  });
-  std::thread consumer([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      q.try_pop();
-    }
-  });
-
-  for (int i = 0; i < 200000; ++i) {
-    const std::size_t s = q.size_approx();
-    // Internal capacity rounds 16+1 up to 32 slots; size can never exceed
-    // the slot count under any interleaving.
-    ASSERT_LE(s, 32u);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  producer.join();
-  consumer.join();
-}
 
 // --------------------------------------------------------- BlockingQueue
 
@@ -635,8 +543,7 @@ TEST(RaceCausalTracing, ContextPropagatesThroughPoolAndBusUnderStress) {
     std::thread reader([&] {
       // Snapshot continuously while writers lap the rings: the seqlock must
       // hand back only stable slots and the tracer drain must not tear.
-      // The accumulation only keeps the loop observable; in ODA_TRACING=OFF
-      // builds the spans above compile away and zero drained is fine.
+      // The accumulation only keeps the loop observable.
       std::size_t drained = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         drained += recorder.snapshot().size();
@@ -670,19 +577,16 @@ TEST(RaceCausalTracing, ContextPropagatesThroughPoolAndBusUnderStress) {
     pool.shutdown();
   }
 
-#if ODA_TRACING_ENABLED
   EXPECT_EQ(mismatches.load(), 0);
   // Workers never leak a borrowed context past the task: after the pool is
   // idle, fresh spans root fresh traces, so the submitting thread's own
   // context must be empty here.
   EXPECT_FALSE(current_trace_context().active());
-#endif
   tracer.set_enabled(false);
   tracer.clear();
   tracer.set_capacity(1 << 16);
 }
 
-#if ODA_PROFILING_ENABLED
 // The sampling profiler interrupts pipeline threads mid-instruction while
 // readers drain its seqlock rings: pool workers and bus publishers run
 // under SIGPROF fire while folded()/samples() snapshot concurrently. TSan
@@ -752,7 +656,6 @@ TEST(RaceStress, ProfilerSamplesConcurrentPipelineTraffic) {
   }
   prof.clear();
 }
-#endif  // ODA_PROFILING_ENABLED
 
 // --------------------------------------------- live introspection plane
 
@@ -764,7 +667,6 @@ TEST(RaceStress, ProfilerSamplesConcurrentPipelineTraffic) {
 // interner, reactor post queue, connection table) is exercised against
 // writers — the interleavings TSan exists to catch.
 TEST(RaceStress, HttpScrapesRaceThePipeline) {
-  if (!net::net_enabled()) GTEST_SKIP() << "ODA_NET=OFF";
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::Counter& spin_counter =
       registry.counter("oda_test_race_http_total", "race-test counter");

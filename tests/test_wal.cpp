@@ -94,12 +94,7 @@ std::vector<IdReading> recover_wal(const std::string& dir,
   return out;
 }
 
-class WalTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!wal_enabled()) GTEST_SKIP() << "ODA_WAL=OFF";
-  }
-};
+class WalTest : public ::testing::Test {};
 
 // ----------------------------------------------------------- codec round-trip
 
