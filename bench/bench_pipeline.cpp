@@ -107,7 +107,7 @@ void BM_CollectorPass(benchmark::State& state) {
     collector.collect();
   }
   state.counters["sensors"] =
-      static_cast<double>(collector.catalog().size());
+      static_cast<double>(cluster.sensors().size());
 }
 BENCHMARK(BM_CollectorPass)->Arg(1)->Arg(4)->Arg(16);
 
@@ -172,7 +172,7 @@ void BM_CollectorPassFaulted(benchmark::State& state) {
     collector.collect();
   }
   state.counters["sensors"] =
-      static_cast<double>(collector.catalog().size());
+      static_cast<double>(cluster.sensors().size());
   state.counters["gaps_per_pass"] = benchmark::Counter(
       static_cast<double>(collector.gaps_total()) /
       static_cast<double>(state.iterations() + 1));

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   telemetry::TimeSeriesStore store(1 << 15);
   telemetry::Collector collector(cluster, &store, nullptr);
   collector.add_all_sensors(/*period=*/60);
-  std::printf("sensors discovered: %zu\n", collector.catalog().size());
+  std::printf("sensors discovered: %zu\n", cluster.sensors().size());
 
   // 3. Prescriptive control plane: cooling set-point optimizer + mode
   //    switcher run against live telemetry.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Aggregates per-bench --json outputs into one BENCH_results.json.
+"""Aggregates per-bench --json outputs into one results file.
 
 Accepts both schemas emitted by the suite:
   * bench_util.hpp BenchReport files: {"bench", "wall_seconds", "metrics"};
@@ -7,22 +7,16 @@ Accepts both schemas emitted by the suite:
     (produced by the ODA_BENCH_MAIN() --json translation).
 
 Usage:
-  collect_bench.py --out BENCH_results.json results/*.json
-  build/bench/bench_table1 --json t1.json && collect_bench.py t1.json
+  collect_bench.py --out results.json results/*.json
+  build/bench/bench_table1 --json t1.json && collect_bench.py --out t1_results.json t1.json
 
 The output maps bench name -> normalized record:
   {"benches": {...}, "count": N, "meta": {...}}
 google-benchmark entries are normalized to metrics named after each
 benchmark case with value = real_time and unit = time_unit.  The "meta"
-block stamps provenance so a checked-in BENCH_results.json is comparable
-across machines and commits: git SHA (plus a -dirty suffix when the tree
-has uncommitted changes), UTC date, hostname, and online core count.
-
-When a previous results file exists (--baseline, defaulting to the --out
-path before it is overwritten), the output also carries a
-"delta_vs_previous" section mapping bench -> metric -> {previous, current,
-ratio}, so perf regressions are visible directly in the PR diff of the
-checked-in BENCH_results.json.
+block stamps provenance so a results file says where it came from: git SHA
+(plus a -dirty suffix when the tree has uncommitted changes), UTC date,
+hostname, and online core count.
 """
 
 import argparse
@@ -90,57 +84,10 @@ def normalize(path, doc):
     raise ValueError(f"{path}: neither a BenchReport nor a google-benchmark file")
 
 
-def metric_map(record):
-    """metric name -> numeric value for one normalized bench record."""
-    out = {}
-    for m in record.get("metrics", []):
-        value = m.get("value")
-        if isinstance(value, (int, float)):
-            out[m.get("name", "?")] = value
-    return out
-
-
-def compute_delta(previous, benches):
-    """bench -> metric -> {previous, current, ratio} for shared metrics."""
-    delta = {}
-    for name, record in sorted(benches.items()):
-        prev_record = previous.get("benches", {}).get(name)
-        if not prev_record:
-            continue
-        prev_metrics = metric_map(prev_record)
-        entries = {}
-        for metric, value in sorted(metric_map(record).items()):
-            if metric not in prev_metrics:
-                continue
-            prev_value = prev_metrics[metric]
-            entries[metric] = {
-                "previous": prev_value,
-                "current": value,
-                "ratio": (value / prev_value) if prev_value else None,
-            }
-        if entries:
-            delta[name] = entries
-    return delta
-
-
-def print_delta(delta):
-    print("collect_bench: delta vs previous results")
-    for name, entries in delta.items():
-        for metric, e in entries.items():
-            ratio = e["ratio"]
-            ratio_s = f"x{ratio:.3f}" if ratio is not None else "n/a"
-            print(f"  {name}/{metric}: {e['previous']:.6g} -> "
-                  f"{e['current']:.6g} ({ratio_s})")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("inputs", nargs="+", help="per-bench --json files")
-    parser.add_argument("--out", default="BENCH_results.json")
-    parser.add_argument(
-        "--baseline", default=None,
-        help="previous BENCH_results.json to diff against "
-             "(default: the --out file, read before overwriting)")
+    parser.add_argument("--out", required=True, help="results file to write")
     args = parser.parse_args()
 
     benches = {}
@@ -163,24 +110,6 @@ def main():
 
     result = {"benches": benches, "count": len(benches),
               "meta": build_meta()}
-
-    baseline_path = args.baseline or args.out
-    previous = None
-    try:
-        with open(baseline_path, encoding="utf-8") as f:
-            previous = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        if args.baseline:  # an explicit baseline must be readable
-            print(f"collect_bench: cannot read baseline {baseline_path}",
-                  file=sys.stderr)
-            failures += 1
-    if previous:
-        delta = compute_delta(previous, benches)
-        if delta:
-            result["delta_vs_previous"] = delta
-            result["delta_baseline_revision"] = (
-                previous.get("meta", {}).get("git_revision", "unknown"))
-            print_delta(delta)
 
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2, sort_keys=True)

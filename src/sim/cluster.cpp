@@ -40,7 +40,6 @@ FacilityParams scale_facility(FacilityParams fp, const ClusterParams& cp) {
 
 ClusterSimulation::ClusterSimulation(const ClusterParams& params)
     : params_(params),
-      rng_(params.seed),
       weather_(params.weather, Rng(params.seed ^ 0x57EA74E2ULL)),
       facility_(scale_facility(params.facility, params)),
       network_(NetworkParams{params.racks, params.nodes_per_rack,
@@ -262,20 +261,6 @@ std::optional<std::size_t> ClusterSimulation::find_sensor(
   return it->second;
 }
 
-std::size_t ClusterSimulation::sensor_handle(const std::string& path) const {
-  const std::optional<std::size_t> handle = find_sensor(path);
-  ODA_REQUIRE(handle.has_value(), "unknown sensor: " + path);
-  return *handle;
-}
-
-double ClusterSimulation::read_sensor(const std::string& path) {
-  return read_sensor(sensor_handle(path), rng_);
-}
-
-SensorReadResult ClusterSimulation::try_read_sensor(const std::string& path) {
-  return try_read_sensor(sensor_handle(path), rng_);
-}
-
 double ClusterSimulation::read_sensor(std::size_t handle, Rng& rng) const {
   ODA_REQUIRE(handle < sensors_.size(), "sensor handle out of range");
   return faults_.apply_sensor_faults(handle, sensors_[handle].read(), now_,
@@ -293,15 +278,6 @@ SensorReadResult ClusterSimulation::try_read_sensor(std::size_t handle,
   }
   result.value = read_sensor(handle, rng);
   return result;
-}
-
-std::vector<std::pair<std::string, double>> ClusterSimulation::sample_all() {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(sensors_.size());
-  for (std::size_t i = 0; i < sensors_.size(); ++i) {
-    out.emplace_back(sensors_[i].path, read_sensor(i, rng_));
-  }
-  return out;
 }
 
 }  // namespace oda::sim

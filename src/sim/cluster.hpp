@@ -4,18 +4,17 @@
 // workload generator (applications pillar) — one component per pillar of the
 // 4-Pillar Framework, which is exactly why the ODA grid maps cleanly onto it.
 //
-// Telemetry is read through read_sensor()/try_read_sensor()/sample_all(),
-// which apply the fault injector's sensor overlays; analytics therefore sees
-// lying sensors exactly as a production monitoring system would. Sensors are
-// addressed by dense handles (the index into sensors()), which the injector
-// shares, so a read does no string work.
+// Telemetry is read through read_sensor()/try_read_sensor(), which apply the
+// fault injector's sensor overlays; analytics therefore sees lying sensors
+// exactly as a production monitoring system would. Sensors are addressed by
+// dense handles (the index into sensors(); find_sensor() resolves a path),
+// which the injector shares, so a read does no string work.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,26 +85,18 @@ class ClusterSimulation {
 
   /// Reading of sensor `handle` with the fault overlay applied — what ODA
   /// should consume — drawing overlay randomness (spike/noise faults) from
-  /// `rng`. Safe to call from many threads at once over a quiescent
-  /// simulator (between step()s) — the collector's parallel read path uses
-  /// one split Rng per chunk.
+  /// the caller's `rng`; the simulation keeps no random stream of its own,
+  /// so a read's value depends only on the simulated state and `rng`. Safe
+  /// to call from many threads at once over a quiescent simulator (between
+  /// step()s) as long as each brings its own Rng — the collector gives each
+  /// sensor read its own. Throws on an out-of-range handle.
   double read_sensor(std::size_t handle, Rng& rng) const;
   /// Failure-aware read: rolls the injector's read faults (dropout/stall)
   /// before producing a value. With no read fault active on the sensor this
   /// is exactly read_sensor() — same value, same random stream, zero
   /// latency — so fault-free pipelines behave bit-identically to the plain
-  /// read. Thread-safety matches read_sensor(handle, rng).
+  /// read. Thread-safety matches read_sensor().
   SensorReadResult try_read_sensor(std::size_t handle, Rng& rng) const;
-  /// Same, drawing from the simulation's own stream.
-  SensorReadResult try_read_sensor(std::size_t handle) {
-    return try_read_sensor(handle, rng_);
-  }
-  /// Path-addressed wrappers over the handle forms, drawing from the
-  /// simulation's own stream (tests, examples). Throw on an unknown path.
-  double read_sensor(const std::string& path);
-  SensorReadResult try_read_sensor(const std::string& path);
-  /// Samples every sensor (fault overlay applied).
-  std::vector<std::pair<std::string, double>> sample_all();
 
   // -- control plane ------------------------------------------------------------
   KnobRegistry& knobs() { return knobs_; }
@@ -140,12 +131,10 @@ class ClusterSimulation {
 
  private:
   void build_sensors();
-  std::size_t sensor_handle(const std::string& path) const;
   void apply_component_fault(const FaultEvent& event, bool activate);
   void update_rack_inlets();
 
   ClusterParams params_;
-  Rng rng_;
 
   Weather weather_;
   Facility facility_;

@@ -37,13 +37,7 @@ Collector::Collector(sim::ClusterSimulation& cluster, TimeSeriesStore* store,
       bus_(bus),
       pool_(pool),
       breakers_(cluster.sensors().size()),
-      overlay_rng_(cluster.params().seed ^ 0x0DAC0113C708ULL),
-      serial_backoff_rng_(cluster.params().seed ^ 0x0DABACC0FFULL) {
-  // Filled in sensors() order from unique paths, so a sensor's catalog
-  // index is its cluster handle (add_group() relies on this).
-  for (const auto& s : cluster.sensors()) {
-    catalog_.add({s.path, s.unit});
-  }
+      overlay_rng_(cluster.params().seed ^ 0x0DAC0113C708ULL) {
   auto& registry = obs::MetricsRegistry::global();
   for (int s = 0; s < 3; ++s) {
     breaker_transitions_[s] = &registry.counter(
@@ -61,11 +55,12 @@ Collector::Collector(sim::ClusterSimulation& cluster, TimeSeriesStore* store,
 std::size_t Collector::add_group(CollectorGroup group) {
   Group g;
   g.def = std::move(group);
-  g.sensor_handles = catalog_.match_indices(g.def.pattern);
-  g.sensor_ids.reserve(g.sensor_handles.size());
-  for (const std::size_t handle : g.sensor_handles) {
+  const auto& sensors = cluster_.sensors();
+  for (std::size_t handle = 0; handle < sensors.size(); ++handle) {
+    if (!glob_match(g.def.pattern, sensors[handle].path)) continue;
+    g.sensor_handles.push_back(handle);
     g.sensor_ids.push_back(
-        SeriesInterner::global().intern(catalog_.paths()[handle]));
+        SeriesInterner::global().intern(sensors[handle].path));
   }
   auto& registry = obs::MetricsRegistry::global();
   g.samples = &registry.counter("oda_collector_samples_total",
@@ -166,23 +161,16 @@ void Collector::on_read_failure(Breaker& breaker, TimePoint now) {
   }
 }
 
-sim::SensorReadResult Collector::read_once(std::size_t handle,
-                                          Rng* value_rng) {
-  return value_rng != nullptr ? cluster_.try_read_sensor(handle, *value_rng)
-                              : cluster_.try_read_sensor(handle);
-}
-
 Collector::SlotResult Collector::attempt_read(std::size_t handle,
-                                              TimePoint now, Rng* value_rng,
-                                              Rng& aux_rng) {
+                                              TimePoint now, Rng& rng) {
   Breaker& breaker = breakers_[handle];
   // relaxed: see transition_breaker — single mutating thread per breaker.
   if (breaker.state.load(std::memory_order_relaxed) != BreakerState::kClosed) {
-    return read_slow(handle, breaker, now, value_rng, aux_rng, nullptr);
+    return read_slow(handle, breaker, now, rng, nullptr);
   }
-  const sim::SensorReadResult first = read_once(handle, value_rng);
+  const sim::SensorReadResult first = cluster_.try_read_sensor(handle, rng);
   if (!first.ok || first.latency_s > retry_.read_deadline_s) {
-    return read_slow(handle, breaker, now, value_rng, aux_rng, &first);
+    return read_slow(handle, breaker, now, rng, &first);
   }
   on_read_success(breaker, now);
   SlotResult slot;
@@ -192,7 +180,7 @@ Collector::SlotResult Collector::attempt_read(std::size_t handle,
 
 Collector::SlotResult Collector::read_slow(std::size_t handle,
                                            Breaker& breaker, TimePoint now,
-                                           Rng* value_rng, Rng& aux_rng,
+                                           Rng& rng,
                                            const sim::SensorReadResult* first) {
   // Opened only off the fast path, so the retry, breaker and skip instants
   // below keep the failing sensor's read span as their parent.
@@ -213,7 +201,7 @@ Collector::SlotResult Collector::read_slow(std::size_t handle,
   for (int attempt = 0;; ++attempt) {
     const sim::SensorReadResult r = attempt == 0 && first != nullptr
                                         ? *first
-                                        : read_once(handle, value_rng);
+                                        : cluster_.try_read_sensor(handle, rng);
     cost_s += r.latency_s;
     if (cost_s > retry_.read_deadline_s) {
       // The attempt chain blew its latency budget: give up now, whatever
@@ -235,7 +223,7 @@ Collector::SlotResult Collector::read_slow(std::size_t handle,
       break;  // failed probe
     }
     if (attempt + 1 >= retry_.max_attempts) break;
-    cost_s += retry_backoff_s(retry_, attempt, aux_rng);
+    cost_s += retry_backoff_s(retry_, attempt, rng);
     if (cost_s > retry_.read_deadline_s) {
       slot.outcome = ReadOutcome::kDeadline;
       break;
@@ -252,34 +240,30 @@ void Collector::read_group(const Group& group, TimePoint now,
   // Child of the collect() pass root; chunk spans below nest under this one
   // across the pool boundary via the context captured by submit().
   ODA_TRACE_SPAN_CAT("collector.read_group", "collector");
-  const std::size_t n = group.sensor_handles.size();
-  if (pool_ != nullptr && n >= 64) {
-    // Genuinely parallel reads: overlay_rng_ advances exactly once per
-    // group (serially, here), and each chunk derives its own stream from
-    // that draw keyed by its first index — deterministic no matter which
-    // thread claims the chunk, and no shared generator state is touched
-    // inside the fan-out. No lock serializes the fault overlay. Reads are
-    // const over a quiescent simulator (collect() runs between step()s);
-    // the lazily captured stuck-fault state is locked inside
-    // FaultInjector, and each sensor's breaker entry belongs to exactly
-    // one chunk. Per-read overlay ordering is not promised, so the stream
-    // reshuffle is fine. parallel_for_chunks claims chunks from a shared
-    // cursor — helpers plus this thread — so a slow sensor (retry backoff
-    // ladder) no longer holds the whole statically-assigned chunk
-    // schedule hostage.
-    const std::uint64_t overlay_draw = overlay_rng_.next();
-    pool_->parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-      ODA_TRACE_SPAN_CAT("collector.read_chunk", "collector");
-      auto rng = Rng::from_draw(overlay_draw, lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        slots[i] = attempt_read(group.sensor_handles[i], now, &rng, rng);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      slots[i] = attempt_read(group.sensor_handles[i], now, nullptr,
-                              serial_backoff_rng_);
+  // One draw per group pass (serially, here); each sensor read derives its
+  // own stream from it keyed by handle, so no generator state is shared
+  // inside the fan-out. Reads are const over a quiescent simulator
+  // (collect() runs between step()s); the lazily captured stuck-fault state
+  // is locked inside FaultInjector, and each sensor's breaker entry belongs
+  // to exactly one chunk.
+  const std::uint64_t draw = overlay_rng_.next();
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    ODA_TRACE_SPAN_CAT("collector.read_chunk", "collector");
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::size_t handle = group.sensor_handles[i];
+      Rng rng = Rng::from_draw(draw, handle);
+      slots[i] = attempt_read(handle, now, rng);
     }
+  };
+  const std::size_t n = group.sensor_handles.size();
+  // Small groups are not worth a fan-out; the output is the same either
+  // way. parallel_for_chunks claims chunks from a shared cursor — helpers
+  // plus this thread — so a slow sensor (retry backoff ladder) does not
+  // hold a statically assigned chunk schedule hostage.
+  if (pool_ != nullptr && n >= 64) {
+    pool_->parallel_for_chunks(0, n, body);
+  } else {
+    body(0, n);
   }
 }
 
@@ -307,7 +291,8 @@ void Collector::collect() {
     std::uint64_t gap_counts[3] = {0, 0, 0};
     for (std::size_t i = 0; i < n; ++i) {
       const SlotResult& slot = slots[i];
-      const std::string& path = catalog_.paths()[group.sensor_handles[i]];
+      const std::string& path =
+          cluster_.sensors()[group.sensor_handles[i]].path;
       pass_retries += slot.retries;
       if (slot.outcome == ReadOutcome::kOk) {
         readings.push_back(IdReading{group.sensor_ids[i], {now, slot.value}});

@@ -2,7 +2,8 @@
 // onto the bus — the LDMS/DCDB "sampler plugin" role. Sampling is organized
 // in groups, each with its own glob filter and period (facility sensors are
 // typically slower than node sensors), and the sensor reads of a pass can be
-// spread across a thread pool.
+// spread across a thread pool. Every sensor read draws from its own random
+// stream, so the output is the same with no pool and with a pool of any size.
 //
 // The read path is failure-aware (docs/RESILIENCE.md): every sensor read
 // goes through a bounded retry loop with deterministic exponential backoff
@@ -103,8 +104,6 @@ class Collector {
   }
 
   // -- accounting --------------------------------------------------------------
-  /// Catalog of all sensors known to the collector's cluster.
-  const SensorCatalog& catalog() const { return catalog_; }
   /// Successfully read samples fanned out across all groups. Atomic so
   /// dashboards may poll it while collect() runs on the pipeline thread.
   std::uint64_t samples_collected() const {
@@ -164,18 +163,16 @@ class Collector {
 
   /// Reads one sensor. The fast path — breaker closed, first attempt
   /// succeeds within the deadline — records no trace event; anything else
-  /// continues in read_slow(). `value_rng` draws the fault-overlay
-  /// randomness (null = the simulation's own stream, the serial path);
-  /// `aux_rng` draws backoff jitter. May run on pool threads.
-  SlotResult attempt_read(std::size_t handle, TimePoint now, Rng* value_rng,
-                          Rng& aux_rng);
+  /// continues in read_slow(). `rng` is the sensor's own stream for this
+  /// pass: read faults, fault overlays and backoff jitter all draw from it,
+  /// so the outcome does not depend on which thread reads which sensor.
+  /// May run on pool threads.
+  SlotResult attempt_read(std::size_t handle, TimePoint now, Rng& rng);
   /// The breaker gate and retry loop, under a per-sensor read span.
   /// `first` is the already-taken first attempt when the breaker was
   /// closed, null when the gate has yet to run.
   SlotResult read_slow(std::size_t handle, Breaker& breaker, TimePoint now,
-                       Rng* value_rng, Rng& aux_rng,
-                       const sim::SensorReadResult* first);
-  sim::SensorReadResult read_once(std::size_t handle, Rng* value_rng);
+                       Rng& rng, const sim::SensorReadResult* first);
   void transition_breaker(Breaker& breaker, BreakerState to, TimePoint now);
   void on_read_success(Breaker& breaker, TimePoint now);
   void on_read_failure(Breaker& breaker, TimePoint now);
@@ -187,7 +184,6 @@ class Collector {
   TimeSeriesStore* store_;
   MessageBus* bus_;
   ThreadPool* pool_;
-  SensorCatalog catalog_;
   std::vector<Group> groups_;
   RetryPolicy retry_;
   BreakerPolicy breaker_;
@@ -204,15 +200,11 @@ class Collector {
   obs::Counter* breaker_transitions_[3] = {nullptr, nullptr, nullptr};
   obs::Gauge* open_breakers_gauge_ = nullptr;
   obs::Gauge* empty_groups_gauge_ = nullptr;
-  /// Root stream for the parallel read path's per-chunk fault-overlay Rngs.
-  /// Parallel passes draw overlay randomness from split children instead of
-  /// the simulation stream, so sensor reads run genuinely concurrently; the
-  /// serial path keeps using the cluster's own Rng.
+  /// Root stream of the read path. It advances once per group pass; each
+  /// sensor read of the pass derives its own stream from that draw and the
+  /// sensor's handle, so serial and pooled passes of any pool size store
+  /// the same values.
   Rng overlay_rng_;
-  /// Backoff-jitter stream for the serial path (the parallel path draws
-  /// jitter from its chunk Rng). Only consumed when a read actually retries,
-  /// so fault-free runs never touch it.
-  Rng serial_backoff_rng_;
 };
 
 }  // namespace oda::telemetry

@@ -195,10 +195,6 @@ void TimeSeriesStore::insert(const std::string& path, Sample sample) {
   insert(SeriesInterner::global().intern(path), sample);
 }
 
-void TimeSeriesStore::insert(const Reading& reading) {
-  insert(reading.path, reading.sample);
-}
-
 void TimeSeriesStore::insert_batch(std::span<const IdReading> readings) {
   ODA_TRACE_SPAN_CAT("store.insert_batch", "store");
   StoreMetrics& metrics = StoreMetrics::get();
@@ -246,15 +242,6 @@ void TimeSeriesStore::insert_batch(std::span<const IdReading> readings) {
   // relaxed: monotonic statistics counter (see total_inserted()).
   total_inserted_.fetch_add(readings.size(), std::memory_order_relaxed);
   metrics.inserts.inc(readings.size());
-}
-
-void TimeSeriesStore::insert_batch(std::span<const Reading> readings) {
-  SeriesInterner& interner = SeriesInterner::global();
-  std::vector<IdReading> resolved(readings.size());
-  for (std::size_t i = 0; i < readings.size(); ++i) {
-    resolved[i] = {interner.intern(readings[i].path), readings[i].sample};
-  }
-  insert_batch(std::span<const IdReading>(resolved));
 }
 
 bool TimeSeriesStore::contains(SeriesId id) const {

@@ -145,14 +145,11 @@ class TimeSeriesStore {
 
   // -- ingest -----------------------------------------------------------------
   void insert(const std::string& path, Sample sample);
-  void insert(const Reading& reading);
   /// Id-handle fast path; `id` must come from SeriesInterner::global().
   void insert(SeriesId id, Sample sample);
   /// Batch ingest: groups readings by shard (stable, so per-series order is
   /// preserved) and takes each shard lock once per batch.
   void insert_batch(std::span<const IdReading> readings);
-  /// String-keyed convenience wrapper: interns, then batch-inserts.
-  void insert_batch(std::span<const Reading> readings);
 
   /// Optional pool used by frame() to assemble columns in parallel. The pool
   /// must outlive the store (or be reset to nullptr first).

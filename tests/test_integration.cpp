@@ -3,7 +3,15 @@
 // config binding and end-to-end compositions the examples are built from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "analytics/descriptive/kpi.hpp"
 #include "analytics/diagnostic/anomaly.hpp"
@@ -20,8 +28,11 @@
 #include "core/oda_system.hpp"
 #include "sim/cluster.hpp"
 #include "sim/config.hpp"
+#include "telemetry/bus.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/derived.hpp"
+#include "telemetry/health.hpp"
+#include "telemetry/store.hpp"
 
 namespace oda {
 namespace {
@@ -73,30 +84,154 @@ TEST(SimConfig, ConfigDrivenClusterRuns) {
 
 // --------------------------------------------------- collector parallel path
 
-TEST(Integration, ParallelCollectorMatchesSerial) {
+// The stored output depends on seed and config only: a collector without a
+// pool and one on a pool of any size read the same values, open the same
+// breakers and publish the same stream, with read faults and fault overlays
+// active. Two groups run, one under the 64-sensor fan-out threshold and one
+// over it, so both the direct and the pooled read branch take part.
+struct PoolSizeCase {
+  const char* name;
+  bool faulted;
+  std::size_t threads;  // 0 = no pool
+};
+
+void PrintTo(const PoolSizeCase& c, std::ostream* os) { *os << c.name; }
+
+struct CollectorRun {
+  std::vector<std::string> paths;
+  std::vector<std::vector<TimePoint>> times;
+  std::vector<std::vector<std::uint64_t>> value_bits;
+  std::vector<telemetry::BreakerState> breakers;  // per sensor, at the end
+  std::vector<std::size_t> open_breakers;  // per collect pass
+  std::vector<std::tuple<std::string, TimePoint, std::uint64_t>> published;
+  std::uint64_t expected = 0, collected = 0, gaps = 0, retries = 0;
+};
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+CollectorRun run_collector(bool faulted, std::size_t threads) {
   sim::ClusterParams params;
   params.racks = 2;
-  params.nodes_per_rack = 8;  // > 64 sensors so the pool path engages
+  params.nodes_per_rack = 8;
+  params.seed = 5;
   sim::ClusterSimulation cluster(params);
-  cluster.run_for(10 * kMinute);
+  if (faulted) {
+    // Seeded schedule over both groups: every kind, overlapping windows,
+    // and two sensors dropped outright long enough to open their breakers.
+    std::vector<std::string> facility, racks;
+    for (const auto& s : cluster.sensors()) {
+      if (s.path.starts_with("facility/")) facility.push_back(s.path);
+      if (s.path.starts_with("rack")) racks.push_back(s.path);
+    }
+    Rng chaos(0xFA017ULL);
+    const sim::FaultKind kinds[4] = {
+        sim::FaultKind::kSensorDropout, sim::FaultKind::kSensorStall,
+        sim::FaultKind::kSensorSpike, sim::FaultKind::kSensorNoise};
+    const double magnitudes[4] = {0.6, 4.0, 50.0, 2.0};
+    for (int i = 0; i < 40; ++i) {
+      const auto& pool = i % 2 == 0 ? facility : racks;
+      const auto& target = pool[static_cast<std::size_t>(chaos.uniform_int(
+          0, static_cast<std::int64_t>(pool.size()) - 1))];
+      const TimePoint start = chaos.uniform_int(0, 15 * kMinute);
+      const TimePoint end =
+          start + chaos.uniform_int(5 * kMinute, 20 * kMinute);
+      cluster.faults().schedule(
+          {kinds[i % 4], target, start, end, magnitudes[i % 4]});
+    }
+    for (const auto* target : {&facility.front(), &racks.front()}) {
+      cluster.faults().schedule(
+          {sim::FaultKind::kSensorDropout, *target, 0, 10 * kMinute, 1.0});
+    }
+  }
 
-  telemetry::TimeSeriesStore serial_store, parallel_store;
-  ThreadPool pool(4);
-  telemetry::Collector serial(cluster, &serial_store, nullptr);
-  telemetry::Collector parallel(cluster, &parallel_store, nullptr, &pool);
-  serial.add_all_sensors(cluster.dt());
-  parallel.add_all_sensors(cluster.dt());
-  serial.collect();
-  parallel.collect();
+  telemetry::TimeSeriesStore store;
+  telemetry::MessageBus bus;
+  CollectorRun run;
+  bus.subscribe("*", [&run](const telemetry::Reading& r) {
+    run.published.emplace_back(r.path, r.sample.time,
+                               std::bit_cast<std::uint64_t>(r.sample.value));
+  });
+  telemetry::SensorHealthTracker tracker({}, &bus);
+  std::optional<ThreadPool> pool;
+  if (threads > 0) pool.emplace(threads);
+  telemetry::Collector collector(cluster, &store, &bus,
+                                 pool ? &*pool : nullptr);
+  collector.set_health_tracker(&tracker);
+  EXPECT_LT(collector.add_group({"facility", "facility/*", cluster.dt()}), 64u);
+  EXPECT_GE(collector.add_group({"racks", "rack*", cluster.dt()}), 64u);
+  while (cluster.now() < 30 * kMinute) {
+    cluster.step();
+    collector.collect();
+    run.open_breakers.push_back(collector.open_breakers());
+  }
 
-  // No sensor faults scheduled, so the readings must agree exactly.
-  for (const auto& path : serial_store.paths()) {
-    ASSERT_TRUE(parallel_store.latest(path).has_value()) << path;
-    EXPECT_DOUBLE_EQ(serial_store.latest(path)->value,
-                     parallel_store.latest(path)->value)
-        << path;
+  run.paths = store.paths();
+  for (const auto& path : run.paths) {
+    const auto slice = store.query_all(path);
+    run.times.push_back(slice.times);
+    run.value_bits.push_back(bits_of(slice.values));
+  }
+  for (const auto& s : cluster.sensors()) {
+    run.breakers.push_back(collector.breaker_state(s.path));
+  }
+  run.expected = collector.samples_expected();
+  run.collected = collector.samples_collected();
+  run.gaps = collector.gaps_total();
+  run.retries = collector.retries_total();
+  return run;
+}
+
+class CollectorPoolSize : public ::testing::TestWithParam<PoolSizeCase> {};
+
+TEST_P(CollectorPoolSize, MatchesSerial) {
+  const CollectorRun serial = run_collector(GetParam().faulted, 0);
+  const CollectorRun pooled =
+      run_collector(GetParam().faulted, GetParam().threads);
+
+  ASSERT_EQ(serial.paths, pooled.paths);
+  for (std::size_t i = 0; i < serial.paths.size(); ++i) {
+    EXPECT_EQ(serial.times[i], pooled.times[i]) << serial.paths[i];
+    EXPECT_EQ(serial.value_bits[i], pooled.value_bits[i]) << serial.paths[i];
+  }
+  EXPECT_EQ(serial.expected, pooled.expected);
+  EXPECT_EQ(serial.collected, pooled.collected);
+  EXPECT_EQ(serial.gaps, pooled.gaps);
+  EXPECT_EQ(serial.retries, pooled.retries);
+  EXPECT_EQ(serial.breakers, pooled.breakers);
+  EXPECT_EQ(serial.open_breakers, pooled.open_breakers);
+  EXPECT_TRUE(serial.published == pooled.published);
+
+  if (GetParam().faulted) {
+    // The schedule must bite: gaps, retries, quarantine publishes and an
+    // opened breaker all happen, so the equalities above cover them.
+    EXPECT_GT(serial.gaps, 0u);
+    EXPECT_GT(serial.retries, 0u);
+    EXPECT_TRUE(std::any_of(
+        serial.published.begin(), serial.published.end(),
+        [](const auto& p) { return std::get<0>(p).starts_with("_health/"); }));
+    EXPECT_GT(*std::max_element(serial.open_breakers.begin(),
+                                serial.open_breakers.end()),
+              0u);
+  } else {
+    EXPECT_EQ(serial.gaps, 0u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizes, CollectorPoolSize,
+    ::testing::Values(PoolSizeCase{"fault_free_serial", false, 0},
+                      PoolSizeCase{"fault_free_pool1", false, 1},
+                      PoolSizeCase{"fault_free_pool2", false, 2},
+                      PoolSizeCase{"fault_free_pool4", false, 4},
+                      PoolSizeCase{"faulted_serial", true, 0},
+                      PoolSizeCase{"faulted_pool1", true, 1},
+                      PoolSizeCase{"faulted_pool2", true, 2},
+                      PoolSizeCase{"faulted_pool4", true, 4}),
+    [](const auto& suite_info) { return std::string(suite_info.param.name); });
 
 // ------------------------------------------------ derived sensors in the loop
 

@@ -40,9 +40,11 @@ TEST(ReadFaults, DropoutFailsReadsAtScheduledWindow) {
   sim::ClusterSimulation cluster(small_params());
   cluster.faults().schedule(
       {sim::FaultKind::kSensorDropout, "facility/pue", 30, 90, 1.0});
+  const std::size_t pue = *cluster.find_sensor("facility/pue");
+  Rng rng(1);
   for (int i = 0; i < 8; ++i) {
     cluster.step();
-    const auto r = cluster.try_read_sensor("facility/pue");
+    const auto r = cluster.try_read_sensor(pue, rng);
     const bool faulted = cluster.now() >= 30 && cluster.now() < 90;
     EXPECT_EQ(r.ok, !faulted) << "t=" << cluster.now();
     EXPECT_DOUBLE_EQ(r.latency_s, 0.0);
@@ -54,12 +56,15 @@ TEST(ReadFaults, StallChargesSimulatedLatency) {
   cluster.faults().schedule(
       {sim::FaultKind::kSensorStall, "facility/pue", 0, kHour, 10.0});
   cluster.step();
-  const auto r = cluster.try_read_sensor("facility/pue");
+  Rng rng(1);
+  const auto r =
+      cluster.try_read_sensor(*cluster.find_sensor("facility/pue"), rng);
   EXPECT_TRUE(r.ok);  // a stall delays the value, it does not drop it
   EXPECT_GE(r.latency_s, 8.0);   // magnitude jittered +/-20%
   EXPECT_LE(r.latency_s, 12.0);
   // An unaffected sensor costs nothing.
-  const auto other = cluster.try_read_sensor("weather/drybulb_temp");
+  const auto other =
+      cluster.try_read_sensor(*cluster.find_sensor("weather/drybulb_temp"), rng);
   EXPECT_TRUE(other.ok);
   EXPECT_DOUBLE_EQ(other.latency_s, 0.0);
 }
@@ -284,13 +289,13 @@ TEST(SensorHealth, QuarantinePrecisionRecallAgainstGroundTruth) {
   collector.add_all_sensors(15);
 
   // Fault every 10th sensor with total dropout for the rest of the run.
-  const auto all_paths = collector.catalog().match("*");
-  ASSERT_GT(all_paths.size(), 30u);
+  const auto& sensors = cluster.sensors();
+  ASSERT_GT(sensors.size(), 30u);
   std::set<std::string> truth;
-  for (std::size_t i = 0; i < all_paths.size(); i += 10) {
-    truth.insert(all_paths[i]);
+  for (std::size_t i = 0; i < sensors.size(); i += 10) {
+    truth.insert(sensors[i].path);
     cluster.faults().schedule(
-        {sim::FaultKind::kSensorDropout, all_paths[i], 60, 2 * kHour, 1.0});
+        {sim::FaultKind::kSensorDropout, sensors[i].path, 60, 2 * kHour, 1.0});
   }
   ASSERT_GE(truth.size(), 3u);
 
@@ -470,13 +475,14 @@ TEST(Chaos, RandomizedFaultCampaignConservesSamples) {
 
   // Seeded random fault schedule: kind, target, window, magnitude.
   Rng chaos(params.seed ^ 0xC4A05ULL);
-  const auto paths = collector.catalog().match("*");
+  const auto& sensors = cluster.sensors();
   constexpr TimePoint kHorizon = 45 * kMinute;
   constexpr int kFaults = 24;
   for (int i = 0; i < kFaults; ++i) {
     const auto& target =
-        paths[static_cast<std::size_t>(chaos.uniform_int(
-            0, static_cast<std::int64_t>(paths.size()) - 1))];
+        sensors[static_cast<std::size_t>(chaos.uniform_int(
+                    0, static_cast<std::int64_t>(sensors.size()) - 1))]
+            .path;
     const TimePoint start = chaos.uniform_int(0, kHorizon / 2);
     const TimePoint end =
         start + chaos.uniform_int(2 * kMinute, kHorizon - start);

@@ -681,14 +681,21 @@ TEST(Cluster, DeterministicForSeed) {
   EXPECT_EQ(a.scheduler().completed().size(), b.scheduler().completed().size());
 }
 
+// Reads sensor `path` through the fault overlay with a fixed caller stream.
+double read_path(const ClusterSimulation& cluster, const std::string& path) {
+  Rng rng(1);
+  return cluster.read_sensor(cluster.find_sensor(path).value(), rng);
+}
+
 TEST(Cluster, SensorReadMatchesDirectState) {
   ClusterParams params;
   params.racks = 1;
   params.nodes_per_rack = 4;
   ClusterSimulation cluster(params);
   cluster.run_for(30 * kMinute);
-  EXPECT_DOUBLE_EQ(cluster.read_sensor("cluster/it_power"), cluster.it_power_w());
-  EXPECT_DOUBLE_EQ(cluster.read_sensor("rack00/node00/power"),
+  EXPECT_DOUBLE_EQ(read_path(cluster, "cluster/it_power"),
+                   cluster.it_power_w());
+  EXPECT_DOUBLE_EQ(read_path(cluster, "rack00/node00/power"),
                    cluster.node(0).power_w());
 }
 
@@ -697,7 +704,9 @@ TEST(Cluster, UnknownSensorThrows) {
   params.racks = 1;
   params.nodes_per_rack = 2;
   ClusterSimulation cluster(params);
-  EXPECT_THROW(cluster.read_sensor("no/such/sensor"), ContractError);
+  Rng rng(1);
+  EXPECT_THROW(cluster.read_sensor(cluster.sensors().size(), rng),
+               ContractError);
   EXPECT_FALSE(cluster.has_sensor("no/such/sensor"));
   EXPECT_TRUE(cluster.has_sensor("facility/pue"));
 }
@@ -711,12 +720,15 @@ TEST(Cluster, HandleIsIndexIntoSensors) {
     ASSERT_EQ(cluster.find_sensor(cluster.sensors()[h].path), h);
   }
   EXPECT_FALSE(cluster.find_sensor("no/such/sensor").has_value());
-  EXPECT_THROW(cluster.try_read_sensor(cluster.sensors().size()),
+  Rng rng(1);
+  EXPECT_THROW(cluster.try_read_sensor(cluster.sensors().size(), rng),
                ContractError);
 }
 
-// The path wrappers and the handle form are one read: same value, same
-// stream, with overlay and read faults active.
+// A read depends only on the simulated state and the caller's Rng: the
+// simulation keeps no stream of its own, so a path resolved on every read
+// and a cached handle read between unrelated reads agree, with overlay and
+// read faults active.
 TEST(Cluster, PathAndHandleReadsAgree) {
   ClusterParams params;
   params.racks = 1;
@@ -729,18 +741,20 @@ TEST(Cluster, PathAndHandleReadsAgree) {
     c->run_for(15 * kMinute);
   }
   const std::size_t pue = *by_handle.find_sensor("facility/pue");
+  Rng rng_a(7), rng_b(7), unrelated(99);
+  int dropouts = 0;
   for (int i = 0; i < 50; ++i) {
-    const SensorReadResult a = by_path.try_read_sensor("facility/pue");
-    const SensorReadResult b = by_handle.try_read_sensor(pue);
+    const SensorReadResult a =
+        by_path.try_read_sensor(*by_path.find_sensor("facility/pue"), rng_a);
+    for (std::size_t h = 0; h < by_handle.sensors().size(); ++h) {
+      by_handle.read_sensor(h, unrelated);
+    }
+    const SensorReadResult b = by_handle.try_read_sensor(pue, rng_b);
     ASSERT_EQ(a.ok, b.ok);
     EXPECT_EQ(a.value, b.value);
+    dropouts += a.ok ? 0 : 1;
   }
-  const auto all_a = by_path.sample_all();
-  const auto all_b = by_handle.sample_all();
-  ASSERT_EQ(all_a.size(), all_b.size());
-  for (std::size_t i = 0; i < all_a.size(); ++i) {
-    EXPECT_EQ(all_a[i].second, all_b[i].second) << all_a[i].first;
-  }
+  EXPECT_GT(dropouts, 0);
 }
 
 TEST(Cluster, KnobChangesPropagate) {
@@ -796,11 +810,11 @@ TEST(Cluster, FanFailureFaultPropagatesToTelemetry) {
   spec.walltime_requested = 12 * kHour;
   cluster.scheduler().submit(spec);
   cluster.run_for(kHour);
-  const double before = cluster.read_sensor("rack00/node00/cpu_temp");
+  const double before = read_path(cluster, "rack00/node00/cpu_temp");
   cluster.faults().schedule({FaultKind::kFanFailure, "rack00/node00",
                              cluster.now(), cluster.now() + 6 * kHour, 1.0});
   cluster.run_for(kHour);
-  EXPECT_GT(cluster.read_sensor("rack00/node00/cpu_temp"), before + 3.0);
+  EXPECT_GT(read_path(cluster, "rack00/node00/cpu_temp"), before + 3.0);
 }
 
 TEST(Cluster, JobsCompleteOverDay) {

@@ -1,4 +1,4 @@
-// Tests for the telemetry pipeline: catalog, bus, store, collector, alerts,
+// Tests for the telemetry pipeline: bus, store, collector, alerts,
 // and derived sensors — including the sim -> store integration path.
 #include <gtest/gtest.h>
 
@@ -17,28 +17,6 @@
 
 namespace oda::telemetry {
 namespace {
-
-// ---------------------------------------------------------------- catalog
-
-TEST(SensorCatalog, AddFindMatch) {
-  SensorCatalog cat;
-  cat.add({"rack00/node00/power", "W"});
-  cat.add({"rack00/node00/cpu_temp", "degC"});
-  cat.add({"facility/pue", "ratio"});
-  EXPECT_TRUE(cat.contains("facility/pue"));
-  EXPECT_EQ(cat.find("rack00/node00/power")->unit, "W");
-  EXPECT_EQ(cat.match("rack00/node00/*").size(), 2u);
-  EXPECT_EQ(cat.match("*").size(), 3u);
-  EXPECT_TRUE(cat.match("nothing/*").empty());
-}
-
-TEST(SensorCatalog, ReAddUpdates) {
-  SensorCatalog cat;
-  cat.add({"s", "W"});
-  cat.add({"s", "kW"});
-  EXPECT_EQ(cat.size(), 1u);
-  EXPECT_EQ(cat.find("s")->unit, "kW");
-}
 
 // -------------------------------------------------------------------- bus
 
