@@ -5,45 +5,50 @@
 //   * PIPELINE HEALTH checks (drops, slow subscribers, rejected tasks),
 //   * the full metrics table,
 //   * the 4x4 "cost per grid cell" view (runs @ mean ms),
-// and exports the evidence in machine-readable form:
-//   * Prometheus text exposition  (validated by scripts/check_prom.py),
-//   * a JSON metrics snapshot,
-//   * a Chrome trace_event JSON loadable in chrome://tracing / Perfetto,
-//   * folded stacks from the sampling profiler (flamegraph.pl input,
-//     validated by scripts/check_folded.py),
-//   * the critical-path report over the traced window (the same text
-//     scripts/analyze_trace.py derives from trace_out — the lockstep
-//     fixture compares the two byte-for-byte).
+// and exports the evidence in machine-readable form, under fixed names in
+// the dump directory:
+//   * self_monitor.prom — Prometheus text exposition (validated by
+//     scripts/check_prom.py),
+//   * metrics.json — a JSON metrics snapshot,
+//   * trace.json — a Chrome trace_event JSON loadable in chrome://tracing /
+//     Perfetto,
+//   * flight.json — the flight recorder's ring dump,
+//   * profile.folded — folded stacks from the sampling profiler
+//     (flamegraph.pl input, validated by scripts/check_folded.py),
+//   * critical_path.txt — the critical-path report over the traced window.
 //
-//   ./self_monitor [hours=8] [prom_out] [trace_out] [metrics_json_out]
-//                  [flight_out] [profile_out] [cp_out] [wal_dir] [http_port]
+//   ./self_monitor [--hours N] [--dump-dir DIR] [--wal-dir DIR]
+//                  [--http-port PORT]
 //
-// With a wal_dir ("-" or empty disables), ingest is write-ahead logged: a
-// prior run's segments are replayed into the store before collection starts
-// and every batch is group-committed to disk (telemetry/wal.hpp); a wal_dir
-// that cannot be created ends the run with exit code 3. SIGTERM requests a
-// graceful shutdown: the HTTP plane quiesces first (stop accepting, drain
-// in-flight responses), then the run loop's WAL is flushed
-// and fsynced (an orderly stop leaves no tail for recovery to truncate),
-// final metrics are exported, and the process exits 0.
+// Defaults: 8 simulated hours, the current directory, no WAL, no HTTP. An
+// unknown flag or a missing value prints the usage and exits 2.
 //
-// With an http_port ("-" or absent disables; "0" = ephemeral), the live
-// introspection plane comes up: an ObsServer answers /metrics, /healthz,
-// /trace, /profile, /flight, /varz and /selfscrape while the pipeline runs,
-// and a SelfScrape pass per simulated step feeds the process's own oda_*
-// series back into the same store — queryable live at /selfscrape. The
-// bound port is announced on stdout ("obs server listening on ...") so
-// harnesses (scripts/scrape_smoke.py) can attach to an ephemeral port.
+// With --wal-dir, ingest is write-ahead logged: a prior run's segments are
+// replayed into the store before collection starts and every batch is
+// group-committed to disk (telemetry/wal.hpp); a WAL directory that cannot
+// be created ends the run with exit code 3. SIGTERM requests a graceful
+// shutdown: the HTTP plane quiesces first (stop accepting, drain in-flight
+// responses), then the run loop's WAL is flushed and fsynced (an orderly
+// stop leaves no tail for recovery to truncate), final metrics are
+// exported, and the process exits 0.
 //
-// The always-on flight recorder is exported too: its ring dump (last spans
-// on every thread, causal ids included) goes to flight_out, and the same
-// path is installed as the automatic postmortem destination used by
-// assess_pipeline_health on a healthy -> unhealthy edge.
+// With --http-port (0 = ephemeral), the live introspection plane comes up:
+// an ObsServer answers /metrics, /healthz, /trace, /profile, /flight, /varz
+// and /selfscrape while the pipeline runs, and a SelfScrape pass per
+// simulated step feeds the process's own oda_* series back into the same
+// store — queryable live at /selfscrape. The bound port is announced on
+// stdout ("obs server listening on ...") so harnesses
+// (scripts/scrape_smoke.py) can attach to an ephemeral port.
+//
+// The always-on flight recorder's dump path (flight.json) is also installed
+// as the automatic postmortem destination used by assess_pipeline_health on
+// a healthy -> unhealthy edge.
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,10 +92,10 @@ void handle_sigterm(int) {
   g_sigterm.store(true, std::memory_order_relaxed);
 }
 
-bool write_file(const char* path, const std::string& content) {
-  std::FILE* f = std::fopen(path, "w");
+bool write_file(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
   std::fwrite(content.data(), 1, content.size(), f);
@@ -98,19 +103,58 @@ bool write_file(const char* path, const std::string& content) {
   return true;
 }
 
+struct Args {
+  oda::Duration hours = 8;
+  std::string dump_dir = ".";
+  std::string wal_dir;    ///< empty: no WAL
+  std::string http_port;  ///< empty: no HTTP plane
+};
+
+/// Parses `--flag value` pairs; nullopt on an unknown flag or a flag
+/// without its value.
+std::optional<Args> parse_args(int argc, char** argv) {
+  Args a;
+  for (int i = 1; i < argc; i += 2) {
+    if (i + 1 >= argc) return std::nullopt;
+    const std::string flag = argv[i];
+    const char* val = argv[i + 1];
+    if (flag == "--hours") {
+      a.hours = std::atoll(val);
+    } else if (flag == "--dump-dir") {
+      a.dump_dir = val;
+    } else if (flag == "--wal-dir") {
+      a.wal_dir = val;
+    } else if (flag == "--http-port") {
+      a.http_port = val;
+    } else {
+      return std::nullopt;
+    }
+  }
+  return a;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace oda;
-  const Duration hours = argc > 1 ? std::atoll(argv[1]) : 8;
-  const char* prom_out = argc > 2 ? argv[2] : "self_monitor.prom";
-  const char* trace_out = argc > 3 ? argv[3] : "self_monitor_trace.json";
-  const char* json_out = argc > 4 ? argv[4] : "self_monitor_metrics.json";
-  const char* flight_out = argc > 5 ? argv[5] : "self_monitor_flight.json";
-  const char* profile_out = argc > 6 ? argv[6] : "self_monitor.folded";
-  const char* cp_out = argc > 7 ? argv[7] : "self_monitor_critical_path.txt";
-  const std::string wal_dir = argc > 8 ? argv[8] : "";
-  const std::string http_port = argc > 9 ? argv[9] : "-";
+  const std::optional<Args> args = parse_args(argc, argv);
+  if (!args.has_value()) {
+    std::fprintf(stderr, "usage: self_monitor [--hours N] [--dump-dir DIR] "
+                         "[--wal-dir DIR] [--http-port PORT]\n");
+    return 2;
+  }
+  const auto& [hours, dump_dir, wal_dir, http_port] = *args;
+  std::error_code mkdir_error;  // a failed mkdir surfaces as a failed export
+  std::filesystem::create_directories(dump_dir, mkdir_error);
+  const auto dump_path = [&dump_dir](const char* name) {
+    return (std::filesystem::path(dump_dir) / name).string();
+  };
+  const std::string prom_out = dump_path("self_monitor.prom");
+  const std::string trace_out = dump_path("trace.json");
+  const std::string json_out = dump_path("metrics.json");
+  const std::string flight_out = dump_path("flight.json");
+  const std::string profile_out = dump_path("profile.folded");
+  const std::string cp_out = dump_path("critical_path.txt");
 
   std::signal(SIGTERM, handle_sigterm);
 
@@ -143,7 +187,7 @@ int main(int argc, char** argv) {
   // batch from here on. Inert when no dir is given; a directory that cannot
   // be created ends the run, since it could not be durable.
   std::optional<telemetry::Wal> wal;
-  if (!wal_dir.empty() && wal_dir != "-") {
+  if (!wal_dir.empty()) {
     wal.emplace(telemetry::WalOptions{.dir = wal_dir});
     const auto recovered = wal->recover_into(store);
     if (!wal->start()) {
@@ -163,7 +207,7 @@ int main(int argc, char** argv) {
   // Inert when no port is given.
   net::SelfScrape selfscrape(store);
   std::optional<net::ObsServer> obs_server;
-  if (http_port != "-") {
+  if (!http_port.empty()) {
     net::ObsServerOptions obs_opts;
     obs_opts.http.port =
         static_cast<std::uint16_t>(std::atoi(http_port.c_str()));
@@ -346,8 +390,9 @@ int main(int argc, char** argv) {
   ok = profiler.dump_folded(profile_out) && ok;
   const auto cp_reports = obs::analyze_critical_path(tracer.events());
   ok = write_file(cp_out, obs::render_critical_path(cp_reports)) && ok;
-  std::printf("exports: %s, %s, %s, %s, %s, %s\n", prom_out, json_out,
-              trace_out, flight_out, profile_out, cp_out);
+  std::printf("exports: %s, %s, %s, %s, %s, %s\n", prom_out.c_str(),
+              json_out.c_str(), trace_out.c_str(), flight_out.c_str(),
+              profile_out.c_str(), cp_out.c_str());
   std::printf("profiler: %llu samples on %zu thread(s), critical-path "
               "reports: %zu\n",
               static_cast<unsigned long long>(profiler.sampled_total()),

@@ -15,10 +15,13 @@ Checks, without any third-party dependency:
     trace_id (relaxed by --allow-missing-parents for flight-recorder dumps,
     whose ring eviction may orphan parents);
   * flow events pair up: every flow id appears with both "s" and "f";
-  * with --min-events N: at least N non-flow events are present.
+  * with --min-events N: at least N non-flow events are present;
+  * with --min-traces N: at least N distinct nonzero trace ids occur among
+    "X" events (a guard against an empty or untraced run).
 
 Usage: check_trace.py <trace.json | http://host:port/trace | ->
                       [--allow-missing-parents] [--min-events N]
+                      [--min-traces N]
 The input may be a file path, a live http(s):// URL (scraped directly from
 a running ObsServer's /trace or /flight endpoint), or "-" for stdin.
 Exit status 0 when the file is valid, 1 otherwise (problems on stderr).
@@ -53,7 +56,7 @@ def read_source(source):
         return f.read()
 
 
-def check(path, allow_missing_parents=False, min_events=0):
+def check(path, allow_missing_parents=False, min_events=0, min_traces=0):
     problems = []
     try:
         doc = json.loads(read_source(path))
@@ -70,6 +73,7 @@ def check(path, allow_missing_parents=False, min_events=0):
         return [f"{path}: top level is neither object nor array"], 0
 
     spans = {}  # span_id -> (index, trace_id)
+    trace_ids = set()  # nonzero trace ids of "X" events
     flow_phases = {}  # flow id -> set of phases seen
     n_real = 0  # events that are not flow glue
 
@@ -123,6 +127,8 @@ def check(path, allow_missing_parents=False, min_events=0):
                 )
             else:
                 ids[field] = v
+        if ph == "X" and ids.get("trace_id", ZERO_ID) != ZERO_ID:
+            trace_ids.add(ids["trace_id"])
         span_id = ids.get("span_id")
         if span_id is not None and span_id != ZERO_ID and ph == "X":
             if span_id in spans:
@@ -170,6 +176,10 @@ def check(path, allow_missing_parents=False, min_events=0):
         problems.append(
             f"{path}: {n_real} events, required at least {min_events}"
         )
+    if len(trace_ids) < min_traces:
+        problems.append(
+            f"{path}: {len(trace_ids)} traces, required at least {min_traces}"
+        )
     return problems, n_real
 
 
@@ -191,10 +201,18 @@ def main():
         default=0,
         help="require at least this many non-flow events",
     )
+    parser.add_argument(
+        "--min-traces",
+        type=int,
+        default=0,
+        help="require at least this many distinct nonzero trace ids among "
+        "X events",
+    )
     args = parser.parse_args()
 
     problems, n_events = check(
-        args.file, args.allow_missing_parents, args.min_events
+        args.file, args.allow_missing_parents, args.min_events,
+        args.min_traces
     )
     if problems:
         for p in problems:

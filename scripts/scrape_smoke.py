@@ -145,9 +145,8 @@ def main():
 
     # A huge simulated window: the process only exits via our SIGTERM.
     proc = subprocess.Popen(
-        [args.self_monitor, "100000", out("sm.prom"), out("sm_trace.json"),
-         out("sm_metrics.json"), out("sm_flight.json"), out("sm.folded"),
-         out("sm_critical_path.txt"), "-", "0"],
+        [args.self_monitor, "--hours", "100000", "--dump-dir", args.dir,
+         "--http-port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
 
     stdout_lines = []

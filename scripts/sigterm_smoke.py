@@ -103,15 +103,14 @@ def main() -> int:
 
     shutil.rmtree(args.dir, ignore_errors=True)
     os.makedirs(args.dir, exist_ok=True)
-    out = lambda name: os.path.join(args.dir, name)  # noqa: E731
 
     # 1000 simulated hours: far more than the startup wait allows, so the
-    # only way the process exits is the SIGTERM path.
-    cmd = [args.self_monitor, "1000", out("sm.prom"), out("sm_trace.json"),
-           out("sm_metrics.json"), out("sm_flight.json"), out("sm.folded"),
-           out("sm_critical_path.txt"), args.dir]
+    # only way the process exits is the SIGTERM path. The exports share the
+    # WAL directory; recovery reads only the segment files.
+    cmd = [args.self_monitor, "--hours", "1000", "--dump-dir", args.dir,
+           "--wal-dir", args.dir]
     if args.http:
-        cmd.append("0")
+        cmd += ["--http-port", "0"]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True)
 

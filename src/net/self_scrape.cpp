@@ -1,10 +1,9 @@
 #include "net/self_scrape.hpp"
 
-#include <chrono>
 #include <span>
 #include <utility>
+#include <vector>
 
-#include "common/thread_watch.hpp"
 #include "telemetry/store.hpp"
 
 namespace oda::net {
@@ -48,8 +47,6 @@ SelfScrape::SelfScrape(telemetry::TimeSeriesStore& store,
           "oda_selfscrape_series",
           "Series ingested by the most recent self-scrape pass")) {}
 
-SelfScrape::~SelfScrape() { stop(); }
-
 std::size_t SelfScrape::scrape_once(TimePoint now) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::global().snapshot();
@@ -81,37 +78,6 @@ std::size_t SelfScrape::scrape_once(TimePoint now) {
   samples_counter_.inc(batch.size());
   series_gauge_.set(static_cast<double>(batch.size()));
   return batch.size();
-}
-
-bool SelfScrape::start(std::function<TimePoint()> clock) {
-  if (running_.load(std::memory_order_relaxed)) return false;
-  stop_requested_.store(false, std::memory_order_relaxed);
-  running_.store(true, std::memory_order_relaxed);
-  thread_ = std::thread([this, clk = std::move(clock)] { run(clk); });
-  return true;
-}
-
-void SelfScrape::stop() {
-  if (!running_.load(std::memory_order_relaxed)) return;
-  stop_requested_.store(true, std::memory_order_relaxed);
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_relaxed);
-}
-
-void SelfScrape::run(std::function<TimePoint()> clock) {
-  WatchedThreadScope watch("net.self_scrape");
-  while (!stop_requested_.load(std::memory_order_relaxed)) {
-    scrape_once(clock());
-    // Sleep in small slices so stop() returns promptly without a timed
-    // condvar (oda::CondVar deliberately has no timed wait).
-    double remaining_s = opts_.period_s;
-    while (remaining_s > 0.0 &&
-           !stop_requested_.load(std::memory_order_relaxed)) {
-      const double slice_s = remaining_s < 0.05 ? remaining_s : 0.05;
-      std::this_thread::sleep_for(std::chrono::duration<double>(slice_s));
-      remaining_s -= slice_s;
-    }
-  }
 }
 
 }  // namespace oda::net

@@ -8,19 +8,15 @@
 // Series naming: "<prefix><family>" for an unlabeled series,
 // "<prefix><family>{k=v,...}" with registration-sorted labels otherwise;
 // histograms ingest their _sum and _count series. scrape_once(now) is the
-// deterministic entry point (self_monitor calls it on simulation time);
-// start(clock) spawns a periodic background thread for wall-clock use.
+// one entry point: the caller owns the cadence (self_monitor calls it once
+// per simulated step, on simulation time).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/types.hpp"
-#include "net/reactor.hpp"
 #include "obs/metrics.hpp"
 #include "telemetry/series_id.hpp"
 
@@ -32,26 +28,19 @@ namespace oda::net {
 
 struct SelfScrapeOptions {
   std::string prefix = "oda/";
-  double period_s = 1.0;  ///< background-thread cadence for start()
 };
 
 class SelfScrape {
  public:
   explicit SelfScrape(telemetry::TimeSeriesStore& store,
                       SelfScrapeOptions opts = {});
-  ~SelfScrape();
   SelfScrape(const SelfScrape&) = delete;
   SelfScrape& operator=(const SelfScrape&) = delete;
 
   /// One scrape pass: snapshot the registry, ingest everything at time
-  /// `now`. Returns the number of samples ingested.
+  /// `now`. Returns the number of samples ingested. Safe to call from
+  /// several threads at once.
   std::size_t scrape_once(TimePoint now);
-
-  /// Spawns the periodic background scraper ("net.self_scrape"); `clock`
-  /// supplies the ingest timestamp per pass. False when the scraper is
-  /// already running.
-  bool start(std::function<TimePoint()> clock);
-  void stop();
 
   std::uint64_t passes() const noexcept {
     // relaxed: statistics counter.
@@ -63,8 +52,6 @@ class SelfScrape {
   }
 
  private:
-  void run(std::function<TimePoint()> clock);
-
   telemetry::TimeSeriesStore& store_;
   SelfScrapeOptions opts_;
 
@@ -72,9 +59,6 @@ class SelfScrape {
   obs::Counter& samples_counter_;
   obs::Gauge& series_gauge_;
 
-  std::thread thread_;
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> samples_{0};
 };

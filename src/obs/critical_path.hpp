@@ -14,9 +14,9 @@
 //     means N-wide effective concurrency.
 //
 // The algorithm is deterministic (documented tie-breaks, integer
-// microseconds end to end) so tests can assert exact outputs against
-// hand-built DAGs; scripts/analyze_trace.py implements the identical
-// algorithm for offline Chrome-trace JSON files and must stay in lockstep.
+// microseconds end to end) so tests can assert exact outputs, against
+// hand-built DAGs and against a golden report over traces cut from a real
+// self_monitor run (tests/data/critical_path_golden.{csv,txt}).
 #pragma once
 
 #include <cstddef>

@@ -49,7 +49,6 @@ FaultInjector::FaultInjector(FaultInjector&& other) noexcept
       hook_(std::move(other.hook_)),
       resolve_(std::move(other.resolve_)),
       target_lists_(std::move(other.target_lists_)),
-      target_slot_(std::move(other.target_slot_)),
       bound_sensors_(std::exchange(other.bound_sensors_, 0)) {
   // Lock the source while stealing its stuck state: a reader still applying
   // overlays on `other` must not observe half-moved vectors. (The analysis
@@ -67,7 +66,6 @@ FaultInjector& FaultInjector::operator=(FaultInjector&& other) noexcept {
     hook_ = std::move(other.hook_);
     resolve_ = std::move(other.resolve_);
     target_lists_ = std::move(other.target_lists_);
-    target_slot_ = std::move(other.target_slot_);
     bound_sensors_ = std::exchange(other.bound_sensors_, 0);
     // Two sequential critical sections (never nested, so no ordering edge):
     // steal the source's stuck state under its lock, then install it under
@@ -101,33 +99,17 @@ void FaultInjector::schedule(FaultEvent event) {
 void FaultInjector::bind_sensors(std::size_t count, SensorResolver resolve) {
   resolve_ = std::move(resolve);
   bound_sensors_ = count;
-  target_slot_.clear();
   target_lists_.assign(count, EventList{});
   for (std::size_t i = 0; i < events_.size(); ++i) index_event(i);
 }
 
 void FaultInjector::index_event(std::size_t i) {
   const FaultEvent& e = events_[i];
-  if (!is_sensor_fault(e.kind)) return;
-  auto [it, inserted] = target_slot_.try_emplace(e.target, 0);
-  if (inserted) {
-    const std::optional<std::size_t> handle =
-        resolve_ ? resolve_(e.target) : std::nullopt;
-    if (handle.has_value()) {
-      ODA_REQUIRE(*handle < bound_sensors_, "resolved handle out of range");
-      it->second = *handle;
-    } else {
-      it->second = target_lists_.size();
-      target_lists_.emplace_back();
-    }
-  }
-  target_lists_[it->second].push_back(static_cast<std::uint32_t>(i));
-}
-
-const FaultInjector::EventList* FaultInjector::target_events(
-    const std::string& path) const {
-  const auto it = target_slot_.find(path);
-  return it == target_slot_.end() ? nullptr : &target_lists_[it->second];
+  if (!is_sensor_fault(e.kind) || !resolve_) return;
+  const std::optional<std::size_t> handle = resolve_(e.target);
+  if (!handle.has_value()) return;
+  ODA_REQUIRE(*handle < bound_sensors_, "resolved handle out of range");
+  target_lists_[*handle].push_back(static_cast<std::uint32_t>(i));
 }
 
 void FaultInjector::step(TimePoint prev, TimePoint now) {
@@ -143,18 +125,6 @@ void FaultInjector::step(TimePoint prev, TimePoint now) {
       if (hook_) hook_(e, false);
     }
   }
-}
-
-double FaultInjector::apply_sensor_faults(const std::string& path, double raw,
-                                          TimePoint now, Rng& rng) const {
-  const EventList* list = target_events(path);
-  return list == nullptr ? raw : apply_overlays(*list, raw, now, rng);
-}
-
-ReadFault FaultInjector::read_fault_at(const std::string& path, TimePoint now,
-                                       Rng& rng) const {
-  const EventList* list = target_events(path);
-  return list == nullptr ? ReadFault{} : roll_read_faults(*list, now, rng);
 }
 
 double FaultInjector::apply_overlays(const EventList& list, double raw,

@@ -11,7 +11,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -68,12 +67,12 @@ struct FaultEvent {
 /// Applies sensor-fault overlays and drives component fault hooks. The
 /// cluster registers one apply/clear callback pair per component-fault kind.
 ///
-/// Sensor faults are indexed per target: every distinct target of a sensor
-/// fault owns a list of its event indices, in schedule order, which
-/// schedule() appends to. A read looks up its target's list (by dense
-/// sensor handle after bind_sensors(), else by hashing the target string)
-/// and walks only that list, never the whole schedule; a read by handle
-/// does no string work at all.
+/// Sensor faults are indexed per sensor: every sensor bound through
+/// bind_sensors() owns a list of the event indices that target it, in
+/// schedule order, which schedule() appends to. A read looks its sensor's
+/// list up by dense handle and walks only that list, never the whole
+/// schedule, with no string work at all. A sensor fault whose target names
+/// no bound sensor is kept in events() but never read.
 class FaultInjector {
  public:
   using ComponentHook = std::function<void(const FaultEvent&, bool activate)>;
@@ -98,9 +97,9 @@ class FaultInjector {
   const std::vector<FaultEvent>& events() const { return events_; }
 
   /// Declares `count` sensors addressed by dense handles 0..count-1, named
-  /// through `resolve`. The target lists are rebuilt so that a sensor's
-  /// list is reachable by its handle; targets `resolve` does not know stay
-  /// reachable by string only. Call before reads start.
+  /// through `resolve`, and rebuilds every sensor's event list. Sensor
+  /// faults on targets `resolve` does not know are left out of every list.
+  /// Call before reads start.
   void bind_sensors(std::size_t count, SensorResolver resolve);
 
   /// Registers the handler invoked when a component fault starts/ends.
@@ -122,9 +121,6 @@ class FaultInjector {
     const EventList& list = target_lists_[sensor];
     return list.empty() ? raw : apply_overlays(list, raw, now, rng);
   }
-  /// Same, for the sensor-fault target named `path`.
-  double apply_sensor_faults(const std::string& path, double raw,
-                             TimePoint now, Rng& rng) const;
 
   /// Rolls the read-fault dice for one read attempt on `sensor` at `now`:
   /// dropout faults fail the read with their magnitude as probability, stall
@@ -137,9 +133,6 @@ class FaultInjector {
     const EventList& list = target_lists_[sensor];
     return list.empty() ? ReadFault{} : roll_read_faults(list, now, rng);
   }
-  /// Same, for the sensor-fault target named `path`.
-  ReadFault read_fault_at(const std::string& path, TimePoint now,
-                          Rng& rng) const;
 
   /// Ground truth: faults of any kind active at `t` (optionally filtered to
   /// those touching the given path/target).
@@ -149,10 +142,8 @@ class FaultInjector {
  private:
   using EventList = std::vector<std::uint32_t>;
 
-  /// Adds sensor-fault event `i` to its target's list.
+  /// Adds sensor-fault event `i` to its target sensor's list, if any.
   void index_event(std::size_t i);
-  /// The event list for `path`, or null when no sensor fault targets it.
-  const EventList* target_events(const std::string& path) const;
   double apply_overlays(const EventList& list, double raw, TimePoint now,
                         Rng& rng) const;
   ReadFault roll_read_faults(const EventList& list, TimePoint now,
@@ -162,11 +153,9 @@ class FaultInjector {
   std::vector<bool> activated_;  // component faults currently applied
   ComponentHook hook_;
   SensorResolver resolve_;
-  // Per-target sensor-fault event indices, in schedule order. Slots
-  // 0..bound_sensors_-1 belong to the bound sensors (slot == handle); a
-  // target no sensor resolves gets a slot after them.
+  // Per-sensor sensor-fault event indices, in schedule order (slot ==
+  // handle).
   std::vector<EventList> target_lists_;
-  std::unordered_map<std::string, std::size_t> target_slot_;
   std::size_t bound_sensors_ = 0;
   // Per stuck-fault frozen value, keyed by event index (lazily captured
   // during reads, so guarded for the parallel-collector path; only touched

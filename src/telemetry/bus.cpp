@@ -12,6 +12,10 @@ namespace oda::telemetry {
 
 namespace {
 
+/// A delivery slower than this is counted as slow and warned about once per
+/// subscription — generous for an in-process callback.
+constexpr double kSlowDeliverySeconds = 1e-3;
+
 /// Process-wide bus metrics, registered once on first use. Counters
 /// aggregate over every MessageBus instance (Prometheus semantics); the
 /// per-instance published_count()/delivered_count() accessors remain exact
@@ -111,7 +115,6 @@ void MessageBus::publish(const Reading& reading) {
     }
   }
   using Clock = std::chrono::steady_clock;
-  const double slow_threshold = slow_threshold_s_.load(std::memory_order_relaxed);
   double publish_seconds = 0.0;
   for (const auto& t : targets) {
     // Child of the publish span (same-thread nesting), so each subscriber's
@@ -119,27 +122,21 @@ void MessageBus::publish(const Reading& reading) {
     ODA_TRACE_SPAN_CAT("bus.deliver", "bus");
     const Clock::time_point t0 = Clock::now();
     t->callback(reading);
-    const auto elapsed_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-            .count());
-    const double elapsed_s = static_cast<double>(elapsed_ns) * 1e-9;
+    const double elapsed_s =
+        std::chrono::duration<double>(Clock::now() - t0).count();
     publish_seconds += elapsed_s;
     delivered_.fetch_add(1, std::memory_order_relaxed);
     metrics.delivered.inc();
     t->per_pattern->inc();
-    // relaxed (all SubStats fields): standalone statistics; they synchronize
-    // nothing and subscriber_stats() only needs eventually-consistent sums.
-    t->deliveries.fetch_add(1, std::memory_order_relaxed);
-    t->busy_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
-    if (elapsed_s > slow_threshold) {
+    if (elapsed_s > kSlowDeliverySeconds) {
       metrics.slow.inc();
-      t->slow.fetch_add(1, std::memory_order_relaxed);
       // relaxed exchange: warned is a best-effort once-flag for log noise
       // control; a duplicate warning under a rare race would be harmless.
       if (!t->warned.exchange(true, std::memory_order_relaxed)) {
         ODA_LOG_WARN << "slow bus subscriber (pattern '" << t->pattern
                      << "'): delivery took " << elapsed_s * 1e3
-                     << " ms (threshold " << slow_threshold * 1e3 << " ms)";
+                     << " ms (threshold " << kSlowDeliverySeconds * 1e3
+                     << " ms)";
       }
     }
   }
@@ -153,24 +150,6 @@ void MessageBus::publish(const std::string& path, TimePoint time, double value) 
 std::size_t MessageBus::subscriber_count() const {
   MutexLock lock(mu_);
   return subs_.size();
-}
-
-std::vector<SubscriberStats> MessageBus::subscriber_stats() const {
-  MutexLock lock(mu_);
-  std::vector<SubscriberStats> out;
-  out.reserve(subs_.size());
-  for (const auto& s : subs_) {
-    SubscriberStats stats;
-    stats.pattern = s.stats->pattern;
-    // relaxed: statistics snapshot; see the publish() comment.
-    stats.deliveries = s.stats->deliveries.load(std::memory_order_relaxed);
-    stats.slow_deliveries = s.stats->slow.load(std::memory_order_relaxed);
-    stats.busy_seconds =
-        static_cast<double>(s.stats->busy_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    out.push_back(std::move(stats));
-  }
-  return out;
 }
 
 }  // namespace oda::telemetry

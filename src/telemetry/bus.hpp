@@ -6,9 +6,9 @@
 // Self-instrumentation: publish() feeds the global obs registry
 // (oda_bus_publish_seconds, oda_bus_published_total, oda_bus_delivered_total,
 // oda_bus_subscriber_deliveries_total{pattern=...}) and flags subscribers
-// whose callback exceeds the slow threshold (oda_bus_slow_deliveries_total,
-// plus a warn-once log line) — a synchronous bus is only as fast as its
-// slowest subscriber.
+// whose callback takes over 1 ms (oda_bus_slow_deliveries_total, plus a
+// warn-once log line per subscription) — a synchronous bus is only as fast
+// as its slowest subscriber.
 #pragma once
 
 #include <atomic>
@@ -26,14 +26,6 @@ class Counter;
 }  // namespace oda::obs
 
 namespace oda::telemetry {
-
-/// Per-subscription delivery statistics snapshot (see subscriber_stats()).
-struct SubscriberStats {
-  std::string pattern;
-  std::uint64_t deliveries = 0;
-  std::uint64_t slow_deliveries = 0;
-  double busy_seconds = 0.0;  // total wall time spent inside the callback
-};
 
 class MessageBus {
  public:
@@ -69,31 +61,14 @@ class MessageBus {
     return unrouted_.load(std::memory_order_relaxed);
   }
 
-  /// A delivery slower than this is counted as slow and warned about once
-  /// per subscription. Default 1ms — generous for an in-process callback.
-  void set_slow_threshold(double seconds) {
-    // relaxed: an independent tuning knob; a late-observed change only
-    // mis-classifies deliveries racing with the setter.
-    slow_threshold_s_.store(seconds, std::memory_order_relaxed);
-  }
-  double slow_threshold() const {
-    return slow_threshold_s_.load(std::memory_order_relaxed);
-  }
-
-  /// Per-subscription delivery statistics, in subscription order.
-  std::vector<SubscriberStats> subscriber_stats() const ODA_EXCLUDES(mu_);
-
  private:
   /// Shared with in-flight publishes so neither unsubscribe() nor a
-  /// subscribe() that reallocates subs_ invalidates the callback or stats a
+  /// subscribe() that reallocates subs_ invalidates the callback a
   /// concurrent delivery is using. `pattern` and `callback` are immutable
-  /// after construction; the counters are atomics.
+  /// after construction; `warned` is an atomic once-flag.
   struct SubStats {
     std::string pattern;
     Callback callback;
-    std::atomic<std::uint64_t> deliveries{0};
-    std::atomic<std::uint64_t> slow{0};
-    std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<bool> warned{false};
     obs::Counter* per_pattern = nullptr;  // owned by the global registry
   };
@@ -115,7 +90,6 @@ class MessageBus {
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> unrouted_{0};
-  std::atomic<double> slow_threshold_s_{1e-3};
 };
 
 }  // namespace oda::telemetry

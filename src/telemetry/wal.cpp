@@ -173,20 +173,6 @@ struct WalMetrics {
 
 }  // namespace
 
-// -------------------------------------------------------------- WalOptions
-
-WalOptions WalOptions::from_config(const Config& cfg) {
-  WalOptions opts;
-  opts.dir = cfg.get_string_or("wal.dir", opts.dir);
-  opts.segment_max_bytes = static_cast<std::size_t>(cfg.get_int_or(
-      "wal.segment_max_bytes",
-      static_cast<std::int64_t>(opts.segment_max_bytes)));
-  opts.queue_capacity = static_cast<std::size_t>(cfg.get_int_or(
-      "wal.queue_capacity", static_cast<std::int64_t>(opts.queue_capacity)));
-  opts.fsync_each_commit = cfg.get_bool_or("wal.fsync", opts.fsync_each_commit);
-  return opts;
-}
-
 // ---------------------------------------------------------------- PosixWalFs
 
 bool PosixWalFs::mkdirs(const std::string& dir) {
@@ -693,18 +679,11 @@ bool Wal::append(std::span<const IdReading> readings) {
 
 bool Wal::flush() {
   MutexLock lock(mu_);
-  if (committed_seq_ >= appended_seq_ && pending_.empty()) {
-    return !degraded();
-  }
+  if (committed_seq_ >= appended_seq_) return !degraded();
   if (!started_) return false;
-  // Ride a sync marker through the queue so the writer fsyncs even with
-  // fsync_each_commit off, then wait for its sequence number to commit.
-  PendingBatch marker;
-  marker.seq = ++appended_seq_;
-  marker.sync = true;
-  const std::uint64_t target = marker.seq;
-  pending_.push_back(std::move(marker));
-  not_empty_.notify_one();
+  // Every group commit fsyncs, so the last batch appended so far committing
+  // means everything before it is written and durable.
+  const std::uint64_t target = appended_seq_;
   while (committed_seq_ < target && !degraded()) {
     committed_cv_.wait(mu_);
   }
@@ -755,10 +734,7 @@ bool Wal::commit_group(std::vector<PendingBatch>& group) {
   encode_buf_.clear();
   std::string payload;
   std::size_t nsamples = 0;
-  bool want_sync = opts_.fsync_each_commit;
   for (const PendingBatch& batch : group) {
-    if (batch.sync) want_sync = true;
-    if (batch.readings.empty()) continue;
     // Intern records for series this WAL has never written, before the
     // batch record that references them.
     for (const IdReading& r : batch.readings) {
@@ -790,19 +766,6 @@ bool Wal::commit_group(std::vector<PendingBatch>& group) {
     put_record(encode_buf_, walfmt::kRecordBatch, payload);
     nsamples += batch.readings.size();
   }
-  if (encode_buf_.empty()) {
-    // Only flush markers: sync the current segment if it has content.
-    if (want_sync && segment_bytes_ > 0) {
-      const WalFs::AppendResult res =
-          fs_->append(segment_path(segment_seq_), nullptr, 0, true);
-      if (!res.synced) {
-        enter_degraded("fsync", res.err);
-        return false;
-      }
-    }
-    return true;
-  }
-
   WalMetrics& m = WalMetrics::get();
   if (segment_bytes_ >= opts_.segment_max_bytes) {
     ++segment_seq_;
@@ -816,7 +779,7 @@ bool Wal::commit_group(std::vector<PendingBatch>& group) {
   const std::uint64_t offset_before = segment_bytes_;
   const auto commit_start = std::chrono::steady_clock::now();
   const WalFs::AppendResult res =
-      fs_->append(path, encode_buf_.data(), encode_buf_.size(), want_sync);
+      fs_->append(path, encode_buf_.data(), encode_buf_.size(), true);
   m.commit_seconds.observe(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - commit_start)
                                .count());
@@ -829,7 +792,7 @@ bool Wal::commit_group(std::vector<PendingBatch>& group) {
     enter_degraded("append", res.err);
     return false;
   }
-  if (want_sync && !res.synced) {
+  if (!res.synced) {
     enter_degraded("fsync", res.err);
     return false;
   }

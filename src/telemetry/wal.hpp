@@ -46,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/sync.hpp"
 #include "telemetry/series_id.hpp"
 
@@ -198,12 +197,6 @@ struct WalOptions {
   std::size_t segment_max_bytes = 4u << 20;   ///< rotate past this size
   std::size_t queue_capacity = 64;            ///< pending batches before
                                               ///< producers block
-  bool fsync_each_commit = true;              ///< fsync every group commit
-                                              ///< (off: only on flush())
-
-  /// Reads wal.dir / wal.segment_max_bytes / wal.queue_capacity / wal.fsync
-  /// from a Config, falling back to the defaults above.
-  static WalOptions from_config(const Config& cfg);
 };
 
 /// What recovery found (and gave up on). `truncated_bytes` counts every
@@ -295,7 +288,6 @@ class Wal {
  private:
   struct PendingBatch {
     std::uint64_t seq = 0;
-    bool sync = false;  ///< flush marker: force fsync on the commit
     std::vector<IdReading> readings;
   };
 

@@ -607,26 +607,5 @@ TEST(SelfScrape, HistogramsIngestSumAndCount) {
       1u);
 }
 
-TEST(SelfScrape, BackgroundThreadScrapesPeriodically) {
-  telemetry::TimeSeriesStore store(1 << 10);
-  SelfScrapeOptions opts;
-  opts.period_s = 0.05;
-  SelfScrape scraper(store, opts);
-  std::atomic<TimePoint> clock{0};
-  ASSERT_TRUE(scraper.start(
-      [&clock] { return clock.fetch_add(1, std::memory_order_relaxed); }));
-  EXPECT_FALSE(scraper.start([] { return TimePoint{0}; }))
-      << "second start() while running must be refused";
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (scraper.passes() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  scraper.stop();
-  EXPECT_GE(scraper.passes(), 2u);
-  EXPECT_FALSE(store.match("oda/*").empty());
-}
-
 }  // namespace
 }  // namespace oda::net

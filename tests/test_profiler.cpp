@@ -1,7 +1,7 @@
 // Continuous-profiling layer tests: the critical-path analyzer's
 // deterministic algorithm against hand-built span DAGs (exact expected
-// numbers — scripts/analyze_trace.py mirrors the same algorithm and the
-// obs.critical_path_lockstep fixture compares the two byte-for-byte), the
+// numbers) and against a golden report over complete traces cut from a real
+// self_monitor run (tests/data/critical_path_golden.{csv,txt}), the
 // sampling profiler's lifecycle and folded output, and the wait-attribution
 // exports (pool task timing histograms, per-rank lock contention).
 #include <gtest/gtest.h>
@@ -10,11 +10,15 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/contention.hpp"
+#include "common/csv.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "common/thread_watch.hpp"
@@ -209,6 +213,54 @@ TEST(CriticalPath, ReportsSortedAcrossTraces) {
   EXPECT_EQ(reports[0].root_name, "long");
   EXPECT_EQ(reports[1].root_name, "mid");
   EXPECT_EQ(reports[2].root_name, "short");
+}
+
+std::string read_test_data(const std::string& name) {
+  std::ifstream in(std::string(ODA_TEST_DATA_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Every span of eight complete traces from a real self_monitor run: one
+// collector.collect pass whose pool fan-out ran on three threads, and
+// single-root analytics-cell and sim.step traces. Ids are 16-char hex, as
+// in the Chrome trace export.
+std::vector<TraceEvent> load_golden_events() {
+  const CsvTable table = parse_csv(read_test_data("critical_path_golden.csv"));
+  const std::size_t name = table.column("name");
+  const std::size_t trace_id = table.column("trace_id");
+  const std::size_t span_id = table.column("span_id");
+  const std::size_t parent_id = table.column("parent_id");
+  const std::size_t ts_us = table.column("ts_us");
+  const std::size_t dur_us = table.column("dur_us");
+  const std::size_t tid = table.column("tid");
+  const std::size_t kind = table.column("kind");
+  std::vector<TraceEvent> events;
+  for (const std::vector<std::string>& row : table.rows) {
+    TraceEvent ev;
+    ev.name = row[name];
+    ev.trace_id = std::stoull(row[trace_id], nullptr, 16);
+    ev.span_id = std::stoull(row[span_id], nullptr, 16);
+    ev.parent_id = std::stoull(row[parent_id], nullptr, 16);
+    ev.ts_us = std::stoull(row[ts_us]);
+    ev.dur_us = std::stoull(row[dur_us]);
+    ev.tid = static_cast<std::uint32_t>(std::stoul(row[tid]));
+    ev.kind = row[kind] == "instant" ? TraceEventKind::kInstant
+                                     : TraceEventKind::kSpan;
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+TEST(CriticalPath, GoldenRealTrace) {
+  const std::vector<TraceEvent> events = load_golden_events();
+  ASSERT_EQ(events.size(), 713u);
+  std::set<std::uint32_t> tids;
+  for (const TraceEvent& ev : events) tids.insert(ev.tid);
+  EXPECT_GE(tids.size(), 2u) << "the fixture must hold a multi-thread trace";
+  EXPECT_EQ(obs::render_critical_path(obs::analyze_critical_path(events)),
+            read_test_data("critical_path_golden.txt"));
 }
 
 // ------------------------------------------------------- wait attribution

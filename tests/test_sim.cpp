@@ -430,28 +430,43 @@ TEST(Facility, KnobsClampToRange) {
 
 // ----------------------------------------------------------------- faults
 
+// Binds `paths` to the sensor handles 0..paths.size()-1, in order.
+void bind_paths(FaultInjector& inj, std::vector<std::string> paths) {
+  const std::size_t count = paths.size();
+  inj.bind_sensors(count, [paths = std::move(paths)](const std::string& path)
+                              -> std::optional<std::size_t> {
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      if (paths[i] == path) return i;
+    }
+    return std::nullopt;
+  });
+}
+
 TEST(Faults, StuckSensorFreezesValue) {
   FaultInjector inj;
+  bind_paths(inj, {"s"});
   inj.schedule({FaultKind::kSensorStuck, "s", 100, 200, 0.0});
   Rng rng(1);
-  const double frozen = inj.apply_sensor_faults("s", 5.0, 100, rng);
+  const double frozen = inj.apply_sensor_faults(0, 5.0, 100, rng);
   EXPECT_DOUBLE_EQ(frozen, 5.0);
-  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults("s", 77.0, 150, rng), 5.0);
-  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults("s", 77.0, 250, rng), 77.0);
+  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults(0, 77.0, 150, rng), 5.0);
+  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults(0, 77.0, 250, rng), 77.0);
 }
 
 TEST(Faults, DriftGrowsOverTime) {
   FaultInjector inj;
+  bind_paths(inj, {"s"});
   inj.schedule({FaultKind::kSensorDrift, "s", 0, 10 * kHour, 2.0});  // 2/h
   Rng rng(1);
-  EXPECT_NEAR(inj.apply_sensor_faults("s", 10.0, 2 * kHour, rng), 14.0, 1e-9);
+  EXPECT_NEAR(inj.apply_sensor_faults(0, 10.0, 2 * kHour, rng), 14.0, 1e-9);
 }
 
 TEST(Faults, OtherSensorsUnaffected) {
   FaultInjector inj;
+  bind_paths(inj, {"a", "b"});
   inj.schedule({FaultKind::kSensorNoise, "a", 0, kHour, 10.0});
   Rng rng(1);
-  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults("b", 3.0, 100, rng), 3.0);
+  EXPECT_DOUBLE_EQ(inj.apply_sensor_faults(1, 3.0, 100, rng), 3.0);
 }
 
 TEST(Faults, ComponentHookFiredOnWindow) {
@@ -561,9 +576,9 @@ bool same_bits(double a, double b) {
 // into a window it has left, so a re-armed stuck fault captures afresh),
 // targets no sensor has, component kinds aimed at sensor paths (ignored by
 // the read path), events scheduled before bind_sensors() and after reads
-// have begun. Sensors are read by handle and by path in turn; every read
-// must give bit-equal values, equal ReadFaults, and leave both Rngs in the
-// same state.
+// have begun. Every sensor is read by handle; every read must give
+// bit-equal values, equal ReadFaults, and leave both Rngs in the same
+// state.
 TEST(Faults, IndexedLookupMatchesLinearScan) {
   constexpr std::size_t kSensors = 10;
   std::vector<std::string> targets;
@@ -625,20 +640,16 @@ TEST(Faults, IndexedLookupMatchesLinearScan) {
           reference.schedule(e);
         }
       }
-      for (std::size_t t = 0; t < targets.size(); ++t) {
+      for (std::size_t t = 0; t < kSensors; ++t) {
         const std::string& path = targets[t];
-        const bool by_handle = t < kSensors && (now / 15 + t) % 2 == 0;
         const double raw = gen.uniform(-50.0, 50.0);
-        const ReadFault got =
-            by_handle ? indexed.read_fault_at(t, now, rng_indexed)
-                      : indexed.read_fault_at(path, now, rng_indexed);
+        const ReadFault got = indexed.read_fault_at(t, now, rng_indexed);
         const ReadFault want = reference.read_fault(path, now, rng_reference);
         ASSERT_EQ(got.dropout, want.dropout) << path << " t=" << now;
         ASSERT_TRUE(same_bits(got.stall_seconds, want.stall_seconds))
             << path << " t=" << now;
         const double value =
-            by_handle ? indexed.apply_sensor_faults(t, raw, now, rng_indexed)
-                      : indexed.apply_sensor_faults(path, raw, now, rng_indexed);
+            indexed.apply_sensor_faults(t, raw, now, rng_indexed);
         const double expected = reference.apply(path, raw, now, rng_reference);
         ASSERT_TRUE(same_bits(value, expected))
             << path << " t=" << now << ": " << value << " vs " << expected;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -282,30 +283,38 @@ namespace {
 // Moving a FaultInjector used to steal the stuck-fault state without taking
 // the source's lock; both move operations now hold it, and the frozen value
 // must survive the move.
+
+// Binds the single sensor `path` to handle 0.
+void bind_one(FaultInjector& injector, std::string path) {
+  injector.bind_sensors(1, [path = std::move(path)](const std::string& p)
+                               -> std::optional<std::size_t> {
+    if (p == path) return 0;
+    return std::nullopt;
+  });
+}
+
 TEST(FaultInjectorMove, StuckStateSurvivesMoveConstruction) {
   Rng rng(42);
   FaultInjector injector;
+  bind_one(injector, "node/temp");
   injector.schedule({FaultKind::kSensorStuck, "node/temp", 10, 1000, 1.0});
   // First in-window read freezes the value.
-  EXPECT_DOUBLE_EQ(injector.apply_sensor_faults("node/temp", 33.5, 20, rng),
-                   33.5);
+  EXPECT_DOUBLE_EQ(injector.apply_sensor_faults(0, 33.5, 20, rng), 33.5);
   FaultInjector moved(std::move(injector));
   // The moved-to injector serves the frozen value, not the new raw reading.
-  EXPECT_DOUBLE_EQ(moved.apply_sensor_faults("node/temp", 99.0, 30, rng),
-                   33.5);
+  EXPECT_DOUBLE_EQ(moved.apply_sensor_faults(0, 99.0, 30, rng), 33.5);
   EXPECT_EQ(moved.events().size(), 1u);
 }
 
 TEST(FaultInjectorMove, StuckStateSurvivesMoveAssignment) {
   Rng rng(43);
   FaultInjector injector;
+  bind_one(injector, "node/power");
   injector.schedule({FaultKind::kSensorStuck, "node/power", 0, 500, 1.0});
-  EXPECT_DOUBLE_EQ(injector.apply_sensor_faults("node/power", 250.0, 5, rng),
-                   250.0);
+  EXPECT_DOUBLE_EQ(injector.apply_sensor_faults(0, 250.0, 5, rng), 250.0);
   FaultInjector target;
   target = std::move(injector);
-  EXPECT_DOUBLE_EQ(target.apply_sensor_faults("node/power", 300.0, 10, rng),
-                   250.0);
+  EXPECT_DOUBLE_EQ(target.apply_sensor_faults(0, 300.0, 10, rng), 250.0);
 }
 
 }  // namespace
