@@ -95,7 +95,7 @@ Outcome run_case(int mode /*0=none,1=reactive,2=proactive*/) {
     outcome.work_done_s += static_cast<double>(job.spec.nominal_duration());
   }
   outcome.it_energy_kwh = cluster.it_energy_j() / units::kJoulesPerKilowattHour;
-  outcome.actuations = loop.audit_log().size();
+  outcome.actuations = loop.actuation_count();
   return outcome;
 }
 

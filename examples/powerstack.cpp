@@ -80,7 +80,7 @@ Outcome run_case(double cap_w, int mode /*0=none,1=reactive,2=plan-based*/) {
                       static_cast<double>(job.spec.nodes_requested) / 3600.0 /
                       1000.0;
   }
-  o.actuations = loop.audit_log().size();
+  o.actuations = loop.actuation_count();
   return o;
 }
 

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   std::printf("\nframework coverage: %zu capabilities across %zu/16 cells\n",
               coverage.total_capabilities, coverage.occupied_cells);
   std::printf("prescriptive actuations performed: %zu\n",
-              control.audit_log().size());
+              control.actuation_count());
   std::printf("completed jobs: %zu\n", cluster.scheduler().completed().size());
   return 0;
 }

@@ -15,9 +15,12 @@ void ControlLoop::add(std::shared_ptr<Controller> controller) {
 void ControlLoop::tick() {
   const TimePoint now = cluster_.now();
   for (auto& c : controllers_) {
-    if (now % c->period() == 0) {
-      c->act(cluster_, store_, audit_);
-    }
+    if (now % c->period() != 0) continue;
+    pending_.clear();
+    c->act(cluster_, store_, pending_);
+    actuations_ += pending_.size();
+    for (Actuation& a : pending_) audit_.push_back(std::move(a));
+    while (audit_.size() > kAuditCapacity) audit_.pop_front();
   }
 }
 

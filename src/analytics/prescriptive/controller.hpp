@@ -1,9 +1,12 @@
 // Prescriptive-pillar control plumbing: a Controller senses (store) and
 // actuates (cluster knobs) at a fixed period; the ControlLoop multiplexes
-// several controllers over the simulation and keeps an audit trail of every
-// actuation — operators need to know what the ODA system did and why.
+// several controllers over the simulation and keeps an audit trail of the
+// recent actuations — operators need to know what the ODA system did and
+// why — plus a lifetime count.
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,6 +42,10 @@ class Controller {
 
 class ControlLoop {
  public:
+  /// The audit log keeps this many most recent actuations; older ones are
+  /// dropped so a long-running loop holds bounded state.
+  static constexpr std::size_t kAuditCapacity = 4096;
+
   explicit ControlLoop(sim::ClusterSimulation& cluster,
                        const telemetry::TimeSeriesStore& store)
       : cluster_(cluster), store_(store) {}
@@ -48,14 +55,22 @@ class ControlLoop {
   /// Call once per sim step (after collection).
   void tick();
 
-  const std::vector<Actuation>& audit_log() const { return audit_; }
+  /// The most recent actuations (at most kAuditCapacity), oldest first.
+  const std::deque<Actuation>& audit_log() const { return audit_; }
+  /// Every actuation since construction, including those the audit log
+  /// has dropped.
+  std::size_t actuation_count() const { return actuations_; }
   std::size_t controller_count() const { return controllers_.size(); }
 
  private:
   sim::ClusterSimulation& cluster_;
   const telemetry::TimeSeriesStore& store_;
   std::vector<std::shared_ptr<Controller>> controllers_;
-  std::vector<Actuation> audit_;
+  std::deque<Actuation> audit_;
+  /// Reused per act() call: controllers append here, tick() moves the
+  /// entries into audit_.
+  std::vector<Actuation> pending_;
+  std::size_t actuations_ = 0;
 };
 
 /// Helper for controllers: set a knob and append to the audit log in one go.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/string_util.hpp"
@@ -38,10 +39,10 @@ struct BusMetrics {
             "Deliveries exceeding the bus slow threshold"),
         obs::MetricsRegistry::global().counter(
             "oda_bus_unrouted_total",
-            "Publishes that matched zero subscribers"),
+            "Readings that matched zero subscribers"),
         obs::MetricsRegistry::global().histogram(
             "oda_bus_publish_seconds",
-            "End-to-end publish latency (all matching subscribers)"),
+            "End-to-end latency of one publish call (all deliveries)"),
     };
     return m;
   }
@@ -60,6 +61,7 @@ MessageBus::SubscriptionId MessageBus::subscribe(std::string pattern,
   MutexLock lock(mu_);
   const SubscriptionId id = next_id_++;
   subs_.push_back({id, std::move(stats)});
+  ++subs_gen_;
   return id;
 }
 
@@ -68,79 +70,127 @@ void MessageBus::unsubscribe(SubscriptionId id) {
   subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
                              [id](const Subscription& s) { return s.id == id; }),
               subs_.end());
+  ++subs_gen_;
 }
 
-void MessageBus::publish(const Reading& reading) {
-  ODA_TRACE_SPAN_CAT("bus.publish", "bus");
-  BusMetrics& metrics = BusMetrics::get();
-  // relaxed (here and for delivered_ below): pure statistics counters — they
-  // guard no data and order nothing; readers only need eventual counts.
-  published_.fetch_add(1, std::memory_order_relaxed);
-  metrics.published.inc();
-  // Snapshot matching subscribers under the lock, call outside it so a
-  // subscriber may publish (or subscribe) re-entrantly without deadlock.
-  // Holding the shared block (not a pointer into subs_, which a concurrent
-  // subscribe may reallocate) keeps the callback and its accounting valid
-  // even if the subscription is removed mid-delivery.
-  std::vector<std::shared_ptr<SubStats>> targets;
-  bool warn_unrouted = false;
-  {
-    MutexLock lock(mu_);
-    for (const auto& s : subs_) {
-      if (glob_match(s.stats->pattern, reading.path)) {
-        targets.push_back(s.stats);
-      }
-    }
-    if (targets.empty()) {
-      // Silent-drop visibility: nobody consumed this reading. Warn once per
-      // top-level path prefix so a misrouted family surfaces without a log
-      // line per sample.
-      const std::string prefix =
-          reading.path.substr(0, reading.path.find('/'));
-      if (std::find(unrouted_warned_.begin(), unrouted_warned_.end(),
-                    prefix) == unrouted_warned_.end()) {
-        unrouted_warned_.push_back(prefix);
-        warn_unrouted = true;
-      }
+const MessageBus::Route& MessageBus::route_locked(
+    SeriesId id, std::vector<std::string>& warn) {
+  if (id.value < routes_.size() && routes_[id.value].gen == subs_gen_) {
+    return routes_[id.value];
+  }
+  // Look the path up before growing routes_: an unknown id throws here
+  // instead of sizing the table by a bogus value.
+  const std::string& path = SeriesInterner::global().path(id);
+  if (id.value >= routes_.size()) routes_.resize(id.value + 1);
+  Route& entry = routes_[id.value];
+  entry.gen = subs_gen_;
+  entry.path = &path;
+  entry.subs.clear();
+  for (const auto& s : subs_) {
+    if (glob_match(s.stats->pattern, path)) entry.subs.push_back(s.stats);
+  }
+  if (entry.subs.empty()) {
+    // Silent-drop visibility: nobody consumes this series. Warn once per
+    // top-level path prefix so a misrouted family surfaces without a log
+    // line per sample.
+    std::string prefix = path.substr(0, path.find('/'));
+    if (std::find(unrouted_warned_.begin(), unrouted_warned_.end(), prefix) ==
+        unrouted_warned_.end()) {
+      unrouted_warned_.push_back(std::move(prefix));
+      warn.push_back(path);
     }
   }
-  if (targets.empty()) {
-    // relaxed: statistics counter, like published_ above.
-    unrouted_.fetch_add(1, std::memory_order_relaxed);
-    metrics.unrouted.inc();
-    if (warn_unrouted) {
-      ODA_LOG_WARN << "bus publish matched no subscribers (path '"
-                   << reading.path << "'); counting under prefix '"
-                   << reading.path.substr(0, reading.path.find('/')) << "'";
+  return entry;
+}
+
+void MessageBus::dispatch(std::span<const IdReading> readings,
+                          const Reading* single) {
+  if (readings.empty()) return;
+  ODA_TRACE_SPAN_CAT("bus.publish", "bus");
+  BusMetrics& metrics = BusMetrics::get();
+  // relaxed (here and for unrouted_/delivered_ below): pure statistics
+  // counters — they guard no data and order nothing; readers only need
+  // eventual counts.
+  published_.fetch_add(readings.size(), std::memory_order_relaxed);
+  metrics.published.inc(readings.size());
+  // Snapshot each routed reading's subscribers under the lock, call them
+  // outside it so a subscriber may publish (or subscribe) re-entrantly
+  // without deadlock. Holding the shared blocks (not pointers into routes_,
+  // which the next resolution may rewrite) keeps each callback and its
+  // accounting valid even if the subscription is removed mid-delivery.
+  struct Routed {
+    std::size_t index;        // into readings
+    const std::string* path;  // interner-owned
+    std::size_t first;        // into targets
+    std::size_t count;
+  };
+  std::vector<Routed> routed;
+  std::vector<std::shared_ptr<SubStats>> targets;
+  std::vector<std::string> warn;
+  {
+    MutexLock lock(mu_);
+    for (std::size_t i = 0; i < readings.size(); ++i) {
+      const Route& r = route_locked(readings[i].id, warn);
+      if (r.subs.empty()) continue;
+      routed.push_back({i, r.path, targets.size(), r.subs.size()});
+      targets.insert(targets.end(), r.subs.begin(), r.subs.end());
     }
+  }
+  const std::size_t unrouted = readings.size() - routed.size();
+  if (unrouted > 0) {
+    unrouted_.fetch_add(unrouted, std::memory_order_relaxed);
+    metrics.unrouted.inc(unrouted);
+  }
+  for (const std::string& path : warn) {
+    ODA_LOG_WARN << "bus publish matched no subscribers (path '" << path
+                 << "'); counting under prefix '"
+                 << path.substr(0, path.find('/')) << "'";
   }
   using Clock = std::chrono::steady_clock;
   double publish_seconds = 0.0;
-  for (const auto& t : targets) {
-    // Child of the publish span (same-thread nesting), so each subscriber's
-    // work hangs off the publish in the causal trace.
-    ODA_TRACE_SPAN_CAT("bus.deliver", "bus");
-    const Clock::time_point t0 = Clock::now();
-    t->callback(reading);
-    const double elapsed_s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    publish_seconds += elapsed_s;
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    metrics.delivered.inc();
-    t->per_pattern->inc();
-    if (elapsed_s > kSlowDeliverySeconds) {
-      metrics.slow.inc();
-      // relaxed exchange: warned is a best-effort once-flag for log noise
-      // control; a duplicate warning under a rare race would be harmless.
-      if (!t->warned.exchange(true, std::memory_order_relaxed)) {
-        ODA_LOG_WARN << "slow bus subscriber (pattern '" << t->pattern
-                     << "'): delivery took " << elapsed_s * 1e3
-                     << " ms (threshold " << kSlowDeliverySeconds * 1e3
-                     << " ms)";
+  for (const Routed& d : routed) {
+    std::optional<Reading> built;
+    if (single == nullptr) {
+      built.emplace(Reading{*d.path, readings[d.index].sample});
+    }
+    const Reading& reading = single != nullptr ? *single : *built;
+    for (std::size_t k = d.first; k < d.first + d.count; ++k) {
+      SubStats& t = *targets[k];
+      // Child of the publish span (same-thread nesting), so each
+      // subscriber's work hangs off the publish in the causal trace.
+      ODA_TRACE_SPAN_CAT("bus.deliver", "bus");
+      const Clock::time_point t0 = Clock::now();
+      t.callback(reading);
+      const double elapsed_s =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      publish_seconds += elapsed_s;
+      delivered_.fetch_add(1, std::memory_order_relaxed);
+      metrics.delivered.inc();
+      t.per_pattern->inc();
+      if (elapsed_s > kSlowDeliverySeconds) {
+        metrics.slow.inc();
+        // relaxed exchange: warned is a best-effort once-flag for log noise
+        // control; a duplicate warning under a rare race would be harmless.
+        if (!t.warned.exchange(true, std::memory_order_relaxed)) {
+          ODA_LOG_WARN << "slow bus subscriber (pattern '" << t.pattern
+                       << "'): delivery took " << elapsed_s * 1e3
+                       << " ms (threshold " << kSlowDeliverySeconds * 1e3
+                       << " ms)";
+        }
       }
     }
   }
   metrics.publish_seconds.observe(publish_seconds);
+}
+
+void MessageBus::publish_batch(std::span<const IdReading> readings) {
+  dispatch(readings, nullptr);
+}
+
+void MessageBus::publish(const Reading& reading) {
+  const IdReading r{SeriesInterner::global().intern(reading.path),
+                    reading.sample};
+  dispatch({&r, 1}, &reading);
 }
 
 void MessageBus::publish(const std::string& path, TimePoint time, double value) {

@@ -311,12 +311,9 @@ void Collector::collect() {
     // One batch insert per group: the store groups by shard and takes each
     // shard lock once, instead of one map lookup + lock per sample.
     if (store_ != nullptr && !readings.empty()) store_->insert_batch(readings);
-    if (bus_ != nullptr) {
-      for (const auto& r : readings) {
-        bus_->publish(
-            Reading{SeriesInterner::global().path(r.id), r.sample});
-      }
-    }
+    // Likewise one bus publish per group: routed by id, so a reading no
+    // subscriber wants costs no path lookup or string copy.
+    if (bus_ != nullptr) bus_->publish_batch(readings);
 
     const std::uint64_t gaps = gap_counts[0] + gap_counts[1] + gap_counts[2];
     // relaxed (all counters below): monotonic statistics (see accessors).

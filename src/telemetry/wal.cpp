@@ -228,8 +228,7 @@ bool PosixWalFs::read_file(const std::string& path, std::string& out) {
 }
 
 WalFs::AppendResult PosixWalFs::append(const std::string& path,
-                                       const void* data, std::size_t n,
-                                       bool sync) {
+                                       const void* data, std::size_t n) {
   AppendResult res;
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -248,11 +247,7 @@ WalFs::AppendResult PosixWalFs::append(const std::string& path,
     }
     res.written += static_cast<std::size_t>(wrote);
   }
-  if (sync && res.err == 0) {
-    res.synced = ::fsync(fd) == 0;
-  } else if (sync) {
-    res.synced = false;
-  }
+  res.synced = res.err == 0 && ::fsync(fd) == 0;
   ::close(fd);
   return res;
 }
@@ -329,11 +324,10 @@ bool FaultFs::read_file(const std::string& path, std::string& out) {
 }
 
 WalFs::AppendResult FaultFs::append(const std::string& path, const void* data,
-                                    std::size_t n, bool sync) {
+                                    std::size_t n) {
   std::string mutated;
   std::size_t effective = n;
   int forced_err = 0;
-  bool sink_sync = sync;
   bool report_sync_fail = false;
   {
     MutexLock lock(mu_);
@@ -361,16 +355,15 @@ WalFs::AppendResult FaultFs::append(const std::string& path, const void* data,
       }
       space_budget_ -= static_cast<std::int64_t>(effective);
     }
-    if (sync && fsync_failures_ > 0) {
+    if (fsync_failures_ > 0) {
       --fsync_failures_;
       ++fsyncs_failed_;
-      sink_sync = false;
       report_sync_fail = true;
     }
     if (forced_err != 0) ++appends_failed_;
   }
   const void* src = mutated.empty() ? data : mutated.data();
-  AppendResult res = base_.append(path, src, effective, sink_sync);
+  AppendResult res = base_.append(path, src, effective);
   if (forced_err != 0 && res.err == 0) res.err = forced_err;
   if (report_sync_fail) res.synced = false;
   return res;
@@ -779,7 +772,7 @@ bool Wal::commit_group(std::vector<PendingBatch>& group) {
   const std::uint64_t offset_before = segment_bytes_;
   const auto commit_start = std::chrono::steady_clock::now();
   const WalFs::AppendResult res =
-      fs_->append(path, encode_buf_.data(), encode_buf_.size(), true);
+      fs_->append(path, encode_buf_.data(), encode_buf_.size());
   m.commit_seconds.observe(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - commit_start)
                                .count());

@@ -103,7 +103,7 @@ class WalFs {
   struct AppendResult {
     std::size_t written = 0;  ///< bytes actually appended
     int err = 0;              ///< errno when written < n (0 on success)
-    bool synced = true;       ///< false when sync was requested but failed
+    bool synced = true;       ///< false when the fsync failed
   };
 
   /// Creates `dir` (and parents). False on failure.
@@ -116,9 +116,9 @@ class WalFs {
   /// (fewer bytes than file_size) is reported as success with a short
   /// `out` — recovery treats the missing tail as torn.
   virtual bool read_file(const std::string& path, std::string& out) = 0;
-  /// Appends `n` bytes (creating the file), then fsyncs when `sync`.
+  /// Appends `n` bytes (creating the file), then fsyncs.
   virtual AppendResult append(const std::string& path, const void* data,
-                              std::size_t n, bool sync) = 0;
+                              std::size_t n) = 0;
   /// Truncates to `size` bytes. False on failure.
   virtual bool truncate_file(const std::string& path, std::uint64_t size) = 0;
   /// Removes the file. False on failure.
@@ -133,8 +133,8 @@ class PosixWalFs final : public WalFs {
   std::vector<std::string> list(const std::string& dir) override;
   std::int64_t file_size(const std::string& path) override;
   bool read_file(const std::string& path, std::string& out) override;
-  AppendResult append(const std::string& path, const void* data, std::size_t n,
-                      bool sync) override;
+  AppendResult append(const std::string& path, const void* data,
+                      std::size_t n) override;
   bool truncate_file(const std::string& path, std::uint64_t size) override;
   bool remove_file(const std::string& path) override;
 };
@@ -169,8 +169,8 @@ class FaultFs final : public WalFs {
   std::vector<std::string> list(const std::string& dir) override;
   std::int64_t file_size(const std::string& path) override;
   bool read_file(const std::string& path, std::string& out) override;
-  AppendResult append(const std::string& path, const void* data, std::size_t n,
-                      bool sync) override;
+  AppendResult append(const std::string& path, const void* data,
+                      std::size_t n) override;
   bool truncate_file(const std::string& path, std::uint64_t size) override;
   bool remove_file(const std::string& path) override;
 

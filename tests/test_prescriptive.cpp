@@ -112,6 +112,38 @@ TEST(ControlLoop, PeriodGating) {
   EXPECT_EQ(counter->calls, 10);
 }
 
+TEST(ControlLoop, AuditLogIsBounded) {
+  // Logs three numbered actuations per call; the loop must keep only the
+  // newest kAuditCapacity of them while counting every one.
+  class ChattyController : public Controller {
+   public:
+    const char* name() const override { return "chatty"; }
+    Duration period() const override { return 60; }
+    void act(sim::ClusterSimulation&, const telemetry::TimeSeriesStore&,
+             std::vector<Actuation>& log) override {
+      for (int i = 0; i < 3; ++i) {
+        Actuation a;
+        a.controller = name();
+        a.new_value = static_cast<double>(next++);
+        log.push_back(std::move(a));
+      }
+    }
+    int next = 0;
+  };
+  Rig rig(small_cluster());
+  rig.loop->add(std::make_shared<ChattyController>());
+  constexpr int kCalls = 2000;  // now == 0 is due on every tick()
+  for (int i = 0; i < kCalls; ++i) rig.loop->tick();
+
+  const std::size_t total = 3 * kCalls;
+  EXPECT_EQ(rig.loop->actuation_count(), total);
+  const auto& audit = rig.loop->audit_log();
+  ASSERT_EQ(audit.size(), ControlLoop::kAuditCapacity);
+  EXPECT_DOUBLE_EQ(audit.front().new_value,
+                   static_cast<double>(total - ControlLoop::kAuditCapacity));
+  EXPECT_DOUBLE_EQ(audit.back().new_value, static_cast<double>(total - 1));
+}
+
 // ----------------------------------------------------------------- cooling
 
 TEST(Cooling, SetpointOptimizerReducesFacilityPower) {

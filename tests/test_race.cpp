@@ -26,6 +26,7 @@
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "telemetry/bus.hpp"
+#include "telemetry/series_id.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -368,6 +369,47 @@ TEST(RaceMessageBus, SubscribeUnsubscribeDuringPublish) {
 
   EXPECT_EQ(bus.subscriber_count(), 0u);
   EXPECT_EQ(bus.delivered_count(), hits.load());
+}
+
+// Batch publishers re-resolve routes under the bus lock while subscriptions
+// churn. Every delivery a batch snapshotted must still reach a live
+// callback, and the per-bus delivered count must equal the callbacks' hits.
+TEST(RaceMessageBus, BatchPublishWithSubscriptionChurn) {
+  telemetry::MessageBus bus;
+  std::vector<telemetry::IdReading> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back({telemetry::SeriesInterner::global().intern(
+                         "churn/" + std::to_string(i)),
+                     {i, 1.0}});
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> batches{0};
+
+  std::vector<std::thread> pubs;
+  for (int p = 0; p < 2; ++p) {
+    pubs.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        bus.publish_batch(batch);
+        batches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int round = 0; round < 500; ++round) {
+    auto id = bus.subscribe(round % 2 ? "churn/*" : "churn/3",
+                            [&](const telemetry::Reading& r) {
+                              ASSERT_EQ(r.path.rfind("churn/", 0), 0u);
+                              hits.fetch_add(1, std::memory_order_relaxed);
+                            });
+    std::this_thread::yield();
+    bus.unsubscribe(id);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& p : pubs) p.join();
+
+  EXPECT_EQ(bus.subscriber_count(), 0u);
+  EXPECT_EQ(bus.delivered_count(), hits.load());
+  EXPECT_EQ(bus.published_count(), batches.load() * batch.size());
 }
 
 TEST(RaceMessageBus, ReentrantPublishFromCallback) {

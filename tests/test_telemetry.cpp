@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -13,6 +15,7 @@
 #include "telemetry/collector.hpp"
 #include "telemetry/derived.hpp"
 #include "telemetry/sample.hpp"
+#include "telemetry/series_id.hpp"
 #include "telemetry/store.hpp"
 
 namespace oda::telemetry {
@@ -53,6 +56,124 @@ TEST(MessageBus, ReentrantPublishDoesNotDeadlock) {
   bus.subscribe("secondary", [&](const Reading&) { ++secondary; });
   bus.publish("primary", 0, 1.0);
   EXPECT_EQ(secondary, 1);
+}
+
+/// One delivery as a subscriber saw it: (subscriber, path, time, value).
+struct Delivered {
+  int subscriber;
+  std::string path;
+  TimePoint time;
+  double value;
+  friend bool operator==(const Delivered&, const Delivered&) = default;
+};
+
+/// A bus whose subscriptions, one per pattern, append to `log`.
+void subscribe_recorders(MessageBus& bus,
+                         const std::vector<std::string>& patterns,
+                         std::vector<Delivered>& log) {
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    bus.subscribe(patterns[i], [&log, i](const Reading& r) {
+      log.push_back({static_cast<int>(i), r.path, r.sample.time,
+                     r.sample.value});
+    });
+  }
+}
+
+std::vector<IdReading> interned(const std::vector<std::string>& paths) {
+  std::vector<IdReading> out;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    out.push_back({SeriesInterner::global().intern(paths[i]),
+                   {static_cast<TimePoint>(10 + i), 0.5 * static_cast<double>(i)}});
+  }
+  return out;
+}
+
+TEST(MessageBus, BatchMatchesSinglePublishes) {
+  const std::vector<IdReading> batch = interned(
+      {"rack00/node01/power", "facility/pue", "rack00/node01/cpu_temp",
+       "rack01/node07/power", "facility/supply_temp", "orphan/metric",
+       "rack00/node01/power"});
+  // With "*" every reading is routed; without it some are not, so the
+  // unrouted count is compared too.
+  for (const std::vector<std::string>& patterns :
+       {std::vector<std::string>{"*", "rack*/node*/power", "facility/*"},
+        std::vector<std::string>{"rack*/node*/power", "facility/*"}}) {
+    std::vector<Delivered> batched, single;
+    MessageBus a, b;
+    subscribe_recorders(a, patterns, batched);
+    subscribe_recorders(b, patterns, single);
+    a.publish_batch(batch);
+    for (const IdReading& r : batch) {
+      b.publish(Reading{SeriesInterner::global().path(r.id), r.sample});
+    }
+    EXPECT_FALSE(batched.empty());
+    EXPECT_EQ(batched, single);
+    EXPECT_EQ(a.published_count(), batch.size());
+    EXPECT_EQ(a.published_count(), b.published_count());
+    EXPECT_EQ(a.delivered_count(), b.delivered_count());
+    EXPECT_EQ(a.delivered_count(), batched.size());
+    EXPECT_EQ(a.unrouted_count(), b.unrouted_count());
+  }
+}
+
+TEST(MessageBus, RoutesFollowSubscriptionChanges) {
+  MessageBus bus;
+  std::vector<Delivered> log;
+  const auto power = bus.subscribe("rack*/node*/power", [&](const Reading& r) {
+    log.push_back({0, r.path, r.sample.time, r.sample.value});
+  });
+  std::vector<IdReading> batch =
+      interned({"rack02/node03/power", "facility/routes_pue"});
+
+  bus.publish_batch(batch);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].path, "rack02/node03/power");
+  EXPECT_EQ(bus.unrouted_count(), 1u);
+
+  // Swap the subscription set between batches: the next batch routes by
+  // the new set, not by routes resolved for the old one.
+  bus.subscribe("facility/*", [&](const Reading& r) {
+    log.push_back({1, r.path, r.sample.time, r.sample.value});
+  });
+  bus.unsubscribe(power);
+  log.clear();
+  bus.publish_batch(batch);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].subscriber, 1);
+  EXPECT_EQ(log[0].path, "facility/routes_pue");
+  EXPECT_EQ(bus.unrouted_count(), 2u);
+
+  // An id interned after the routes were resolved is routed on first use.
+  batch.push_back({SeriesInterner::global().intern("facility/routes_late"),
+                   {99, 7.0}});
+  log.clear();
+  bus.publish_batch(batch);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1], (Delivered{1, "facility/routes_late", 99, 7.0}));
+  EXPECT_EQ(bus.unrouted_count(), 3u);
+  EXPECT_EQ(bus.published_count(), 7u);
+  EXPECT_EQ(bus.delivered_count(), 4u);
+}
+
+TEST(MessageBus, SubscribeFromCallbackAppliesToNextPublish) {
+  MessageBus bus;
+  int late_hits = 0;
+  bool subscribed = false;
+  bus.subscribe("cb/*", [&](const Reading&) {
+    if (subscribed) return;
+    subscribed = true;
+    bus.subscribe("cb/*", [&](const Reading&) { ++late_hits; });
+  });
+  // The first reading's callback subscribes; the rest of this batch still
+  // routes by the set it started with.
+  bus.publish_batch(interned({"cb/one", "cb/two", "cb/three"}));
+  EXPECT_TRUE(subscribed);
+  EXPECT_EQ(late_hits, 0);
+  EXPECT_EQ(bus.delivered_count(), 3u);
+  bus.publish_batch(interned({"cb/one", "cb/two"}));
+  EXPECT_EQ(late_hits, 2);
+  bus.publish("cb/one", 0, 1.0);
+  EXPECT_EQ(late_hits, 3);
 }
 
 // ------------------------------------------------------------------ store
