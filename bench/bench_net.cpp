@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
   // ----------------------------------------------------- scrape latency
   const int scrape_reps = quick ? 300 : 3000;
   {
-    oda::net::ObsServerOptions opts;
-    opts.http.port = 0;
+    oda::net::HttpServerOptions opts;
+    opts.port = 0;
     oda::net::ObsServer server(opts);
     if (!server.start()) {
       std::fprintf(stderr, "bench_net: ObsServer failed to start\n");

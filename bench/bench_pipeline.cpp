@@ -233,12 +233,9 @@ void BM_ProfilerGateDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfilerGateDisabled);
 
-// The lock-accounting ladder (contention.hpp's cost model): an uncontended
-// RAII acquisition with accounting armed (the default — one relaxed load
-// plus a try_lock fast path that skips both clock reads) against the same
-// acquisition disarmed (plain lock() behind the relaxed load).
+// The lock-accounting cost (contention.hpp's cost model): an uncontended
+// RAII acquisition takes the try_lock fast path and skips both clock reads.
 void BM_LockUncontendedAccountingOn(benchmark::State& state) {
-  contention::set_enabled(true);
   Mutex mu;
   long counter = 0;
   for (auto _ : state) {
@@ -248,19 +245,6 @@ void BM_LockUncontendedAccountingOn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockUncontendedAccountingOn);
-
-void BM_LockUncontendedAccountingOff(benchmark::State& state) {
-  contention::set_enabled(false);
-  Mutex mu;
-  long counter = 0;
-  for (auto _ : state) {
-    MutexLock lock(mu);
-    benchmark::DoNotOptimize(++counter);
-  }
-  contention::set_enabled(true);  // restore the default
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LockUncontendedAccountingOff);
 
 void BM_SimStep(benchmark::State& state) {
   sim::ClusterParams params;

@@ -27,7 +27,6 @@ namespace {
 // Static storage, zero-initialized before main: recording is safe from any
 // lock acquisition, including ones during static construction.
 std::array<LockWaitStats, kLockRankCount> g_stats{};
-std::atomic<bool> g_enabled{true};
 
 }  // namespace
 
@@ -35,17 +34,6 @@ LockWaitStats& stats(LockRankId rank) noexcept {
   auto idx = static_cast<std::size_t>(rank);
   if (idx >= kLockRankCount) idx = 0;
   return g_stats[idx];
-}
-
-void set_enabled(bool enabled) noexcept {
-  // relaxed: advisory arm flag; a stale read only means one extra (or one
-  // missed) timed acquisition around the toggle.
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool enabled() noexcept {
-  // relaxed: see set_enabled(). This is the whole disabled-path cost.
-  return g_enabled.load(std::memory_order_relaxed);
 }
 
 void record_wait(LockRankId rank, double wait_seconds) noexcept {

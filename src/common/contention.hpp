@@ -8,7 +8,8 @@
 // obs::register_lock_contention) — the uniform mechanism that replaced the
 // store's one-off per-shard wait gauge.
 //
-// Disabled cost: one relaxed load of the arm flag per RAII acquisition.
+// Accounting is always on. Its cost on an uncontended acquisition is the
+// try_lock fast path alone: no clock read and no atomic write.
 #pragma once
 
 #include <array>
@@ -63,11 +64,6 @@ struct LockWaitStats {
 
 /// The global table, indexed by LockRankId.
 LockWaitStats& stats(LockRankId rank) noexcept;
-
-/// Arms / disarms accounting process-wide (default: armed). Disarmed, every
-/// RAII acquisition degenerates to a plain lock() behind one relaxed load.
-void set_enabled(bool enabled) noexcept;
-bool enabled() noexcept;
 
 /// Records one contended acquisition of `wait_seconds` against `rank`.
 /// Lock-free and allocation-free; callable while blocked-then-acquired.

@@ -178,31 +178,41 @@ class ODA_CAPABILITY("shared mutex") SharedMutex {
 
 // ------------------------------------------------------------- RAII wrappers
 //
-// Every wrapper constructor runs the same contention-accounting shape: one
-// relaxed load of the arm flag, then a try_lock fast path with zero clock
-// reads; only an acquisition that actually waited pays for two steady_clock
-// reads, and that wait is recorded against the mutex's LockRankId and kept
-// in waited_s() for callers that attribute per-instance (the store's
-// per-shard gauge). Direct Mutex::lock() calls and the CondVar reacquire
-// stay unaccounted — attribution covers the RAII idiom the codebase uses
-// everywhere else.
+// Every wrapper constructor runs the same contention-accounting body,
+// detail::acquire_accounted: a try_lock fast path with zero clock reads;
+// only an acquisition that actually waited pays for two steady_clock reads,
+// and that wait is recorded against the mutex's LockRankId and kept in
+// waited_s() for callers that attribute per-instance. Direct Mutex::lock()
+// calls and the CondVar reacquire stay unaccounted — attribution covers the
+// RAII idiom the codebase uses everywhere else.
+
+namespace detail {
+
+/// Returns the seconds the acquisition waited (0.0 on the fast path). The
+/// member pointers are template arguments, so every call is direct; the
+/// wrappers' constructors carry the thread-safety annotations for the lock
+/// this takes.
+template <auto TryAcquire, auto Acquire, typename M>
+double acquire_accounted(M& mu) {
+  if ((mu.*TryAcquire)()) return 0.0;
+  const auto wait_start = std::chrono::steady_clock::now();
+  (mu.*Acquire)();
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wait_start)
+                              .count();
+  contention::record_wait(mu.rank(), waited_s);
+  return waited_s;
+}
+
+}  // namespace detail
 
 /// Scoped exclusive lock on a Mutex (the std::lock_guard replacement).
 class ODA_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex& mu) ODA_ACQUIRE(mu) : mu_(&mu) {
-    if (!contention::enabled()) {
-      mu.lock();
-      return;
-    }
-    if (mu.try_lock()) return;
-    const auto wait_start = std::chrono::steady_clock::now();
-    mu.lock();
-    waited_s_ = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wait_start)
-                    .count();
-    contention::record_wait(mu.rank(), waited_s_);
-  }
+  explicit MutexLock(Mutex& mu) ODA_ACQUIRE(mu)
+      : mu_(&mu),
+        waited_s_(
+            detail::acquire_accounted<&Mutex::try_lock, &Mutex::lock>(mu)) {}
   ~MutexLock() ODA_RELEASE() { mu_->unlock(); }
 
   MutexLock(const MutexLock&) = delete;
@@ -214,27 +224,17 @@ class ODA_SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   Mutex* mu_;
-  double waited_s_ = 0.0;
+  double waited_s_;
 };
 
 /// Scoped exclusive lock on a SharedMutex (the std::unique_lock replacement
 /// for writer paths).
 class ODA_SCOPED_CAPABILITY WriterLock {
  public:
-  explicit WriterLock(SharedMutex& mu) ODA_ACQUIRE(mu) : mu_(&mu) {
-    if (!contention::enabled()) {
-      mu.lock();
-      return;
-    }
-    if (mu.try_lock()) return;
-    const auto wait_start = std::chrono::steady_clock::now();
-    mu.lock();
-    waited_s_ = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wait_start)
-                    .count();
-    contention::record_wait(mu.rank(), waited_s_);
-  }
-
+  explicit WriterLock(SharedMutex& mu) ODA_ACQUIRE(mu)
+      : mu_(&mu),
+        waited_s_(detail::acquire_accounted<&SharedMutex::try_lock,
+                                            &SharedMutex::lock>(mu)) {}
   ~WriterLock() ODA_RELEASE() { mu_->unlock(); }
 
   WriterLock(const WriterLock&) = delete;
@@ -245,25 +245,16 @@ class ODA_SCOPED_CAPABILITY WriterLock {
 
  private:
   SharedMutex* mu_;
-  double waited_s_ = 0.0;
+  double waited_s_;
 };
 
 /// Scoped shared (reader) lock on a SharedMutex.
 class ODA_SCOPED_CAPABILITY ReaderLock {
  public:
-  explicit ReaderLock(SharedMutex& mu) ODA_ACQUIRE_SHARED(mu) : mu_(&mu) {
-    if (!contention::enabled()) {
-      mu.lock_shared();
-      return;
-    }
-    if (mu.try_lock_shared()) return;
-    const auto wait_start = std::chrono::steady_clock::now();
-    mu.lock_shared();
-    waited_s_ = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wait_start)
-                    .count();
-    contention::record_wait(mu.rank(), waited_s_);
-  }
+  explicit ReaderLock(SharedMutex& mu) ODA_ACQUIRE_SHARED(mu)
+      : mu_(&mu),
+        waited_s_(detail::acquire_accounted<&SharedMutex::try_lock_shared,
+                                            &SharedMutex::lock_shared>(mu)) {}
   ~ReaderLock() ODA_RELEASE() { mu_->unlock_shared(); }
 
   ReaderLock(const ReaderLock&) = delete;
@@ -274,7 +265,7 @@ class ODA_SCOPED_CAPABILITY ReaderLock {
 
  private:
   SharedMutex* mu_;
-  double waited_s_ = 0.0;
+  double waited_s_;
 };
 
 // ------------------------------------------------------------------- condvar

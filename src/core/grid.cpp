@@ -15,17 +15,33 @@ bool CapabilityDescriptor::occupies(const GridCell& cell) const {
   return std::find(cells.begin(), cells.end(), cell) != cells.end();
 }
 
-bool CapabilityDescriptor::multi_pillar() const {
+std::size_t pillar_count(const std::vector<GridCell>& cells) {
   std::set<Pillar> pillars;
   for (const auto& c : cells) pillars.insert(c.pillar);
-  return pillars.size() > 1;
+  return pillars.size();
 }
 
-bool CapabilityDescriptor::multi_type() const {
+std::size_t type_count(const std::vector<GridCell>& cells) {
   std::set<AnalyticsType> types;
   for (const auto& c : cells) types.insert(c.type);
-  return types.size() > 1;
+  return types.size();
 }
+
+double cell_jaccard(const std::vector<GridCell>& a,
+                    const std::vector<GridCell>& b) {
+  const std::set<GridCell> sa(a.begin(), a.end());
+  const std::set<GridCell> sb(b.begin(), b.end());
+  std::size_t inter = 0;
+  for (const auto& c : sa) inter += sb.count(c);
+  const std::size_t uni = sa.size() + sb.size() - inter;
+  return uni ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
+}
+
+bool CapabilityDescriptor::multi_pillar() const {
+  return pillar_count(cells) > 1;
+}
+
+bool CapabilityDescriptor::multi_type() const { return type_count(cells) > 1; }
 
 void FrameworkGrid::register_capability(CapabilityDescriptor descriptor) {
   ODA_REQUIRE(!descriptor.id.empty(), "capability needs an id");
@@ -76,14 +92,7 @@ CoverageReport FrameworkGrid::coverage() const {
 
 double FrameworkGrid::similarity(const std::string& id_a,
                                  const std::string& id_b) const {
-  const auto& a = at(id_a);
-  const auto& b = at(id_b);
-  std::set<GridCell> sa(a.cells.begin(), a.cells.end());
-  std::set<GridCell> sb(b.cells.begin(), b.cells.end());
-  std::size_t inter = 0;
-  for (const auto& c : sa) inter += sb.count(c);
-  const std::size_t uni = sa.size() + sb.size() - inter;
-  return uni ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
+  return cell_jaccard(at(id_a).cells, at(id_b).cells);
 }
 
 std::vector<RoadmapSuggestion> FrameworkGrid::roadmap() const {

@@ -25,6 +25,18 @@ struct GridCell {
 
 std::string to_string(const GridCell& cell);
 
+// Set measures over a cell list (a capability's or a system's cells);
+// duplicate cells count once.
+
+/// Distinct pillars among `cells`.
+std::size_t pillar_count(const std::vector<GridCell>& cells);
+/// Distinct analytics types among `cells`.
+std::size_t type_count(const std::vector<GridCell>& cells);
+/// Jaccard similarity |A n B| / |A u B| of two cell sets (0 when both are
+/// empty).
+double cell_jaccard(const std::vector<GridCell>& a,
+                    const std::vector<GridCell>& b);
+
 /// One ODA capability (a component of an ODA system) and its classification.
 struct CapabilityDescriptor {
   std::string id;           // unique, e.g. "kpi.pue"

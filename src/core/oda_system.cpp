@@ -9,23 +9,11 @@
 
 namespace oda::core {
 
-bool OdaSystem::multi_pillar() const {
-  std::set<Pillar> pillars;
-  for (const auto& c : cells) pillars.insert(c.pillar);
-  return pillars.size() > 1;
-}
+bool OdaSystem::multi_pillar() const { return pillar_count(cells) > 1; }
 
-bool OdaSystem::multi_type() const {
-  std::set<AnalyticsType> types;
-  for (const auto& c : cells) types.insert(c.type);
-  return types.size() > 1;
-}
+bool OdaSystem::multi_type() const { return type_count(cells) > 1; }
 
-std::size_t OdaSystem::discipline_count() const {
-  std::set<AnalyticsType> types;
-  for (const auto& c : cells) types.insert(c.type);
-  return types.size();
-}
+std::size_t OdaSystem::discipline_count() const { return type_count(cells); }
 
 std::vector<OdaSystem> published_example_systems() {
   using P = Pillar;
@@ -122,12 +110,7 @@ std::string render_figure3(const std::vector<OdaSystem>& systems) {
 }
 
 double system_similarity(const OdaSystem& a, const OdaSystem& b) {
-  const std::set<GridCell> sa(a.cells.begin(), a.cells.end());
-  const std::set<GridCell> sb(b.cells.begin(), b.cells.end());
-  std::size_t inter = 0;
-  for (const auto& c : sa) inter += sb.count(c);
-  const std::size_t uni = sa.size() + sb.size() - inter;
-  return uni ? static_cast<double>(inter) / static_cast<double>(uni) : 0.0;
+  return cell_jaccard(a.cells, b.cells);
 }
 
 double comprehensiveness(const OdaSystem& system) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/thread_watch.hpp"
+#include "net/self_scrape.hpp"
 #include "obs/exposition.hpp"
 #include "obs/health.hpp"
 #include "obs/profiler.hpp"
@@ -24,6 +25,8 @@ namespace {
 constexpr const char* kContentTypeProm =
     "text/plain; version=0.0.4; charset=utf-8";
 constexpr const char* kContentTypeJson = "application/json";
+/// Upper clamp on /profile?seconds=N (see the header).
+constexpr double kMaxProfileSeconds = 30.0;
 
 /// Routes that get their own oda_http_requests_total{path=} label; every
 /// other request is counted as "other".
@@ -63,8 +66,7 @@ std::string format_double(double v) {
 
 }  // namespace
 
-ObsServer::ObsServer(ObsServerOptions opts)
-    : opts_(std::move(opts)), http_(opts_.http) {}
+ObsServer::ObsServer(HttpServerOptions opts) : http_(std::move(opts)) {}
 
 ObsServer::~ObsServer() { stop(); }
 
@@ -172,7 +174,7 @@ bool ObsServer::handle_profile(const HttpRequest& req,
     }
     seconds = parsed;
   }
-  seconds = std::clamp(seconds, 0.05, opts_.max_profile_seconds);
+  seconds = std::clamp(seconds, 0.05, kMaxProfileSeconds);
   // acq_rel: the winner of the exchange owns the (process-global) profiler
   // until it stores false; losers answer 409 without touching it.
   if (profile_busy_.exchange(true, std::memory_order_acq_rel)) {
@@ -257,7 +259,7 @@ HttpResponse ObsServer::selfscrape_dump() const {
     return resp;
   }
   const std::vector<std::string> paths =
-      store_->match(opts_.store_prefix + "*");
+      store_->match(std::string(kSelfScrapePrefix) + "*");
   constexpr std::size_t kMaxListed = 10000;
   std::string body = "{\n  \"series_count\": " +
                      std::to_string(paths.size()) + ",\n  \"series\": [\n";

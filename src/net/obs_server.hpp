@@ -11,6 +11,10 @@
 //   GET /flight           FlightRecorder snapshot (Chrome trace JSON)
 //   GET /varz             pid, uptime, thread registry, http stats
 //   GET /selfscrape       self-scraped oda/* series in the attached store
+//                         (kSelfScrapePrefix, net/self_scrape.hpp)
+//
+// /profile clamps its ?seconds= to 30 s, which also bounds stop() latency:
+// stop() joins an in-flight profile worker.
 //
 // Unknown paths collapse to the "other" label of oda_http_requests_total
 // so scanners cannot mint label cardinality.
@@ -19,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <thread>
 
 #include "common/sync.hpp"
@@ -31,18 +34,9 @@ class TimeSeriesStore;
 
 namespace oda::net {
 
-struct ObsServerOptions {
-  HttpServerOptions http;
-  /// Upper clamp on /profile?seconds=N (also bounds stop() latency, which
-  /// joins an in-flight profile worker).
-  double max_profile_seconds = 30.0;
-  /// Series-path prefix listed by /selfscrape (SelfScrape's prefix).
-  std::string store_prefix = "oda/";
-};
-
 class ObsServer {
  public:
-  explicit ObsServer(ObsServerOptions opts = {});
+  explicit ObsServer(HttpServerOptions opts = {});
   ~ObsServer();
   ObsServer(const ObsServer&) = delete;
   ObsServer& operator=(const ObsServer&) = delete;
@@ -65,7 +59,6 @@ class ObsServer {
   HttpResponse selfscrape_dump() const;
   void join_profile_worker() ODA_EXCLUDES(profile_mu_);
 
-  ObsServerOptions opts_;
   HttpServer http_;
   const telemetry::TimeSeriesStore* store_ = nullptr;
   std::chrono::steady_clock::time_point start_time_{};

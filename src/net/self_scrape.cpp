@@ -1,7 +1,7 @@
 #include "net/self_scrape.hpp"
 
 #include <span>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "telemetry/store.hpp"
@@ -10,13 +10,14 @@ namespace oda::net {
 
 namespace {
 
-/// "<prefix><family>" or "<prefix><family>{k=v,...}" (labels arrive sorted
-/// from registration). The store treats paths as opaque strings, so the
-/// braces survive round trips and "oda/*" glob-matches every series.
-std::string series_path(const std::string& prefix, const std::string& family,
-                        const obs::LabelSet& labels,
+/// "oda/<family>" or "oda/<family>{k=v,...}" (labels arrive sorted from
+/// registration). The store treats paths as opaque strings, so the braces
+/// survive round trips and "oda/*" glob-matches every series.
+std::string series_path(const std::string& family, const obs::LabelSet& labels,
                         const char* suffix = "") {
-  std::string path = prefix + family + suffix;
+  std::string path(kSelfScrapePrefix);
+  path += family;
+  path += suffix;
   if (labels.empty()) return path;
   path += '{';
   bool first = true;
@@ -33,10 +34,8 @@ std::string series_path(const std::string& prefix, const std::string& family,
 
 }  // namespace
 
-SelfScrape::SelfScrape(telemetry::TimeSeriesStore& store,
-                       SelfScrapeOptions opts)
+SelfScrape::SelfScrape(telemetry::TimeSeriesStore& store)
     : store_(store),
-      opts_(std::move(opts)),
       passes_counter_(obs::MetricsRegistry::global().counter(
           "oda_selfscrape_passes_total",
           "Self-scrape passes over the metrics registry")),
@@ -58,15 +57,15 @@ std::size_t SelfScrape::scrape_once(TimePoint now) {
   for (const obs::MetricFamily& family : snapshot.families) {
     for (const obs::SeriesValue& value : family.values) {
       const telemetry::SeriesId id = interner.intern(
-          series_path(opts_.prefix, family.name, value.labels));
+          series_path(family.name, value.labels));
       batch.push_back({id, {now, value.value}});
     }
     for (const obs::HistogramValue& hist : family.histograms) {
       const telemetry::SeriesId sum_id = interner.intern(
-          series_path(opts_.prefix, family.name, hist.labels, "_sum"));
+          series_path(family.name, hist.labels, "_sum"));
       batch.push_back({sum_id, {now, hist.sum}});
       const telemetry::SeriesId count_id = interner.intern(
-          series_path(opts_.prefix, family.name, hist.labels, "_count"));
+          series_path(family.name, hist.labels, "_count"));
       batch.push_back(
           {count_id, {now, static_cast<double>(hist.count)}});
     }

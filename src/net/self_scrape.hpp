@@ -1,12 +1,12 @@
 // Self-scrape: the paper's framework applied reflexively. A SelfScrape
 // walks MetricsRegistry::global() and ingests every oda_* series into a
-// TimeSeriesStore under `prefix` (default "oda/"), through the same
+// TimeSeriesStore under kSelfScrapePrefix ("oda/"), through the same
 // interned-id insert_batch path facility telemetry takes — so ODA's own
 // operational history is queryable through its own analytics (and listed
-// live by ObsServer's /selfscrape endpoint).
+// live by ObsServer's /selfscrape endpoint, which reads the same prefix).
 //
-// Series naming: "<prefix><family>" for an unlabeled series,
-// "<prefix><family>{k=v,...}" with registration-sorted labels otherwise;
+// Series naming: "oda/<family>" for an unlabeled series,
+// "oda/<family>{k=v,...}" with registration-sorted labels otherwise;
 // histograms ingest their _sum and _count series. scrape_once(now) is the
 // one entry point: the caller owns the cadence (self_monitor calls it once
 // per simulated step, on simulation time).
@@ -14,7 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
@@ -26,14 +26,12 @@ class TimeSeriesStore;
 
 namespace oda::net {
 
-struct SelfScrapeOptions {
-  std::string prefix = "oda/";
-};
+/// Path prefix of every self-scraped series.
+inline constexpr std::string_view kSelfScrapePrefix = "oda/";
 
 class SelfScrape {
  public:
-  explicit SelfScrape(telemetry::TimeSeriesStore& store,
-                      SelfScrapeOptions opts = {});
+  explicit SelfScrape(telemetry::TimeSeriesStore& store);
   SelfScrape(const SelfScrape&) = delete;
   SelfScrape& operator=(const SelfScrape&) = delete;
 
@@ -53,7 +51,6 @@ class SelfScrape {
 
  private:
   telemetry::TimeSeriesStore& store_;
-  SelfScrapeOptions opts_;
 
   obs::Counter& passes_counter_;
   obs::Counter& samples_counter_;

@@ -20,18 +20,12 @@ std::map<std::uint64_t, std::shared_ptr<void>>& thread_ring_map() {
   return map;
 }
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t ring_capacity)
+FlightRecorder::FlightRecorder()
     // relaxed: the id only needs uniqueness, not ordering.
-    : recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
-      ring_capacity_(round_up_pow2(std::max<std::size_t>(ring_capacity, 2))) {}
+    : recorder_id_(
+          g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 FlightRecorder::~FlightRecorder() = default;
 
@@ -61,7 +55,7 @@ FlightRecorder::Ring& FlightRecorder::local_ring() {
   if (it != map.end()) {
     return *static_cast<Ring*>(it->second.get());
   }
-  auto ring = std::make_shared<Ring>(ring_capacity_);
+  auto ring = std::make_shared<Ring>();
   {
     MutexLock lock(mu_);
     ring->tid = next_tid_++;
@@ -80,7 +74,7 @@ void FlightRecorder::record(const char* name, const char* category,
   // relaxed: head is written by this thread only; the release store below
   // publishes the slot before the new head value matters to readers.
   const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  Slot& slot = ring.slots[h & (ring.slots.size() - 1)];
+  Slot& slot = ring.slots[h % kRingCapacity];
   // Seqlock write protocol: odd marks the slot in-progress so a concurrent
   // snapshot() skips it instead of reading a half-written event. The
   // fence-free formulation (release payload stores pairing with the
@@ -117,10 +111,9 @@ std::vector<TraceEvent> FlightRecorder::snapshot() const {
     // acquire: pairs with the release head store so slots below the head
     // are fully published.
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t cap = ring->slots.size();
-    const std::uint64_t begin = head > cap ? head - cap : 0;
+    const std::uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
     for (std::uint64_t i = begin; i < head; ++i) {
-      const Slot& slot = ring->slots[i & (cap - 1)];
+      const Slot& slot = ring->slots[i % kRingCapacity];
       // Seqlock read: accept only when both seq reads match the stable
       // value for exactly this ring position (2i+2); anything else means
       // the writer lapped or is mid-write — skip, never tear.

@@ -19,6 +19,7 @@
 // categories are retained as raw `const char*` — string literals only.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -32,9 +33,10 @@ namespace oda::obs {
 
 class FlightRecorder {
  public:
-  /// ring_capacity: events retained per thread, rounded up to a power of
-  /// two (default 1024). Applies to rings created after construction.
-  explicit FlightRecorder(std::size_t ring_capacity = 1024);
+  /// Events retained per thread (a power of two).
+  static constexpr std::size_t kRingCapacity = 1024;
+
+  FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
   ~FlightRecorder();
@@ -102,8 +104,7 @@ class FlightRecorder {
     std::atomic<std::uint32_t> kind{0};
   };
   struct Ring {
-    explicit Ring(std::size_t capacity) : slots(capacity) {}
-    std::vector<Slot> slots;  // power-of-two length
+    std::array<Slot, kRingCapacity> slots;
     std::atomic<std::uint64_t> head{0};  // next write position (monotonic)
     std::uint32_t tid = 0;
   };
@@ -111,7 +112,6 @@ class FlightRecorder {
   Ring& local_ring();
 
   const std::uint64_t recorder_id_;
-  const std::size_t ring_capacity_;
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dumps_{0};

@@ -22,12 +22,6 @@ void AlertEngine::add_rule(AlertRule rule) {
   rules_.push_back(std::move(rule));
 }
 
-void AlertEngine::set_history_limit(std::size_t limit) {
-  ODA_REQUIRE(limit > 0, "alert history limit must be positive");
-  history_limit_ = limit;
-  if (history_.size() > history_limit_) evict_history();
-}
-
 void AlertEngine::evict_history() {
   // Pin entries still referenced by an active state: their records are
   // updated in place when the alert clears.
@@ -37,7 +31,7 @@ void AlertEngine::evict_history() {
   }
   // Evict oldest unpinned entries down to 3/4 of the cap, so eviction runs
   // in amortized batches rather than on every subsequent alert.
-  const std::size_t target = history_limit_ - history_limit_ / 4;
+  const std::size_t target = kHistoryCapacity - kHistoryCapacity / 4;
   std::size_t to_drop = history_.size() > target ? history_.size() - target : 0;
   std::vector<Alert> kept;
   kept.reserve(history_.size());
@@ -100,7 +94,7 @@ void AlertEngine::observe(const Reading& reading) {
           alert.value = value;
           st.history_index = history_.size();
           history_.push_back(alert);
-          if (history_.size() > history_limit_) evict_history();
+          if (history_.size() > kHistoryCapacity) evict_history();
           if (callback_) callback_(alert);
         }
       } else {

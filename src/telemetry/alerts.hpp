@@ -58,12 +58,11 @@ class AlertEngine {
 
   void set_callback(AlertCallback cb) { callback_ = std::move(cb); }
 
-  /// Caps retained history (default 4096). When the cap is exceeded the
-  /// oldest *cleared* alerts are evicted (active alerts are pinned — their
-  /// records are still being updated); long runs therefore hold bounded
-  /// memory instead of growing forever.
-  void set_history_limit(std::size_t limit);
-  std::size_t history_limit() const { return history_limit_; }
+  /// Retained history cap. When it is exceeded the oldest *cleared* alerts
+  /// are evicted (active alerts are pinned — their records are still being
+  /// updated); long runs therefore hold bounded memory instead of growing
+  /// forever.
+  static constexpr std::size_t kHistoryCapacity = 4096;
   /// Alerts evicted from history so far.
   std::uint64_t history_evicted() const { return evicted_; }
 
@@ -88,7 +87,6 @@ class AlertEngine {
   // State per (rule index, sensor path).
   std::map<std::pair<std::size_t, std::string>, RuleState> state_;
   std::vector<Alert> history_;
-  std::size_t history_limit_ = 4096;
   std::uint64_t evicted_ = 0;
   AlertCallback callback_;
 };

@@ -12,6 +12,24 @@
 
 namespace oda::telemetry {
 
+namespace {
+
+// Retry: all durations are *simulated* seconds. Backoff and stall latency
+// are charged against the deadline, so a stalled sensor costs its budget
+// and nothing more.
+constexpr int kMaxAttempts = 3;           // total attempts per read
+constexpr double kBaseBackoffS = 0.25;    // delay before the first retry
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kJitterFraction = 0.25;  // +/- fraction, from the read's Rng
+constexpr double kReadDeadlineS = 5.0;    // latency budget for the whole chain
+
+// Per-sensor circuit breaker; the cooldown is simulated time.
+constexpr int kBreakerFailureThreshold = 5;     // consecutive failed reads
+constexpr Duration kBreakerOpenCooldown = 120;  // before a half-open probe
+constexpr int kBreakerHalfOpenSuccesses = 2;    // probe successes to close
+
+}  // namespace
+
 const char* breaker_state_name(BreakerState s) {
   switch (s) {
     case BreakerState::kClosed: return "closed";
@@ -21,13 +39,10 @@ const char* breaker_state_name(BreakerState s) {
   return "?";
 }
 
-double retry_backoff_s(const RetryPolicy& policy, int retry_index, Rng& rng) {
-  double backoff = policy.base_backoff_s;
-  for (int i = 0; i < retry_index; ++i) backoff *= policy.backoff_multiplier;
-  if (policy.jitter_fraction > 0.0) {
-    backoff *= 1.0 + policy.jitter_fraction * rng.uniform(-1.0, 1.0);
-  }
-  return backoff;
+double retry_backoff_s(int retry_index, Rng& rng) {
+  double backoff = kBaseBackoffS;
+  for (int i = 0; i < retry_index; ++i) backoff *= kBackoffMultiplier;
+  return backoff * (1.0 + kJitterFraction * rng.uniform(-1.0, 1.0));
 }
 
 Collector::Collector(sim::ClusterSimulation& cluster, TimeSeriesStore* store,
@@ -136,7 +151,7 @@ void Collector::on_read_success(Breaker& breaker, TimePoint now) {
   if (breaker.state.load(std::memory_order_relaxed) ==
       BreakerState::kHalfOpen) {
     ++breaker.probe_successes;
-    if (breaker.probe_successes >= breaker_.half_open_successes) {
+    if (breaker.probe_successes >= kBreakerHalfOpenSuccesses) {
       transition_breaker(breaker, BreakerState::kClosed, now);
     }
   } else {
@@ -156,7 +171,7 @@ void Collector::on_read_failure(Breaker& breaker, TimePoint now) {
   // relaxed: see transition_breaker — single mutating thread per breaker.
   if (breaker.state.load(std::memory_order_relaxed) ==
           BreakerState::kClosed &&
-      breaker.consecutive_failures >= breaker_.failure_threshold) {
+      breaker.consecutive_failures >= kBreakerFailureThreshold) {
     transition_breaker(breaker, BreakerState::kOpen, now);
   }
 }
@@ -169,7 +184,7 @@ Collector::SlotResult Collector::attempt_read(std::size_t handle,
     return read_slow(handle, breaker, now, rng, nullptr);
   }
   const sim::SensorReadResult first = cluster_.try_read_sensor(handle, rng);
-  if (!first.ok || first.latency_s > retry_.read_deadline_s) {
+  if (!first.ok || first.latency_s > kReadDeadlineS) {
     return read_slow(handle, breaker, now, rng, &first);
   }
   on_read_success(breaker, now);
@@ -189,7 +204,7 @@ Collector::SlotResult Collector::read_slow(std::size_t handle,
 
   // relaxed: see transition_breaker — single mutating thread per breaker.
   if (breaker.state.load(std::memory_order_relaxed) == BreakerState::kOpen) {
-    if (now - breaker.opened_at < breaker_.open_cooldown) {
+    if (now - breaker.opened_at < kBreakerOpenCooldown) {
       ODA_TRACE_INSTANT_CAT("collector.breaker_skip", "collector");
       slot.outcome = ReadOutcome::kBreakerOpen;
       return slot;
@@ -203,7 +218,7 @@ Collector::SlotResult Collector::read_slow(std::size_t handle,
                                         ? *first
                                         : cluster_.try_read_sensor(handle, rng);
     cost_s += r.latency_s;
-    if (cost_s > retry_.read_deadline_s) {
+    if (cost_s > kReadDeadlineS) {
       // The attempt chain blew its latency budget: give up now, whatever
       // the attempt returned — the collector never blocks past the
       // deadline on a stalled sensor.
@@ -222,9 +237,9 @@ Collector::SlotResult Collector::read_slow(std::size_t handle,
         BreakerState::kHalfOpen) {
       break;  // failed probe
     }
-    if (attempt + 1 >= retry_.max_attempts) break;
-    cost_s += retry_backoff_s(retry_, attempt, rng);
-    if (cost_s > retry_.read_deadline_s) {
+    if (attempt + 1 >= kMaxAttempts) break;
+    cost_s += retry_backoff_s(attempt, rng);
+    if (cost_s > kReadDeadlineS) {
       slot.outcome = ReadOutcome::kDeadline;
       break;
     }

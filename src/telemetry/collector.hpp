@@ -6,12 +6,14 @@
 // stream, so the output is the same with no pool and with a pool of any size.
 //
 // The read path is failure-aware (docs/RESILIENCE.md): every sensor read
-// goes through a bounded retry loop with deterministic exponential backoff
-// and a per-read simulated-latency deadline, behind a per-sensor three-state
-// circuit breaker (closed -> open after N consecutive failures -> half-open
-// probe). A failed or skipped read becomes an accounted gap — never a hang
-// and never a silent hole: samples_expected() == samples_collected() +
-// gaps_total() holds exactly. Outcomes feed an optional SensorHealthTracker.
+// goes through a bounded retry loop (3 attempts, deterministic exponential
+// backoff) under a 5 s simulated-latency deadline, behind a per-sensor
+// three-state circuit breaker (closed -> open after 5 consecutive failed
+// reads -> half-open probe after 120 s -> closed after 2 probe successes);
+// the values are constants in collector.cpp. A failed or skipped read
+// becomes an accounted gap — never a hang and never a silent hole:
+// samples_expected() == samples_collected() + gaps_total() holds exactly.
+// Outcomes feed an optional SensorHealthTracker.
 #pragma once
 
 #include <atomic>
@@ -43,27 +45,10 @@ struct CollectorGroup {
   Duration period = 15;  // sampling period (multiple of sim dt recommended)
 };
 
-/// Bounded-retry policy for one sensor read. All durations are *simulated*
-/// seconds: backoff and stall latency are charged against the deadline, so a
-/// stalled sensor costs its budget and nothing more.
-struct RetryPolicy {
-  int max_attempts = 3;          // total attempts (1 = no retry)
-  double base_backoff_s = 0.25;  // delay before the first retry
-  double backoff_multiplier = 2.0;
-  double jitter_fraction = 0.25;  // ± fraction, drawn from the read's Rng
-  double read_deadline_s = 5.0;   // latency budget for the whole chain
-};
-
-/// Backoff before retry `retry_index` (0-based), jittered from `rng`.
-/// Deterministic for a given policy, index, and Rng state.
-double retry_backoff_s(const RetryPolicy& policy, int retry_index, Rng& rng);
-
-/// Per-sensor circuit-breaker policy. Cooldown is simulated time.
-struct BreakerPolicy {
-  int failure_threshold = 5;     // consecutive failed reads to open
-  Duration open_cooldown = 120;  // sim seconds before a half-open probe
-  int half_open_successes = 2;   // probe successes required to close
-};
+/// Backoff in simulated seconds before retry `retry_index` (0-based):
+/// 0.25 s doubling per retry, jittered by +/-25% from `rng`. Deterministic
+/// for a given index and Rng state.
+double retry_backoff_s(int retry_index, Rng& rng);
 
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
 const char* breaker_state_name(BreakerState s);
@@ -85,11 +70,7 @@ class Collector {
   /// once per sim step (after cluster.step()).
   void collect();
 
-  // -- resilience configuration ------------------------------------------------
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-  void set_breaker_policy(const BreakerPolicy& policy) { breaker_ = policy; }
-  const BreakerPolicy& breaker_policy() const { return breaker_; }
+  // -- resilience -------------------------------------------------------------
   /// Optional health tracker fed with every read outcome (may be null).
   /// Must outlive the collector or be reset to null first.
   void set_health_tracker(SensorHealthTracker* tracker) { health_ = tracker; }
@@ -185,8 +166,6 @@ class Collector {
   MessageBus* bus_;
   ThreadPool* pool_;
   std::vector<Group> groups_;
-  RetryPolicy retry_;
-  BreakerPolicy breaker_;
   SensorHealthTracker* health_ = nullptr;
   std::vector<Breaker> breakers_;
   std::atomic<std::uint64_t> samples_collected_{0};

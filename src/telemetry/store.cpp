@@ -1,6 +1,7 @@
 #include "telemetry/store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -16,8 +17,6 @@ namespace oda::telemetry {
 
 namespace {
 
-constexpr std::size_t kDefaultShards = 16;
-constexpr std::size_t kMaxShards = 4096;
 /// frame() fans out to the pool only when the column work is worth the
 /// submit overhead.
 constexpr std::size_t kParallelFrameColumns = 4;
@@ -136,24 +135,18 @@ std::vector<double> Frame::column(const std::string& name) const {
   throw ContractError("frame column not found: " + name);
 }
 
-TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_sensor,
-                                 std::size_t shards)
+TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_sensor)
     : capacity_(capacity_per_sensor) {
   ODA_REQUIRE(capacity_per_sensor > 0, "store capacity must be positive");
-  ODA_REQUIRE(shards <= kMaxShards, "store shard count out of range");
-  std::size_t want = shards == 0 ? kDefaultShards : shards;
-  std::size_t n = 1;
-  while (n < want) n <<= 1;
-  shards_.reserve(n);
-  shard_series_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  shards_.reserve(kShards);
+  shard_series_.reserve(kShards);
+  for (std::size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     const obs::LabelSet labels = {{"shard", std::to_string(i)}};
     shard_series_.push_back(&obs::MetricsRegistry::global().gauge(
         "oda_store_shard_series", "Series stored in this shard (occupancy)",
         labels));
   }
-  shard_mask_ = n - 1;
 }
 
 TimeSeriesStore::Series& TimeSeriesStore::series_locked(Shard& shard,
@@ -166,7 +159,7 @@ TimeSeriesStore::Series& TimeSeriesStore::series_locked(Shard& shard,
     StoreMetrics::get().memory_bytes.add(static_cast<double>(
         capacity_ * sizeof(Sample) +
         SeriesInterner::global().path(id).size() + 64));
-    shard_series_[id.value & shard_mask_]->add(1.0);
+    shard_series_[id.value % kShards]->add(1.0);
   }
   return *it->second;
 }
@@ -204,28 +197,25 @@ void TimeSeriesStore::insert_batch(std::span<const IdReading> readings) {
     // Write-ahead: one queue handoff per batch, before any shard lock.
     wal_->append(readings);
   }
-  const std::size_t nshards = shards_.size();
-
   // Stable counting sort of reading indices by shard: each shard lock is
   // taken once per batch and per-series insertion order is preserved. The
-  // scratch buffers are thread_local so steady-state ingest does no heap
+  // order buffer is thread_local so steady-state ingest does no heap
   // allocation per batch.
-  thread_local std::vector<std::uint32_t> counts;
-  thread_local std::vector<std::uint32_t> order;
-  thread_local std::vector<std::uint32_t> next;
-  counts.assign(nshards + 1, 0);
+  std::array<std::uint32_t, kShards + 1> counts{};
   for (const IdReading& r : readings) {
     ODA_REQUIRE(r.id.valid(), "insert_batch with invalid series id");
-    ++counts[(r.id.value & shard_mask_) + 1];
+    ++counts[(r.id.value % kShards) + 1];
   }
-  for (std::size_t s = 1; s <= nshards; ++s) counts[s] += counts[s - 1];
+  for (std::size_t s = 1; s <= kShards; ++s) counts[s] += counts[s - 1];
+  thread_local std::vector<std::uint32_t> order;
   order.resize(readings.size());
-  next.assign(counts.begin(), counts.end() - 1);
+  std::array<std::uint32_t, kShards> next;
+  std::copy(counts.begin(), counts.end() - 1, next.begin());
   for (std::uint32_t i = 0; i < readings.size(); ++i) {
-    order[next[readings[i].id.value & shard_mask_]++] = i;
+    order[next[readings[i].id.value % kShards]++] = i;
   }
 
-  for (std::size_t s = 0; s < nshards; ++s) {
+  for (std::size_t s = 0; s < kShards; ++s) {
     const std::uint32_t lo = counts[s];
     const std::uint32_t hi = counts[s + 1];
     if (lo == hi) continue;
@@ -308,35 +298,41 @@ std::optional<Sample> TimeSeriesStore::latest(const std::string& path) const {
   return id ? latest(*id) : std::nullopt;
 }
 
+template <typename Fn>
+void TimeSeriesStore::read_range(SeriesId id, TimePoint from, TimePoint to,
+                                 Fn&& fn) const {
+  if (!id.valid()) return;
+  Shard& shard = shard_of(id);
+  ReaderLock lock(shard.mu);
+  const auto it = shard.series.find(id.value);
+  if (it == shard.series.end()) return;
+  // Samples are time-ordered (monotone inserts); binary-search the range
+  // over the ring's two contiguous spans.
+  const auto [a, b] = it->second->samples.spans();
+  const std::size_t lo = lower_index(a, b, from);
+  const std::size_t hi = lower_index(a, b, to);
+  if (lo >= hi) return;
+  const auto [ra, rb] = cut_range(a, b, lo, hi);
+  fn(ra, rb);
+}
+
 SeriesSlice TimeSeriesStore::query(SeriesId id, TimePoint from,
                                    TimePoint to) const {
   StoreMetrics::get().queries.inc();
   SeriesSlice out;
-  if (!id.valid()) return out;
-  Shard& shard = shard_of(id);
-  ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  if (it == shard.series.end()) return out;
-  // Samples are time-ordered (monotone inserts); binary-search the range
-  // over the ring's two contiguous spans and bulk-copy it.
-  const auto [a, b] = it->second->samples.spans();
-  const std::size_t lo = lower_index(a, b, from);
-  const std::size_t hi = lower_index(a, b, to);
-  if (lo >= hi) return out;
-  const auto [ra, rb] = cut_range(a, b, lo, hi);
-  out.times.resize(hi - lo);
-  out.values.resize(hi - lo);
-  std::size_t w = 0;
-  for (const Sample& s : ra) {
-    out.times[w] = s.time;
-    out.values[w] = s.value;
-    ++w;
-  }
-  for (const Sample& s : rb) {
-    out.times[w] = s.time;
-    out.values[w] = s.value;
-    ++w;
-  }
+  read_range(id, from, to,
+             [&](std::span<const Sample> ra, std::span<const Sample> rb) {
+               out.times.resize(ra.size() + rb.size());
+               out.values.resize(ra.size() + rb.size());
+               std::size_t w = 0;
+               for (const auto range : {ra, rb}) {
+                 for (const Sample& s : range) {
+                   out.times[w] = s.time;
+                   out.values[w] = s.value;
+                   ++w;
+                 }
+               }
+             });
   return out;
 }
 
@@ -356,20 +352,15 @@ SeriesSlice TimeSeriesStore::query_aggregated(SeriesId id, TimePoint from,
   ODA_REQUIRE(bucket > 0, "aggregation bucket must be positive");
   StoreMetrics::get().queries.inc();
   SeriesSlice out;
-  if (!id.valid()) return out;
-  Shard& shard = shard_of(id);
-  ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  if (it == shard.series.end()) return out;
-  const auto [a, b] = it->second->samples.spans();
-  const std::size_t lo = lower_index(a, b, from);
-  const std::size_t hi = lower_index(a, b, to);
-  if (lo >= hi) return out;
-  const auto [ra, rb] = cut_range(a, b, lo, hi);
-  // Single streaming pass through the per-Aggregation bucket kernels
-  // (agg_kernels.hpp): one boundary compare per sample, a tight reduce loop
-  // per bucket, bit-identical to folding through AggAccumulator.
-  bucket_aggregate_sparse(ra, rb, from, bucket, agg, out.times, out.values);
+  read_range(id, from, to,
+             [&](std::span<const Sample> ra, std::span<const Sample> rb) {
+               // Single streaming pass through the per-Aggregation bucket
+               // kernels (agg_kernels.hpp): one boundary compare per
+               // sample, a tight reduce loop per bucket, bit-identical to
+               // folding through AggAccumulator.
+               bucket_aggregate_sparse(ra, rb, from, bucket, agg, out.times,
+                                       out.values);
+             });
   return out;
 }
 
@@ -391,20 +382,14 @@ void TimeSeriesStore::fill_column(Frame& f, std::size_t col, SeriesId id,
   StoreMetrics::get().queries.inc();
   // Unknown sensors (no interner entry, or interned but never inserted
   // here) leave the column all-NaN — never an aliased series' data.
-  if (!id.valid()) return;
-  Shard& shard = shard_of(id);
-  ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  if (it == shard.series.end()) return;
-  const auto [a, b] = it->second->samples.spans();
-  const std::size_t lo = lower_index(a, b, from);
-  const std::size_t hi = lower_index(a, b, to);
-  if (lo >= hi) return;
-  const auto [ra, rb] = cut_range(a, b, lo, hi);
-  // The dense kernel writes aggregates straight into this column's
-  // contiguous stripe — no intermediate SeriesSlice, no scatter pass.
-  bucket_aggregate_dense(ra, rb, from, bucket, agg, f.rows(),
-                         f.column_values(col).data());
+  read_range(id, from, to,
+             [&](std::span<const Sample> ra, std::span<const Sample> rb) {
+               // The dense kernel writes aggregates straight into this
+               // column's contiguous stripe — no intermediate SeriesSlice,
+               // no scatter pass.
+               bucket_aggregate_dense(ra, rb, from, bucket, agg, f.rows(),
+                                      f.column_values(col).data());
+             });
 }
 
 Frame TimeSeriesStore::frame(const std::vector<std::string>& sensor_paths,

@@ -4,8 +4,8 @@
 //
 // Built for ingest/query throughput (docs/STORE.md):
 //  * series are keyed by interned SeriesId handles (series_id.hpp) and
-//    spread over N lock-striped shards, so writers on different sensors do
-//    not contend and no hot path re-hashes path strings;
+//    spread over 16 lock-striped shards, so writers on different sensors
+//    do not contend and no hot path re-hashes path strings;
 //  * insert_batch() groups a whole collector pass by shard and takes each
 //    shard lock once, replacing per-sample lock acquisitions;
 //  * queries walk the ring's contiguous spans and aggregate in one
@@ -138,10 +138,11 @@ struct AggAccumulator {
 
 class TimeSeriesStore {
  public:
-  /// capacity_per_sensor bounds retained samples per path; `shards` is
-  /// rounded up to a power of two (0 selects the default of 16).
-  explicit TimeSeriesStore(std::size_t capacity_per_sensor = 1 << 16,
-                           std::size_t shards = 0);
+  /// Lock stripes; series `id` lives in shard id.value % kShards.
+  static constexpr std::size_t kShards = 16;
+
+  /// capacity_per_sensor bounds retained samples per path.
+  explicit TimeSeriesStore(std::size_t capacity_per_sensor = 1 << 16);
 
   // -- ingest -----------------------------------------------------------------
   void insert(const std::string& path, Sample sample);
@@ -177,7 +178,6 @@ class TimeSeriesStore {
     // Collector::samples_collected_).
     return total_inserted_.load(std::memory_order_relaxed);
   }
-  std::size_t shard_count() const { return shards_.size(); }
 
   // -- queries ----------------------------------------------------------------
   std::optional<Sample> latest(const std::string& path) const;
@@ -218,17 +218,20 @@ class TimeSeriesStore {
         ODA_GUARDED_BY(mu);
   };
 
-  Shard& shard_of(SeriesId id) const {
-    return *shards_[id.value & shard_mask_];
-  }
+  Shard& shard_of(SeriesId id) const { return *shards_[id.value % kShards]; }
   /// Creates the series for `id` if absent; caller holds the shard lock.
   Series& series_locked(Shard& shard, SeriesId id) ODA_REQUIRES(shard.mu);
+  /// The one range lookup of the read path: under the series' shard reader
+  /// lock, calls fn(a, b) with the samples of `id` in [from, to) as the
+  /// ring's two contiguous spans. Calls nothing when `id` is invalid or
+  /// unknown here, or when no sample falls in the range.
+  template <typename Fn>
+  void read_range(SeriesId id, TimePoint from, TimePoint to, Fn&& fn) const;
   void fill_column(Frame& f, std::size_t col, SeriesId id, TimePoint from,
                    TimePoint to, Duration bucket, Aggregation agg) const;
 
   std::size_t capacity_;
-  std::size_t shard_mask_ = 0;  // shards_.size() - 1 (power of two)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;  // kShards entries
   std::atomic<std::uint64_t> total_inserted_{0};
   ThreadPool* pool_ = nullptr;
   Wal* wal_ = nullptr;

@@ -482,8 +482,8 @@ TEST(ObsServerSocket, EndpointsAnswerWithExpectedCodes) {
   SelfScrape scraper(store);
   ASSERT_GT(scraper.scrape_once(7), 0u);
 
-  ObsServerOptions opts;
-  opts.http.port = 0;
+  HttpServerOptions opts;
+  opts.port = 0;
   ObsServer obs_http(opts);
   obs_http.set_store(&store);
   ASSERT_TRUE(obs_http.start());

@@ -718,8 +718,8 @@ TEST(RaceStress, HttpScrapesRaceThePipeline) {
   telemetry::TimeSeriesStore store(1 << 12);
   net::SelfScrape scraper(store);
 
-  net::ObsServerOptions opts;
-  opts.http.port = 0;
+  net::HttpServerOptions opts;
+  opts.port = 0;
   net::ObsServer server(opts);
   server.set_store(&store);
   ASSERT_TRUE(server.start());

@@ -82,64 +82,64 @@ TEST(ReadFaults, IsReadFaultClassification) {
 // --------------------------------------------------------------- backoff
 
 TEST(RetryBackoff, DeterministicForFixedSeed) {
-  RetryPolicy policy;
-  policy.base_backoff_s = 0.5;
-  policy.backoff_multiplier = 2.0;
-  policy.jitter_fraction = 0.25;
   Rng a(42), b(42);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(retry_backoff_s(policy, i, a),
-                     retry_backoff_s(policy, i, b));
+    EXPECT_DOUBLE_EQ(retry_backoff_s(i, a), retry_backoff_s(i, b));
   }
 }
 
 TEST(RetryBackoff, ExponentialWithBoundedJitter) {
-  RetryPolicy policy;
-  policy.base_backoff_s = 0.25;
-  policy.backoff_multiplier = 2.0;
-  policy.jitter_fraction = 0.25;
+  // The shipped schedule: 0.25 s doubling per retry, +/-25% jitter.
   Rng rng(7);
   for (int i = 0; i < 6; ++i) {
     const double nominal = 0.25 * std::pow(2.0, i);
-    const double b = retry_backoff_s(policy, i, rng);
+    const double b = retry_backoff_s(i, rng);
     EXPECT_GE(b, nominal * 0.75);
     EXPECT_LE(b, nominal * 1.25);
   }
-  policy.jitter_fraction = 0.0;  // jitter off => exact exponential
-  Rng unused(1);
-  EXPECT_DOUBLE_EQ(retry_backoff_s(policy, 3, unused), 2.0);
+  // Exact exponential: the nominal 2.0 s of retry 3 scaled by exactly the
+  // one jitter draw the read's Rng supplies.
+  Rng drawn(1), probe(1);
+  EXPECT_DOUBLE_EQ(retry_backoff_s(3, drawn),
+                   2.0 * (1.0 + 0.25 * probe.uniform(-1.0, 1.0)));
 }
 
 // ---------------------------------------------------------------- breaker
 
 TEST(CircuitBreaker, OpensHalfOpensAndRecloses) {
   sim::ClusterSimulation cluster(small_params());
-  // Total dropout on one sensor for [15, 300): the breaker must open, probe
-  // while the fault lasts, and re-close once reads succeed again.
+  // Total dropout on one sensor for [15, 300): the breaker must open (after
+  // the fifth failed pass, t=75), probe while the fault lasts (t=195 fails
+  // and re-opens), and re-close once reads succeed again (probes at 315 and
+  // 330).
   cluster.faults().schedule(
       {sim::FaultKind::kSensorDropout, "facility/pue", 15, 300, 1.0});
   TimeSeriesStore store;
   Collector collector(cluster, &store, nullptr);
-  RetryPolicy retry;
-  retry.max_attempts = 2;
-  collector.set_retry_policy(retry);
-  BreakerPolicy breaker;
-  breaker.failure_threshold = 3;
-  breaker.open_cooldown = 60;
-  breaker.half_open_successes = 2;
-  collector.set_breaker_policy(breaker);
   collector.add_group({"pue", "facility/pue", 15});
 
   bool saw_open = false;
+  TimePoint opened_at = -1;
+  TimePoint reclosed_at = -1;
   while (cluster.now() < 600) {
     cluster.step();
     collector.collect();
-    if (collector.breaker_state("facility/pue") == BreakerState::kOpen) {
+    const BreakerState state = collector.breaker_state("facility/pue");
+    if (state == BreakerState::kOpen) {
+      if (!saw_open) opened_at = cluster.now();
       saw_open = true;
       EXPECT_EQ(collector.open_breakers(), 1u);
+    } else if (saw_open && state == BreakerState::kClosed &&
+               reclosed_at < 0) {
+      reclosed_at = cluster.now();
     }
   }
   EXPECT_TRUE(saw_open);
+  // The shipped constants pass by pass: each of the five closed-state
+  // reads took 3 attempts (2 retries); a half-open probe does not retry.
+  EXPECT_EQ(opened_at, 75);
+  EXPECT_EQ(reclosed_at, 330);
+  EXPECT_EQ(collector.retries_total(), 10u);
   // Fault is long gone: breaker closed again and samples flowing.
   EXPECT_EQ(collector.breaker_state("facility/pue"), BreakerState::kClosed);
   EXPECT_EQ(collector.open_breakers(), 0u);
@@ -158,15 +158,10 @@ TEST(CircuitBreaker, DeadlineBoundsStalledSensor) {
   // (never block) and the breaker must open.
   cluster.faults().schedule(
       {sim::FaultKind::kSensorStall, "facility/pue", 15, kHour, 60.0});
+  // The breaker opens after the fifth timed-out pass (t=75); its 120 s
+  // cooldown outlasts the remaining passes.
   TimeSeriesStore store;
   Collector collector(cluster, &store, nullptr);
-  RetryPolicy retry;
-  retry.read_deadline_s = 5.0;
-  collector.set_retry_policy(retry);
-  BreakerPolicy breaker;
-  breaker.failure_threshold = 2;
-  breaker.open_cooldown = 300;
-  collector.set_breaker_policy(breaker);
   collector.add_group({"pue", "facility/pue", 15});
 
   for (int i = 0; i < 10; ++i) {
@@ -397,8 +392,8 @@ TEST(QualityOverlay, KpisReportCoverageAndNanOnQuarantine) {
 // ------------------------------------------------- no-fault equivalence
 
 // The whole resilience layer is a strict overlay: with no faults scheduled,
-// a collector with retry/breaker/health enabled ingests a bit-identical
-// stream to a plain one.
+// a collector with a health tracker ingests a bit-identical stream to a
+// plain one, and the retry/breaker path takes no retry and leaves no gap.
 TEST(NoFaultEquivalence, ResilienceLayerIsBitIdenticalOverlay) {
   constexpr std::uint64_t kSeed = 99;
   sim::ClusterSimulation plain_cluster(small_params(kSeed));
@@ -410,13 +405,6 @@ TEST(NoFaultEquivalence, ResilienceLayerIsBitIdenticalOverlay) {
   TimeSeriesStore guarded_store;
   SensorHealthTracker tracker;
   Collector guarded(guarded_cluster, &guarded_store, nullptr);
-  RetryPolicy retry;
-  retry.max_attempts = 5;
-  retry.base_backoff_s = 1.0;
-  guarded.set_retry_policy(retry);
-  BreakerPolicy breaker;
-  breaker.failure_threshold = 2;
-  guarded.set_breaker_policy(breaker);
   guarded.set_health_tracker(&tracker);
   guarded.add_all_sensors(15);
 
@@ -461,14 +449,6 @@ TEST(Chaos, RandomizedFaultCampaignConservesSamples) {
   ThreadPool pool(4);
   SensorHealthTracker tracker({}, &bus);
   Collector collector(cluster, &store, &bus, &pool);
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.read_deadline_s = 4.0;
-  collector.set_retry_policy(retry);
-  BreakerPolicy breaker;
-  breaker.failure_threshold = 4;
-  breaker.open_cooldown = 120;
-  collector.set_breaker_policy(breaker);
   collector.set_health_tracker(&tracker);
   const std::size_t matched = collector.add_all_sensors(15);
   ASSERT_GE(matched, 64u);  // exercises the parallel read path

@@ -161,12 +161,11 @@ constexpr Aggregation kAllAggs[] = {
     Aggregation::kSum,  Aggregation::kLast,  Aggregation::kCount,
     Aggregation::kStdDev};
 
-/// Drives one randomized workload at a given capacity/shard count and
-/// checks every query surface against the reference model.
-void run_equivalence_round(std::uint64_t seed, std::size_t capacity,
-                           std::size_t shards) {
+/// Drives one randomized workload at a given capacity and checks every
+/// query surface against the reference model.
+void run_equivalence_round(std::uint64_t seed, std::size_t capacity) {
   Rng rng(seed);
-  TimeSeriesStore store(capacity, shards);
+  TimeSeriesStore store(capacity);
   ReferenceStore ref(capacity);
 
   // A unique path set per round keeps the process-wide interner from
@@ -266,13 +265,12 @@ void run_equivalence_round(std::uint64_t seed, std::size_t capacity,
 }
 
 TEST(StoreEquivalence, RandomizedWorkloadsMatchReferenceModel) {
-  // Small capacities force ring wraparound; shard counts cover the
-  // single-shard degenerate case through more-shards-than-series.
-  run_equivalence_round(/*seed=*/1, /*capacity=*/8, /*shards=*/1);
-  run_equivalence_round(/*seed=*/2, /*capacity=*/32, /*shards=*/4);
-  run_equivalence_round(/*seed=*/3, /*capacity=*/64, /*shards=*/0);  // default
-  run_equivalence_round(/*seed=*/4, /*capacity=*/7, /*shards=*/64);
-  run_equivalence_round(/*seed=*/5, /*capacity=*/1024, /*shards=*/16);
+  // Small capacities force ring wraparound.
+  run_equivalence_round(/*seed=*/1, /*capacity=*/8);
+  run_equivalence_round(/*seed=*/2, /*capacity=*/32);
+  run_equivalence_round(/*seed=*/3, /*capacity=*/64);
+  run_equivalence_round(/*seed=*/4, /*capacity=*/7);
+  run_equivalence_round(/*seed=*/5, /*capacity=*/1024);
 }
 
 TEST(StoreEquivalence, AggregateHelperMatchesAccumulator) {
@@ -293,7 +291,7 @@ TEST(StoreEquivalence, AggregateHelperMatchesAccumulator) {
 TEST(StoreEquivalence, BatchPreservesPerSeriesOrder) {
   // All readings of one series land in one shard; the stable counting sort
   // must keep their relative order so ring retention stays append-ordered.
-  TimeSeriesStore store(4, 8);
+  TimeSeriesStore store(4);
   const SeriesId id = SeriesInterner::global().intern("equiv-order/s");
   std::vector<IdReading> batch;
   for (TimePoint t = 0; t < 10; ++t) {
@@ -307,7 +305,7 @@ TEST(StoreEquivalence, BatchPreservesPerSeriesOrder) {
 }
 
 TEST(StoreEquivalence, ParallelFrameMatchesSerial) {
-  TimeSeriesStore store(256, 8);
+  TimeSeriesStore store(256);
   std::vector<std::string> paths;
   for (int p = 0; p < 12; ++p) {
     paths.push_back("equiv-pframe/s" + std::to_string(p));
@@ -333,7 +331,7 @@ TEST(StoreEquivalence, FrameUnknownColumnsStayAllNaN) {
   // SeriesId; those columns must stay all-NaN rather than aliasing any
   // stored series — serial and pooled paths alike.  Capacity must hold all
   // 100 samples per series or early buckets evict to NaN.
-  TimeSeriesStore store(128, 4);
+  TimeSeriesStore store(128);
   std::vector<std::string> paths;
   for (int p = 0; p < 6; ++p) {
     paths.push_back("equiv-unknown/s" + std::to_string(p));
@@ -363,7 +361,7 @@ TEST(StoreEquivalence, FrameUnknownColumnsStayAllNaN) {
 }
 
 TEST(StoreEquivalence, ContainsAndInvalidHandles) {
-  TimeSeriesStore store(16, 4);
+  TimeSeriesStore store(16);
   EXPECT_FALSE(store.contains("equiv-missing/x"));
   EXPECT_FALSE(store.contains(SeriesId{}));
   EXPECT_TRUE(store.query(SeriesId{}, 0, 100).empty());

@@ -33,7 +33,7 @@ TEST(RaceStore, ConcurrentBatchInsertAndQueryAcrossShards) {
   // Capacity >= per-series writes (kWriterThreads * kBatchesPerWriter *
   // kBatchSize / kPathCount = 1280), so nothing is evicted and retention is
   // exactly the write count.
-  TimeSeriesStore store(1 << 11, 8);
+  TimeSeriesStore store(1 << 11);
   std::vector<std::string> paths;
   std::vector<SeriesId> ids;
   for (int p = 0; p < kPathCount; ++p) {
@@ -108,7 +108,7 @@ TEST(RaceStore, PooledFrameRacesConcurrentBatchInserts) {
   // force the chunk-claiming cursor to rebalance mid-frame. Ring capacity
   // comfortably exceeds the 800 seed samples plus every concurrent write a
   // series could absorb, so the seeded window is never evicted mid-test.
-  TimeSeriesStore store(1 << 11, 8);
+  TimeSeriesStore store(1 << 11);
   ThreadPool pool(4);
   store.set_pool(&pool);
   constexpr int kCols = 48;
@@ -181,7 +181,7 @@ TEST(RaceStore, ParallelCollectorReadsWithFaultOverlay) {
     cluster.faults().schedule(e);
   }
 
-  TimeSeriesStore store(1 << 8, 8);
+  TimeSeriesStore store(1 << 8);
   ThreadPool pool(4);
   store.set_pool(&pool);
   Collector collector(cluster, &store, nullptr, &pool);

@@ -206,14 +206,9 @@ TEST(CollectorBreaker, StateObservableDuringParallelPass) {
       {sim::FaultKind::kSensorDropout, "facility/pue", 15, 600, 1.0});
   TimeSeriesStore store;
   ThreadPool pool(2);
+  // The breaker opens after five failed passes (t=75) and cycles through
+  // half-open probes every 120 s while the fault lasts.
   Collector collector(cluster, &store, nullptr, &pool);
-  RetryPolicy retry;
-  retry.max_attempts = 2;
-  collector.set_retry_policy(retry);
-  BreakerPolicy breaker;
-  breaker.failure_threshold = 2;
-  breaker.open_cooldown = 60;
-  collector.set_breaker_policy(breaker);
   collector.add_all_sensors(15);
 
   std::atomic<bool> stop{false};
@@ -242,16 +237,26 @@ TEST(CollectorBreaker, StateObservableDuringParallelPass) {
 // Contended single-shard batch ingest: the timed WriterLock path must keep
 // exact conservation (and the per-shard wait gauge only ever accumulates).
 TEST(StoreContention, ContendedBatchIngestStaysExact) {
-  TimeSeriesStore store(1 << 12, /*shards=*/1);
+  TimeSeriesStore store(1 << 12);
   constexpr int kThreads = 4;
   constexpr int kBatches = 50;
   constexpr int kBatch = 64;
+  // Four series that share one shard, so every writer contends on one lock.
+  const auto shard = [](const std::string& path) {
+    return SeriesInterner::global().intern(path).value %
+           TimeSeriesStore::kShards;
+  };
+  std::vector<std::string> paths{"contend/s0"};
+  for (int k = 1; paths.size() < static_cast<std::size_t>(kThreads); ++k) {
+    const std::string path = "contend/s" + std::to_string(k);
+    if (shard(path) == shard(paths[0])) paths.push_back(path);
+  }
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
-      const SeriesId id = SeriesInterner::global().intern(
-          "contend/s" + std::to_string(t));
+      const SeriesId id =
+          SeriesInterner::global().intern(paths[static_cast<std::size_t>(t)]);
       std::vector<IdReading> batch(kBatch);
       for (int b = 0; b < kBatches; ++b) {
         for (int i = 0; i < kBatch; ++i) {
@@ -264,8 +269,8 @@ TEST(StoreContention, ContendedBatchIngestStaysExact) {
     });
   }
   for (auto& th : writers) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(store.sample_count("contend/s" + std::to_string(t)),
+  for (const std::string& path : paths) {
+    EXPECT_EQ(store.sample_count(path),
               static_cast<std::size_t>(kBatches) * kBatch);
   }
   EXPECT_EQ(store.total_inserted(),

@@ -436,7 +436,6 @@ TEST(Alerts, RefiresAfterClear) {
 
 TEST(Alerts, HistoryCapEvictsOldestClearedAndKeepsActiveValid) {
   AlertEngine engine;
-  engine.set_history_limit(16);
   AlertRule rule;
   rule.name = "hot";
   rule.sensor_pattern = "*";
@@ -450,12 +449,12 @@ TEST(Alerts, HistoryCapEvictsOldestClearedAndKeepsActiveValid) {
 
   // Churn far more fire/clear episodes than the cap on another sensor.
   TimePoint t = 10;
-  for (int i = 0; i < 100; ++i) {
+  for (std::size_t i = 0; i < 2 * AlertEngine::kHistoryCapacity; ++i) {
     engine.observe({"churn", {t, 5.0}});
     engine.observe({"churn", {t + 1, 0.0}});
     t += 10;
   }
-  EXPECT_LE(engine.history().size(), 16u);
+  EXPECT_LE(engine.history().size(), AlertEngine::kHistoryCapacity);
   EXPECT_GT(engine.history_evicted(), 0u);
   // The long-lived alert's record survived eviction and still clears
   // correctly through its remapped history index.

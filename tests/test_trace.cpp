@@ -161,7 +161,6 @@ TEST_F(CausalTraceTest, ThreadPoolSubmitPropagatesContext) {
 TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
   Tracer& tracer = Tracer::global();
   tracer.set_capacity(1 << 18);
-  tracer.set_enabled(true);
 
   sim::ClusterParams params;
   params.racks = 2;
@@ -169,8 +168,9 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
   params.dt = 15;
   params.seed = 7;
   sim::ClusterSimulation cluster(params);
-  // Total dropout on one facility sensor from the first pass on: with a
-  // threshold-1 breaker the pass contains retries AND a breaker-open flip.
+  // Total dropout on one facility sensor from the first pass on. The
+  // breaker opens on the fifth consecutive failed read, so the fifth pass
+  // contains retries AND a breaker-open flip.
   cluster.faults().schedule(
       {sim::FaultKind::kSensorDropout, "facility/pue", 0, kHour, 1.0});
 
@@ -178,9 +178,6 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
   telemetry::MessageBus bus;
   ThreadPool pool(4);
   telemetry::Collector collector(cluster, &store, &bus, &pool);
-  telemetry::BreakerPolicy breaker;
-  breaker.failure_threshold = 1;
-  collector.set_breaker_policy(breaker);
   const std::size_t matched = collector.add_all_sensors(15);
   ASSERT_GE(matched, 64u);  // exercises the parallel (pool) read path
 
@@ -190,8 +187,14 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
     CellScope cell("building-infrastructure", "descriptive", "trace.cell");
   });
 
+  // Four untraced passes build up the failures; only the fifth is traced.
+  for (int pass = 0; pass < 4; ++pass) {
+    cluster.step();
+    collector.collect();
+  }
+  tracer.set_enabled(true);
   cluster.step();
-  collector.collect();  // exactly one due pass -> exactly one trace
+  collector.collect();  // exactly one traced pass -> exactly one trace
   pool.shutdown();
   EXPECT_GT(collector.gaps_total(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
@@ -341,17 +344,19 @@ TEST_F(CausalTraceTest, RecorderDisabledTogetherWithTracerRecordsNothing) {
 }
 
 TEST_F(CausalTraceTest, RingWrapKeepsMostRecentEvents) {
-  FlightRecorder local(16);
-  for (std::uint64_t i = 0; i < 40; ++i) {
+  FlightRecorder local;
+  constexpr std::uint64_t kCap = FlightRecorder::kRingCapacity;
+  constexpr std::uint64_t kTotal = kCap + 24;
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
     local.record("wrap.event", "test", i, 1, TraceEventKind::kSpan, 1, i + 1,
                  0);
   }
-  EXPECT_EQ(local.recorded_total(), 40u);
+  EXPECT_EQ(local.recorded_total(), kTotal);
   const std::vector<TraceEvent> events = local.snapshot();
-  ASSERT_EQ(events.size(), 16u);
+  ASSERT_EQ(events.size(), kCap);
   for (const auto& e : events) {
-    EXPECT_GE(e.ts_us, 24u);  // only the newest 16 of 40 survive
-    EXPECT_LT(e.ts_us, 40u);
+    EXPECT_GE(e.ts_us, 24u);  // only the newest kCap of kTotal survive
+    EXPECT_LT(e.ts_us, kTotal);
   }
   local.clear();
   EXPECT_EQ(local.event_count(), 0u);
