@@ -30,8 +30,7 @@
 // shutdown: the HTTP plane quiesces first (stop accepting, drain in-flight
 // responses), then the run loop's WAL is flushed and fsynced (an orderly
 // stop leaves no tail for recovery to truncate), final metrics are
-// exported, and the process exits 0 whatever the health verdict (1 only if
-// the flush or an export failed).
+// exported, and the process exits 0.
 //
 // With --http-port (0 = ephemeral), the live introspection plane comes up:
 // an ObsServer answers /metrics, /healthz, /trace, /profile, /flight, /varz
@@ -287,13 +286,12 @@ int main(int argc, char** argv) {
   // nothing logs after the flush, then flush+fsync and join the writer. An
   // orderly stop leaves segments ending on a record boundary — the next
   // recovery replays them with nothing to truncate.
-  bool wal_flushed = true;
   if (wal.has_value()) {
     store.set_wal(nullptr);
-    wal_flushed = wal->flush();
+    const bool flushed = wal->flush();
     wal->stop();
     std::printf("wal: %s, %llu samples committed, %llu lost%s\n",
-                wal_flushed ? "flushed and fsynced" : "flush failed (degraded)",
+                flushed ? "flushed and fsynced" : "flush failed (degraded)",
                 static_cast<unsigned long long>(wal->committed_samples()),
                 static_cast<unsigned long long>(wal->lost_samples()),
                 wal->degraded() ? " [degraded]" : "");
@@ -407,14 +405,10 @@ int main(int argc, char** argv) {
               recorder.event_count(),
               static_cast<unsigned long long>(recorder.recorded_total()));
 
-  const bool healthy = ok && health.healthy();
-  std::printf("self-monitoring verdict: %s\n",
-              healthy ? "healthy" : "UNHEALTHY");
-  // A SIGTERM run's exit status reports its shutdown, as the header says:
-  // 0 once the WAL is flushed and the exports are written. The health
-  // verdict above includes a wall-clock check (any bus delivery over 1 ms),
-  // which a descheduled pipeline thread trips even for a trivial
-  // subscriber, so it is the exit status of a full run only.
-  if (interrupted) return ok && wal_flushed ? 0 : 1;
-  return healthy ? 0 : 1;
+  if (!ok || !health.healthy()) {
+    std::printf("self-monitoring verdict: UNHEALTHY\n");
+    return 1;
+  }
+  std::printf("self-monitoring verdict: healthy\n");
+  return 0;
 }

@@ -1,5 +1,7 @@
 #include "telemetry/bus.hpp"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <optional>
@@ -13,9 +15,19 @@ namespace oda::telemetry {
 
 namespace {
 
-/// A delivery slower than this is counted as slow and warned about once per
-/// subscription — generous for an in-process callback.
+/// A delivery whose callback uses more than this much of the publishing
+/// thread's CPU is counted as slow and warned about once per subscription —
+/// generous for an in-process callback.
 constexpr double kSlowDeliverySeconds = 1e-3;
+
+/// CPU time this thread has used, in seconds. A system call (no vDSO fast
+/// path), so dispatch() reads it only around deliveries that were slow by
+/// the wall clock.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 /// Process-wide bus metrics, registered once on first use. Counters
 /// aggregate over every MessageBus instance (Prometheus semantics); the
@@ -148,6 +160,21 @@ void MessageBus::dispatch(std::span<const IdReading> readings,
   }
   using Clock = std::chrono::steady_clock;
   double publish_seconds = 0.0;
+  // Slow check. The wall time of a delivery also counts the time the
+  // publishing thread sat descheduled, which would blame a trivial
+  // subscriber for a loaded machine; the thread's CPU clock does not. It is
+  // read once here and again only after a delivery over the threshold by
+  // the wall clock. A thread uses no more CPU than wall time, so the CPU
+  // used since the mark, less the wall time from the mark to the delivery's
+  // start, bounds the delivery's own CPU time from below (give or take the
+  // microseconds of bookkeeping before the clock read); it is exact when
+  // the thread ran throughout.
+  Clock::time_point wall_mark;
+  double cpu_mark = 0.0;
+  if (!routed.empty()) {
+    wall_mark = Clock::now();
+    cpu_mark = thread_cpu_seconds();
+  }
   for (const Routed& d : routed) {
     std::optional<Reading> built;
     if (single == nullptr) {
@@ -161,20 +188,27 @@ void MessageBus::dispatch(std::span<const IdReading> readings,
       ODA_TRACE_SPAN_CAT("bus.deliver", "bus");
       const Clock::time_point t0 = Clock::now();
       t.callback(reading);
-      const double elapsed_s =
-          std::chrono::duration<double>(Clock::now() - t0).count();
+      const Clock::time_point t1 = Clock::now();
+      const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
       publish_seconds += elapsed_s;
       delivered_.fetch_add(1, std::memory_order_relaxed);
       metrics.delivered.inc();
       t.per_pattern->inc();
-      if (elapsed_s > kSlowDeliverySeconds) {
+      if (elapsed_s <= kSlowDeliverySeconds) continue;
+      const double cpu_now = thread_cpu_seconds();
+      const double cpu_s =
+          cpu_now - cpu_mark -
+          std::chrono::duration<double>(t0 - wall_mark).count();
+      wall_mark = t1;
+      cpu_mark = cpu_now;
+      if (cpu_s > kSlowDeliverySeconds) {
         metrics.slow.inc();
         // relaxed exchange: warned is a best-effort once-flag for log noise
         // control; a duplicate warning under a rare race would be harmless.
         if (!t.warned.exchange(true, std::memory_order_relaxed)) {
           ODA_LOG_WARN << "slow bus subscriber (pattern '" << t.pattern
-                       << "'): delivery took " << elapsed_s * 1e3
-                       << " ms (threshold " << kSlowDeliverySeconds * 1e3
+                       << "'): delivery used " << cpu_s * 1e3
+                       << " ms of CPU (threshold " << kSlowDeliverySeconds * 1e3
                        << " ms)";
         }
       }

@@ -18,10 +18,10 @@
 // (oda_bus_publish_seconds — one observation per call, a batch counts once —
 // oda_bus_published_total and oda_bus_unrouted_total in readings,
 // oda_bus_delivered_total, oda_bus_subscriber_deliveries_total{pattern=...})
-// and flags subscribers whose callback takes over 1 ms
-// (oda_bus_slow_deliveries_total, plus a warn-once log line per
-// subscription) — a synchronous bus is only as fast as its slowest
-// subscriber.
+// and flags subscribers whose callback uses over 1 ms of the publishing
+// thread's CPU (oda_bus_slow_deliveries_total, plus a warn-once log line
+// per subscription) — a synchronous bus is only as fast as its slowest
+// subscriber. Time the thread spent descheduled is not the subscriber's.
 #pragma once
 
 #include <atomic>

@@ -1,14 +1,18 @@
 // Tests for the telemetry pipeline: bus, store, collector, alerts,
 // and derived sensors — including the sim -> store integration path.
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/bus.hpp"
@@ -479,6 +483,37 @@ TEST(MessageBus, CountsUnroutedPublishes) {
   bus.publish("orphan/metric", 0, 1.0);  // no subscriber
   bus.publish("orphan/other", 0, 1.0);   // same prefix: counted, logged once
   EXPECT_EQ(bus.unrouted_count(), before + 2);
+}
+
+// ------------------------------------------------------- slow deliveries
+
+// A delivery is slow by the CPU it uses, not by the wall time it spans: a
+// subscriber that is off the CPU for 20 ms (as a descheduled publisher
+// thread would be) is not slow; one that computes for 20 ms is.
+TEST(MessageBus, SlowCheckCountsCpuNotWallTime) {
+  const auto slow = [] {
+    return obs::MetricsRegistry::global().snapshot().total(
+        "oda_bus_slow_deliveries_total");
+  };
+  const auto thread_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  MessageBus bus;
+  bus.subscribe("idle/*", [](const Reading&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  bus.subscribe("busy/*", [&](const Reading&) {
+    const double start = thread_cpu_s();
+    while (thread_cpu_s() - start < 0.020) {
+    }
+  });
+  const double before = slow();
+  bus.publish("idle/x", 0, 1.0);
+  EXPECT_EQ(slow(), before);
+  bus.publish("busy/x", 0, 1.0);
+  EXPECT_EQ(slow(), before + 1);
 }
 
 // ---------------------------------------------------------- empty groups
