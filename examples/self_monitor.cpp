@@ -242,9 +242,8 @@ int main(int argc, char** argv) {
   // Pull-model instrumentation of the shared primitives.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   const auto pool_handles = obs::register_thread_pool(registry, pool, "collector");
-  const auto tracer_handles = obs::register_tracer(registry, tracer, "global");
-  const auto recorder_handles =
-      obs::register_flight_recorder(registry, recorder, "global");
+  const auto tracer_handles = obs::register_tracer(registry);
+  const auto recorder_handles = obs::register_flight_recorder(registry);
   const auto lock_handles = obs::register_lock_contention(registry);
   const auto profiler_handles =
       obs::register_profiler(registry, profiler, "global");

@@ -35,7 +35,7 @@ double integrate_kwh(const telemetry::TimeSeriesStore& store,
 PueReport compute_pue(const telemetry::TimeSeriesStore& store, TimePoint from,
                       TimePoint to,
                       const telemetry::SensorHealthTracker* health) {
-  ::oda::obs::CellScope oda_cell_scope("building-infrastructure", "descriptive", "kpi.pue");
+  ODA_CELL_SCOPE("building-infrastructure", "descriptive", "kpi.pue");
   PueReport report;
   std::size_t usable = 0;
   const auto usable_kwh = [&](const std::string& path) {
@@ -60,7 +60,7 @@ PueReport compute_pue(const telemetry::TimeSeriesStore& store, TimePoint from,
 ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
                         TimePoint to, double fan_max_power_w,
                         double psu_overhead_fraction) {
-  ::oda::obs::CellScope oda_cell_scope("system-hardware", "descriptive", "kpi.itue");
+  ODA_CELL_SCOPE("system-hardware", "descriptive", "kpi.itue");
   ItueReport report;
   report.it_energy_kwh = integrate_kwh(store, "cluster/it_power", from, to);
 
@@ -98,7 +98,7 @@ double compute_ere(const PueReport& pue, double reuse_fraction) {
 
 SlowdownReport compute_slowdown(std::span<const sim::JobRecord> records,
                                 Duration tau) {
-  ::oda::obs::CellScope oda_cell_scope("system-software", "descriptive", "kpi.slowdown");
+  ODA_CELL_SCOPE("system-software", "descriptive", "kpi.slowdown");
   SlowdownReport report;
   if (records.empty()) return report;
   std::vector<double> waits;
@@ -191,7 +191,7 @@ SieReport compute_sie(const telemetry::TimeSeriesStore& store,
 
 RooflinePoint roofline(double peak_gflops, double peak_bw_gbs,
                        double achieved_gflops, double bytes_per_flop) {
-  ::oda::obs::CellScope oda_cell_scope("applications", "descriptive", "kpi.roofline");
+  ODA_CELL_SCOPE("applications", "descriptive", "kpi.roofline");
   ODA_REQUIRE(peak_gflops > 0.0 && peak_bw_gbs > 0.0, "roofline ceilings must be positive");
   ODA_REQUIRE(bytes_per_flop > 0.0, "bytes_per_flop must be positive");
   RooflinePoint p;

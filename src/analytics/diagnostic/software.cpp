@@ -48,7 +48,7 @@ LeakVerdict detect_memory_leak(const telemetry::TimeSeriesStore& store,
 
 NoiseReport analyze_fwq(std::span<const double> durations, double expected,
                         double sample_period_s, double tolerance) {
-  ::oda::obs::CellScope oda_cell_scope("system-software", "diagnostic", "diag.noise");
+  ODA_CELL_SCOPE("system-software", "diagnostic", "diag.noise");
   ODA_REQUIRE(expected > 0.0, "expected quantum must be positive");
   ODA_REQUIRE(sample_period_s > 0.0, "sample period must be positive");
   NoiseReport report;
@@ -121,7 +121,7 @@ Boundedness classify_boundedness(const telemetry::TimeSeriesStore& store,
                                  const sim::RunningJob& job,
                                  const std::vector<std::string>& node_prefixes,
                                  TimePoint now, Duration window) {
-  ::oda::obs::CellScope oda_cell_scope("applications", "diagnostic", "diag.bound");
+  ODA_CELL_SCOPE("applications", "diagnostic", "diag.bound");
   const TimePoint from = std::max(now - window, job.start_time);
   double cpu = 0.0, mem = 0.0, net = 0.0, io = 0.0;
   std::size_t counted = 0;

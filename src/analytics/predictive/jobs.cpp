@@ -47,7 +47,7 @@ void JobRuntimePredictor::observe(const sim::JobRecord& record) {
 
 JobRuntimePredictor::Estimate JobRuntimePredictor::predict(
     const sim::JobSpec& spec) const {
-  ::oda::obs::CellScope oda_cell_scope("applications", "predictive", "pred.runtime");
+  ODA_CELL_SCOPE("applications", "predictive", "pred.runtime");
   Estimate est;
   const double cap = static_cast<double>(spec.walltime_requested);
   const auto it = user_runtimes_.find(spec.user);

@@ -45,7 +45,7 @@ std::vector<double> WorkloadForecaster::daily_profile() const {
 }
 
 std::vector<double> WorkloadForecaster::forecast(std::size_t horizon) const {
-  ::oda::obs::CellScope oda_cell_scope("system-software", "predictive", "pred.workload");
+  ODA_CELL_SCOPE("system-software", "predictive", "pred.workload");
   const auto per_day = static_cast<std::size_t>(kDay / bucket_);
   std::vector<double> out(horizon, 0.0);
   if (counts_.empty()) return out;

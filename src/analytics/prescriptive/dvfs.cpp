@@ -14,7 +14,7 @@ DvfsGovernor::DvfsGovernor(Params params) : params_(params) {}
 void DvfsGovernor::act(sim::ClusterSimulation& cluster,
                        const telemetry::TimeSeriesStore& store,
                        std::vector<Actuation>& log) {
-  ::oda::obs::CellScope oda_cell_scope("system-hardware", "prescriptive", "presc.dvfs");
+  ODA_CELL_SCOPE("system-hardware", "prescriptive", "presc.dvfs");
   if (params_.mode == Mode::kEnergy) {
     act_energy(cluster, store, log);
   } else {

@@ -177,64 +177,6 @@ void Ewma::add(double x) {
 
 double Ewma::stddev() const { return std::sqrt(var_); }
 
-// ------------------------------------------------------------------ Histogram
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  ODA_REQUIRE(hi > lo, "histogram range must be non-empty");
-  ODA_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-    ++counts_[idx];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-double Histogram::bucket_hi(std::size_t i) const {
-  return lo_ + static_cast<double>(i + 1) * width_;
-}
-
-double Histogram::quantile(double q) const {
-  ODA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return lo_;
-  const double target = q * static_cast<double>(in_range);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac = counts_[i] == 0
-                              ? 0.0
-                              : (target - cum) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::vector<double> Histogram::pmf() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = static_cast<double>(counts_[i]) / static_cast<double>(in_range);
-  }
-  return out;
-}
-
 // -------------------------------------------------------------- RollingWindow
 
 RollingWindow::RollingWindow(std::size_t capacity) : capacity_(capacity) {

@@ -80,30 +80,6 @@ class Ewma {
   bool initialized_ = false;
 };
 
-/// Fixed-width histogram over [lo, hi) with underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t count() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  /// Quantile estimate by linear interpolation within the bucket.
-  double quantile(double q) const;
-  /// Normalized counts (probability mass per bucket, in-range only).
-  std::vector<double> pmf() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
 /// Sliding window over the last `capacity` samples with O(1) mean/variance
 /// updates and on-demand min/max/quantiles.
 class RollingWindow {

@@ -2,29 +2,22 @@
 
 namespace oda::obs {
 
-namespace {
-constexpr char kRunsName[] = "oda_analytics_runs_total";
-constexpr char kRunsHelp[] =
-    "Invocations of instrumented analytics capabilities per grid cell";
-constexpr char kSecondsName[] = "oda_analytics_run_seconds";
-constexpr char kSecondsHelp[] =
-    "Latency of instrumented analytics capabilities per grid cell";
-}  // namespace
+Histogram& CellScope::seconds_for(const char* pillar, const char* type,
+                                  const char* capability) {
+  return MetricsRegistry::global().histogram(
+      "oda_analytics_run_seconds",
+      "Latency of instrumented analytics capabilities per grid cell",
+      default_latency_bounds(),
+      {{"pillar", pillar}, {"type", type}, {"capability", capability}});
+}
 
-CellScope::CellScope(const char* pillar, const char* type,
-                     const char* capability)
-    : runs_(MetricsRegistry::global().counter(
-          kRunsName, kRunsHelp,
-          {{"pillar", pillar}, {"type", type}, {"capability", capability}})),
-      seconds_(MetricsRegistry::global().histogram(
-          kSecondsName, kSecondsHelp, default_latency_bounds(),
-          {{"pillar", pillar}, {"type", type}})),
+CellScope::CellScope(Histogram& seconds, const char* capability)
+    : seconds_(seconds),
       span_(capability, "analytics"),
       start_us_(Tracer::global().now_us()) {}
 
 CellScope::~CellScope() {
   const std::uint64_t end_us = Tracer::global().now_us();
-  runs_.inc();
   // Observed before span_ closes (members destroy in reverse order), so the
   // exemplar recorded for oda_analytics_run_seconds links to this cell's
   // own span id's trace.

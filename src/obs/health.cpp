@@ -433,11 +433,10 @@ InstrumentationHandles register_profiler(MetricsRegistry& registry,
   return out;
 }
 
-InstrumentationHandles register_tracer(MetricsRegistry& registry,
-                                       const Tracer& tracer,
-                                       const std::string& tracer_label) {
+InstrumentationHandles register_tracer(MetricsRegistry& registry) {
   InstrumentationHandles out;
-  const LabelSet labels = {{"tracer", tracer_label}};
+  const LabelSet labels = {{"tracer", "global"}};
+  const Tracer& tracer = Tracer::global();
   out.handles.push_back(registry.gauge_callback(
       "oda_trace_events", "Spans currently retained in trace buffers", labels,
       [&tracer] { return static_cast<double>(tracer.event_count()); }));
@@ -447,11 +446,10 @@ InstrumentationHandles register_tracer(MetricsRegistry& registry,
   return out;
 }
 
-InstrumentationHandles register_flight_recorder(
-    MetricsRegistry& registry, const FlightRecorder& recorder,
-    const std::string& recorder_label) {
+InstrumentationHandles register_flight_recorder(MetricsRegistry& registry) {
   InstrumentationHandles out;
-  const LabelSet labels = {{"recorder", recorder_label}};
+  const LabelSet labels = {{"recorder", "global"}};
+  const FlightRecorder& recorder = FlightRecorder::global();
   out.handles.push_back(registry.gauge_callback(
       "oda_flight_events", "Events currently retained in flight-recorder rings",
       labels,

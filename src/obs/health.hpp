@@ -88,18 +88,14 @@ InstrumentationHandles register_profiler(MetricsRegistry& registry,
                                          const class SamplingProfiler& profiler,
                                          const std::string& profiler_label);
 
-/// Exports tracer buffer pressure:
-///   oda_trace_events{tracer=}, oda_trace_dropped_total{tracer=}.
-InstrumentationHandles register_tracer(MetricsRegistry& registry,
-                                       const Tracer& tracer,
-                                       const std::string& tracer_label);
+/// Exports the global Tracer's buffer pressure:
+///   oda_trace_events{tracer="global"}, oda_trace_dropped_total{tracer=}.
+InstrumentationHandles register_tracer(MetricsRegistry& registry);
 
-/// Exports flight-recorder occupancy and dump counters:
-///   oda_flight_events{recorder=}, oda_flight_recorded_total{recorder=},
-///   oda_flight_dumps_total{recorder=}.
-InstrumentationHandles register_flight_recorder(
-    MetricsRegistry& registry, const FlightRecorder& recorder,
-    const std::string& recorder_label);
+/// Exports the global FlightRecorder's occupancy and dump counters:
+///   oda_flight_events{recorder="global"}, oda_flight_recorded_total
+///   {recorder=}, oda_flight_dumps_total{recorder=}.
+InstrumentationHandles register_flight_recorder(MetricsRegistry& registry);
 
 /// Exports a BlockingQueue's depth gauge and reject counter:
 ///   oda_queue_depth{queue=}, oda_queue_rejected_total{queue=}.

@@ -2,32 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "common/log.hpp"
 
 namespace oda::obs {
-
-namespace {
-
-std::atomic<std::uint64_t> g_next_recorder_id{1};
-
-/// Per-thread registration, same scheme as Tracer: recorder id -> this
-/// thread's ring. The recorder keeps its own shared_ptr so rings survive
-/// thread exit until dumped.
-std::map<std::uint64_t, std::shared_ptr<void>>& thread_ring_map() {
-  thread_local std::map<std::uint64_t, std::shared_ptr<void>> map;
-  return map;
-}
-
-}  // namespace
-
-FlightRecorder::FlightRecorder()
-    // relaxed: the id only needs uniqueness, not ordering.
-    : recorder_id_(
-          g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-FlightRecorder::~FlightRecorder() = default;
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder recorder;
@@ -35,46 +13,14 @@ FlightRecorder& FlightRecorder::global() {
 }
 
 void FlightRecorder::set_enabled(bool enabled) {
-  // relaxed: advisory flag, see enabled().
-  enabled_.store(enabled, std::memory_order_relaxed);
-  if (this == &global()) {
-    // Mirror into the shared sink mask the span macros read (trace.hpp).
-    // relaxed RMW: same advisory on/off semantics as the flag itself.
-    auto& mode = detail::g_trace_mode;
-    if (enabled) {
-      mode.fetch_or(detail::kTraceModeRecorder, std::memory_order_relaxed);
-    } else {
-      mode.fetch_and(~detail::kTraceModeRecorder, std::memory_order_relaxed);
-    }
-  }
+  detail::set_trace_mode(detail::kTraceModeRecorder, enabled);
 }
 
-FlightRecorder::Ring& FlightRecorder::local_ring() {
-  auto& map = thread_ring_map();
-  const auto it = map.find(recorder_id_);
-  if (it != map.end()) {
-    return *static_cast<Ring*>(it->second.get());
-  }
-  auto ring = std::make_shared<Ring>();
-  {
-    MutexLock lock(mu_);
-    ring->tid = next_tid_++;
-    rings_.push_back(ring);
-  }
-  map.emplace(recorder_id_, ring);
-  return *ring;
-}
-
-void FlightRecorder::record(const char* name, const char* category,
-                            std::uint64_t ts_us, std::uint64_t dur_us,
-                            TraceEventKind kind, std::uint64_t trace_id,
-                            std::uint64_t span_id,
-                            std::uint64_t parent_id) noexcept {
-  Ring& ring = local_ring();
+void detail::ThreadSpans::ring_push(const SpanRecord& ev) noexcept {
   // relaxed: head is written by this thread only; the release store below
   // publishes the slot before the new head value matters to readers.
-  const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  Slot& slot = ring.slots[h % kRingCapacity];
+  const std::uint64_t h = head.load(std::memory_order_relaxed);
+  Slot& slot = slots[h % FlightRecorder::kRingCapacity];
   // Seqlock write protocol: odd marks the slot in-progress so a concurrent
   // snapshot() skips it instead of reading a half-written event. The
   // fence-free formulation (release payload stores pairing with the
@@ -84,50 +30,66 @@ void FlightRecorder::record(const char* name, const char* category,
   // re-check and reject the slot. On x86 these release stores compile to
   // the same plain movs as relaxed stores plus a fence would.
   slot.seq.store(2 * h + 1, std::memory_order_relaxed);
-  slot.name.store(name, std::memory_order_release);
-  slot.category.store(category, std::memory_order_release);
-  slot.ts_us.store(ts_us, std::memory_order_release);
-  slot.dur_us.store(dur_us, std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_release);
-  slot.span_id.store(span_id, std::memory_order_release);
-  slot.parent_id.store(parent_id, std::memory_order_release);
-  slot.kind.store(static_cast<std::uint32_t>(kind), std::memory_order_release);
+  slot.name.store(ev.name, std::memory_order_release);
+  slot.category.store(ev.category, std::memory_order_release);
+  slot.ts_us.store(ev.ts_us, std::memory_order_release);
+  slot.dur_us.store(ev.dur_us, std::memory_order_release);
+  slot.trace_id.store(ev.trace_id, std::memory_order_release);
+  slot.span_id.store(ev.span_id, std::memory_order_release);
+  slot.parent_id.store(ev.parent_id, std::memory_order_release);
+  const auto kind = static_cast<std::uint32_t>(ev.kind);
+  slot.kind.store(kind, std::memory_order_release);
   // release: publishes the payload with the stable (even) sequence value.
   slot.seq.store(2 * h + 2, std::memory_order_release);
   // release: a reader that sees this head has the slot's final seq visible.
-  ring.head.store(h + 1, std::memory_order_release);
-  // relaxed: statistics counter.
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+  head.store(h + 1, std::memory_order_release);
 }
 
+void FlightRecorder::record(const char* name, const char* category,
+                            std::uint64_t ts_us, std::uint64_t dur_us,
+                            TraceEventKind kind, std::uint64_t trace_id,
+                            std::uint64_t span_id,
+                            std::uint64_t parent_id) noexcept {
+  detail::local_spans().ring_push(
+      {name, category, ts_us, dur_us, trace_id, span_id, parent_id, kind});
+}
+
+namespace {
+
+/// First ring position a reader keeps: the newer of clear()'s mark and the
+/// oldest slot not yet overwritten. `head` must be loaded after `start`.
+std::uint64_t ring_begin(std::uint64_t start, std::uint64_t head) {
+  const std::uint64_t cap = FlightRecorder::kRingCapacity;
+  return std::max(start, head > cap ? head - cap : 0);
+}
+
+}  // namespace
+
 std::vector<TraceEvent> FlightRecorder::snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
   std::vector<TraceEvent> out;
-  for (const auto& ring : rings) {
+  for (const detail::ThreadSpans* spans : detail::all_spans()) {
+    // acquire: pairs with clear()'s release, so the head loaded next is at
+    // least the one clear() read.
+    const std::uint64_t start = spans->start.load(std::memory_order_acquire);
     // acquire: pairs with the release head store so slots below the head
     // are fully published.
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
-    for (std::uint64_t i = begin; i < head; ++i) {
-      const Slot& slot = ring->slots[i % kRingCapacity];
+    const std::uint64_t head = spans->head.load(std::memory_order_acquire);
+    for (std::uint64_t i = ring_begin(start, head); i < head; ++i) {
+      const detail::ThreadSpans::Slot& slot = spans->slots[i % kRingCapacity];
       // Seqlock read: accept only when both seq reads match the stable
       // value for exactly this ring position (2i+2); anything else means
       // the writer lapped or is mid-write — skip, never tear.
       // acquire: pairs with the writer's final release store.
       const std::uint64_t seq_a = slot.seq.load(std::memory_order_acquire);
       if (seq_a != 2 * i + 2) continue;
-      TraceEvent ev;
+      detail::SpanRecord ev;
       // acquire payload loads: each pairs with the writer's release store,
       // so a load that observes a newer lap's value forces the seq re-check
       // below to observe that lap's odd (or newer) seq and reject. They
       // also keep the re-check ordered after every payload load without an
       // acquire fence (which TSan cannot instrument).
-      const char* name = slot.name.load(std::memory_order_acquire);
-      const char* category = slot.category.load(std::memory_order_acquire);
+      ev.name = slot.name.load(std::memory_order_acquire);
+      ev.category = slot.category.load(std::memory_order_acquire);
       ev.ts_us = slot.ts_us.load(std::memory_order_acquire);
       ev.dur_us = slot.dur_us.load(std::memory_order_acquire);
       ev.trace_id = slot.trace_id.load(std::memory_order_acquire);
@@ -137,11 +99,8 @@ std::vector<TraceEvent> FlightRecorder::snapshot() const {
           slot.kind.load(std::memory_order_acquire));
       // relaxed: the acquire loads above order this check after the payload.
       if (slot.seq.load(std::memory_order_relaxed) != seq_a) continue;
-      if (name == nullptr || category == nullptr) continue;
-      ev.name = name;
-      ev.category = category;
-      ev.tid = ring->tid;
-      out.push_back(std::move(ev));
+      if (ev.name == nullptr || ev.category == nullptr) continue;
+      out.push_back(detail::to_trace_event(ev, spans->tid));
     }
   }
   std::sort(out.begin(), out.end(),
@@ -155,21 +114,32 @@ std::string FlightRecorder::to_chrome_json() const {
   return chrome_trace_json(snapshot());
 }
 
-std::size_t FlightRecorder::event_count() const { return snapshot().size(); }
+std::size_t FlightRecorder::event_count() const {
+  std::size_t n = 0;
+  for (const detail::ThreadSpans* spans : detail::all_spans()) {
+    // acquire: same start-then-head order as snapshot().
+    const std::uint64_t start = spans->start.load(std::memory_order_acquire);
+    const std::uint64_t head = spans->head.load(std::memory_order_acquire);
+    n += static_cast<std::size_t>(head - ring_begin(start, head));
+  }
+  return n;
+}
+
+std::uint64_t FlightRecorder::recorded_total() const {
+  std::uint64_t n = 0;
+  for (const detail::ThreadSpans* spans : detail::all_spans()) {
+    // relaxed: statistics; each head only grows, so the sum never falls.
+    n += spans->head.load(std::memory_order_relaxed);
+  }
+  return n;
+}
 
 void FlightRecorder::clear() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    MutexLock lock(mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    for (auto& slot : ring->slots) {
-      // relaxed: callers quiesce writers before clear() (documented).
-      slot.seq.store(0, std::memory_order_relaxed);
-    }
-    // relaxed: same quiescence contract.
-    ring->head.store(0, std::memory_order_relaxed);
+  for (detail::ThreadSpans* spans : detail::all_spans()) {
+    // acquire/release: see snapshot(). A write racing the clear lands on
+    // either side of the mark, never torn.
+    spans->start.store(spans->head.load(std::memory_order_acquire),
+                       std::memory_order_release);
   }
 }
 

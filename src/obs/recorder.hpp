@@ -6,10 +6,13 @@
 // (assess_pipeline_health dumps it automatically on the healthy->unhealthy
 // edge when a dump path is configured).
 //
+// The rings live in the per-thread records it shares with the Tracer
+// (trace.hpp); FlightRecorder::global() is the one view over them.
+//
 // Cost model: enabled by default, a recorded event is two steady-clock reads
 // (shared with the tracer path) plus a handful of release atomic stores into
 // a fixed ring slot (plain movs on x86) — no locks, no allocation, no
-// branches on capacity.
+// branches on capacity, no write shared with other threads.
 // Disabling it (set_enabled(false)) together with a disabled Tracer returns
 // span entry to a single relaxed load (see trace.hpp's cost model).
 //
@@ -22,7 +25,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,19 +38,15 @@ class FlightRecorder {
   /// Events retained per thread (a power of two).
   static constexpr std::size_t kRingCapacity = 1024;
 
-  FlightRecorder();
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-  ~FlightRecorder();
-
   /// The process-wide recorder the ODA_TRACE_* macros feed. Enabled by
   /// default (always-on).
   static FlightRecorder& global();
 
   void set_enabled(bool enabled);
   bool enabled() const {
-    // relaxed: advisory on/off flag, same semantics as Tracer::enabled().
-    return enabled_.load(std::memory_order_relaxed);
+    // relaxed: advisory sink mask, same semantics as Tracer::enabled().
+    return (detail::g_trace_mode.load(std::memory_order_relaxed) &
+            detail::kTraceModeRecorder) != 0;
   }
 
   /// Records one event into the calling thread's ring, overwriting the
@@ -65,18 +63,18 @@ class FlightRecorder {
   /// scripts/check_trace.py --allow-missing-parents accepts such dumps.
   std::string to_chrome_json() const;
 
-  /// Events currently retained / recorded since construction / dumps taken.
+  /// Events currently retained, computed from the ring heads without
+  /// copying them.
   std::size_t event_count() const;
-  std::uint64_t recorded_total() const {
-    // relaxed: statistics counter.
-    return recorded_.load(std::memory_order_relaxed);
-  }
+  /// Events recorded since process start (the sum of the ring heads; never
+  /// decreases, clear() included).
+  std::uint64_t recorded_total() const;
   std::uint64_t dump_count() const {
     // relaxed: statistics counter.
     return dumps_.load(std::memory_order_relaxed);
   }
 
-  /// Resets every ring. Callers must quiesce writers first (test helper).
+  /// Empties every ring: later snapshots start at each ring's current head.
   void clear();
 
   /// Destination for automatic postmortem dumps ("" disables, the default).
@@ -88,10 +86,49 @@ class FlightRecorder {
   bool dump_to_file(const std::string& path = "");
 
  private:
-  // One event slot. All members are atomics written by the owning thread
-  // only; `seq` is the seqlock word readers use to detect tearing
-  // (odd = write in progress; stable value encodes the ring head position
-  // so readers also reject slots lapped mid-scan).
+  FlightRecorder() = default;
+
+  std::atomic<std::uint64_t> dumps_{0};
+  mutable Mutex mu_ ODA_ACQUIRED_AFTER(lock_order::trace)
+      ODA_ACQUIRED_BEFORE(lock_order::log){LockRankId::kTrace};
+  std::string dump_path_ ODA_GUARDED_BY(mu_);
+};
+
+namespace detail {
+
+/// One event as its thread records it. The names stay the literals the
+/// macros were given; TraceEvent strings are built only when events are
+/// read.
+struct SpanRecord {
+  const char* name = nullptr;
+  const char* category = nullptr;
+  std::uint64_t ts_us = 0;
+  std::uint64_t dur_us = 0;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t parent_id = 0;
+  TraceEventKind kind = TraceEventKind::kSpan;
+};
+
+/// Everything one thread records: its tid, the flight-recorder ring and the
+/// Tracer's event list. Created on the thread's first event, registered
+/// once in a process-wide list and kept until exit, so a thread's events
+/// outlive it until they are read.
+struct ThreadSpans {
+  explicit ThreadSpans(std::uint32_t thread_id) : tid(thread_id) {}
+
+  /// Writes `ev` into the ring, overwriting the oldest slot. Owning thread
+  /// only.
+  void ring_push(const SpanRecord& ev) noexcept;
+
+  const std::uint32_t tid;  // 1-based registration order
+
+  // One ring slot. All members are atomics written by the owning thread
+  // only; `seq` is the seqlock word readers use to detect tearing (odd =
+  // write in progress; the stable value 2i+2 encodes the ring position i,
+  // so readers also reject slots lapped mid-scan). The seqlock stays
+  // outside the annotated-mutex world: writers are lock-free by design and
+  // readers detect torn slots via the sequence word.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};
@@ -103,29 +140,27 @@ class FlightRecorder {
     std::atomic<std::uint64_t> parent_id{0};
     std::atomic<std::uint32_t> kind{0};
   };
-  struct Ring {
-    std::array<Slot, kRingCapacity> slots;
-    std::atomic<std::uint64_t> head{0};  // next write position (monotonic)
-    std::uint32_t tid = 0;
-  };
+  std::array<Slot, FlightRecorder::kRingCapacity> slots;
+  std::atomic<std::uint64_t> head{0};   // next write position (monotonic)
+  std::atomic<std::uint64_t> start{0};  // first position clear() kept
 
-  Ring& local_ring();
-
-  const std::uint64_t recorder_id_;
-  std::atomic<bool> enabled_{true};
-  std::atomic<std::uint64_t> recorded_{0};
-  std::atomic<std::uint64_t> dumps_{0};
-  // Guards ring registration and the dump path only. The per-slot seqlock
-  // protocol (Slot::seq) deliberately stays outside the annotated-mutex
-  // world: writers are lock-free by design (record() is called from span
-  // destructors on every instrumented thread) and readers detect torn slots
-  // via the sequence word, so there is no capability the analysis could
-  // associate with the payload atomics.
-  mutable Mutex mu_ ODA_ACQUIRED_AFTER(lock_order::trace)
-      ODA_ACQUIRED_BEFORE(lock_order::log){LockRankId::kTrace};
-  std::vector<std::shared_ptr<Ring>> rings_ ODA_GUARDED_BY(mu_);
-  std::uint32_t next_tid_ ODA_GUARDED_BY(mu_) = 1;
-  std::string dump_path_ ODA_GUARDED_BY(mu_);
+  /// Guards the traced events. Uncontended except while a reader drains.
+  Mutex mu ODA_ACQUIRED_AFTER(lock_order::trace)
+      ODA_ACQUIRED_BEFORE(lock_order::log);
+  std::vector<SpanRecord> traced ODA_GUARDED_BY(mu);
 };
+
+/// The public form of `ev`, owned strings and the thread's tid.
+inline TraceEvent to_trace_event(const SpanRecord& ev, std::uint32_t tid) {
+  return {ev.name, ev.category, ev.ts_us,   ev.dur_us,  tid,
+          ev.kind, ev.trace_id, ev.span_id, ev.parent_id};
+}
+
+/// The calling thread's record, created and registered on first use.
+ThreadSpans& local_spans();
+/// Every record registered so far, in tid order.
+std::vector<ThreadSpans*> all_spans();
+
+}  // namespace detail
 
 }  // namespace oda::obs

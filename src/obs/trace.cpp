@@ -1,7 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -15,54 +15,81 @@ namespace detail {
 // default (obs/recorder.hpp) even before its global instance is touched.
 std::atomic<unsigned> g_trace_mode{kTraceModeRecorder};
 
-void finish_span(const char* name, const char* category,
-                 std::uint64_t start_us, TraceContext ctx,
-                 std::uint64_t parent_span_id, unsigned mode) {
-  Tracer& tracer = Tracer::global();
-  const std::uint64_t dur_us = tracer.now_us() - start_us;
-  if ((mode & kTraceModeTracer) != 0) {
-    tracer.record(name, category, start_us, dur_us, TraceEventKind::kSpan,
-                  ctx.trace_id, ctx.span_id, parent_span_id);
-  }
-  if ((mode & kTraceModeRecorder) != 0) {
-    FlightRecorder::global().record(name, category, start_us, dur_us,
-                                    TraceEventKind::kSpan, ctx.trace_id,
-                                    ctx.span_id, parent_span_id);
+void set_trace_mode(unsigned bit, bool on) {
+  // relaxed RMW: same advisory on/off semantics as the mask's loads.
+  if (on) {
+    g_trace_mode.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_trace_mode.fetch_and(~bit, std::memory_order_relaxed);
   }
 }
 
+namespace {
+
+/// Owns every thread's record until exit; records are never removed, so
+/// the pointers handed out stay valid after their thread ends.
+struct SpanRegistry {
+  Mutex mu ODA_ACQUIRED_AFTER(lock_order::trace)
+      ODA_ACQUIRED_BEFORE(lock_order::log){LockRankId::kTrace};
+  std::vector<std::unique_ptr<ThreadSpans>> records ODA_GUARDED_BY(mu);
+};
+
+SpanRegistry& span_registry() {
+  static SpanRegistry registry;
+  return registry;
+}
+
+}  // namespace
+
+ThreadSpans& local_spans() {
+  // A plain pointer: no per-thread constructor or destructor to run.
+  thread_local ThreadSpans* spans = nullptr;
+  if (spans != nullptr) return *spans;
+  SpanRegistry& registry = span_registry();
+  MutexLock lock(registry.mu);
+  registry.records.push_back(std::make_unique<ThreadSpans>(
+      static_cast<std::uint32_t>(registry.records.size() + 1)));
+  spans = registry.records.back().get();
+  return *spans;
+}
+
+std::vector<ThreadSpans*> all_spans() {
+  SpanRegistry& registry = span_registry();
+  MutexLock lock(registry.mu);
+  std::vector<ThreadSpans*> out;
+  out.reserve(registry.records.size());
+  for (const auto& record : registry.records) out.push_back(record.get());
+  return out;
+}
+
+void dispatch(const SpanRecord& ev, unsigned mode) {
+  ThreadSpans& spans = local_spans();
+  if ((mode & kTraceModeRecorder) != 0) spans.ring_push(ev);
+  if ((mode & kTraceModeTracer) != 0) Tracer::global().append(spans, ev);
+}
+
+void finish_span(const char* name, const char* category,
+                 std::uint64_t start_us, TraceContext ctx,
+                 std::uint64_t parent_span_id, unsigned mode) {
+  const std::uint64_t end_us = Tracer::global().now_us();
+  dispatch({name, category, start_us, end_us - start_us, ctx.trace_id,
+            ctx.span_id, parent_span_id, TraceEventKind::kSpan},
+           mode);
+}
+
 void emit_instant(const char* name, const char* category, unsigned mode) {
-  Tracer& tracer = Tracer::global();
-  const std::uint64_t ts_us = tracer.now_us();
+  const std::uint64_t ts_us = Tracer::global().now_us();
   const TraceContext ctx = current_trace_context();
   // Instants get their own id but never become parents (they are not
   // installed into the thread context) — parents are always spans.
-  const std::uint64_t span_id = next_trace_id();
-  if ((mode & kTraceModeTracer) != 0) {
-    tracer.record(name, category, ts_us, 0, TraceEventKind::kInstant,
-                  ctx.trace_id, span_id, ctx.span_id);
-  }
-  if ((mode & kTraceModeRecorder) != 0) {
-    FlightRecorder::global().record(name, category, ts_us, 0,
-                                    TraceEventKind::kInstant, ctx.trace_id,
-                                    span_id, ctx.span_id);
-  }
+  dispatch({name, category, ts_us, 0, ctx.trace_id, next_trace_id(),
+            ctx.span_id, TraceEventKind::kInstant},
+           mode);
 }
 
 }  // namespace detail
 
 namespace {
-
-std::atomic<std::uint64_t> g_next_tracer_id{1};
-
-/// Per-thread registration: maps tracer id -> this thread's buffer in that
-/// tracer. Keyed by id (not pointer) so a destroyed tracer's address being
-/// reused can never alias a stale entry. The tracer holds its own shared_ptr
-/// to every buffer, so events survive thread exit until drained.
-std::map<std::uint64_t, std::shared_ptr<void>>& thread_buffer_map() {
-  thread_local std::map<std::uint64_t, std::shared_ptr<void>> map;
-  return map;
-}
 
 std::string json_escape(const std::string& s) {
   static const char* hex = "0123456789abcdef";
@@ -102,12 +129,7 @@ std::string trace_id_hex(std::uint64_t id) {
   return out;
 }
 
-Tracer::Tracer()
-    // relaxed: the id only needs uniqueness, not ordering.
-    : tracer_id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {}
-
-Tracer::~Tracer() = default;
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::global() {
   static Tracer tracer;
@@ -115,18 +137,7 @@ Tracer& Tracer::global() {
 }
 
 void Tracer::set_enabled(bool enabled) {
-  // relaxed: see enabled() — an independent flag.
-  enabled_.store(enabled, std::memory_order_relaxed);
-  if (this == &global()) {
-    // Mirror the flag into the shared sink mask the span macros read.
-    // relaxed RMW: same advisory on/off semantics as the flag itself.
-    auto& mode = detail::g_trace_mode;
-    if (enabled) {
-      mode.fetch_or(detail::kTraceModeTracer, std::memory_order_relaxed);
-    } else {
-      mode.fetch_and(~detail::kTraceModeTracer, std::memory_order_relaxed);
-    }
-  }
+  detail::set_trace_mode(detail::kTraceModeTracer, enabled);
 }
 
 void Tracer::set_capacity(std::size_t max_events) {
@@ -141,26 +152,15 @@ std::uint64_t Tracer::now_us() const {
           .count());
 }
 
-Tracer::ThreadBuffer& Tracer::local_buffer() {
-  auto& map = thread_buffer_map();
-  const auto it = map.find(tracer_id_);
-  if (it != map.end()) {
-    return *static_cast<ThreadBuffer*>(it->second.get());
-  }
-  auto buf = std::make_shared<ThreadBuffer>();
-  {
-    MutexLock lock(mu_);
-    buf->tid = next_tid_++;
-    buffers_.push_back(buf);
-  }
-  map.emplace(tracer_id_, buf);
-  return *buf;
-}
-
 void Tracer::record(const char* name, const char* category,
                     std::uint64_t ts_us, std::uint64_t dur_us,
                     TraceEventKind kind, std::uint64_t trace_id,
                     std::uint64_t span_id, std::uint64_t parent_id) {
+  append(detail::local_spans(), {name, category, ts_us, dur_us, trace_id,
+                                 span_id, parent_id, kind});
+}
+
+void Tracer::append(detail::ThreadSpans& spans, const detail::SpanRecord& ev) {
   // relaxed loads/RMWs: recorded_/dropped_ are statistics; the capacity
   // check is advisory (a burst may land a few events past the cap, which
   // only trades a handful of drops — no correctness impact).
@@ -170,31 +170,17 @@ void Tracer::record(const char* name, const char* category,
     return;
   }
   recorded_.fetch_add(1, std::memory_order_relaxed);
-  ThreadBuffer& buf = local_buffer();
-  TraceEvent ev;
-  ev.name = name;
-  ev.category = category;
-  ev.ts_us = ts_us;
-  ev.dur_us = dur_us;
-  ev.tid = buf.tid;
-  ev.kind = kind;
-  ev.trace_id = trace_id;
-  ev.span_id = span_id;
-  ev.parent_id = parent_id;
-  MutexLock lock(buf.mu);
-  buf.events.push_back(std::move(ev));
+  MutexLock lock(spans.mu);
+  spans.traced.push_back(ev);
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    MutexLock lock(mu_);
-    buffers = buffers_;
-  }
-  for (const auto& buf : buffers) {
-    MutexLock lock(buf->mu);
-    out.insert(out.end(), buf->events.begin(), buf->events.end());
+  for (detail::ThreadSpans* spans : detail::all_spans()) {
+    MutexLock lock(spans->mu);
+    for (const detail::SpanRecord& ev : spans->traced) {
+      out.push_back(detail::to_trace_event(ev, spans->tid));
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -205,21 +191,19 @@ std::vector<TraceEvent> Tracer::events() const {
 
 std::size_t Tracer::event_count() const {
   std::size_t n = 0;
-  MutexLock lock(mu_);
-  for (const auto& buf : buffers_) {
-    MutexLock buf_lock(buf->mu);
-    n += buf->events.size();
+  for (detail::ThreadSpans* spans : detail::all_spans()) {
+    MutexLock lock(spans->mu);
+    n += spans->traced.size();
   }
   return n;
 }
 
 void Tracer::clear() {
-  MutexLock lock(mu_);
-  for (const auto& buf : buffers_) {
-    MutexLock buf_lock(buf->mu);
-    buf->events.clear();
+  for (detail::ThreadSpans* spans : detail::all_spans()) {
+    MutexLock lock(spans->mu);
+    spans->traced.clear();
   }
-  // relaxed: statistics reset; see record().
+  // relaxed: statistics reset; see append().
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }

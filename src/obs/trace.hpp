@@ -17,27 +17,31 @@
 // Zero-duration *instant* events (ODA_TRACE_INSTANT) mark point occurrences
 // (a retry, a breaker transition) inside the owning span.
 //
+// Two sinks take the events: the Tracer (complete, bounded, off by default)
+// and the always-on FlightRecorder (obs/recorder.hpp). Both are views over
+// one record per thread (detail::ThreadSpans), reached through one
+// thread_local pointer; a finished span finds that record once and writes
+// to whichever sinks the shared mask arms, and both sinks report the same
+// tid for the thread.
+//
 // Cost model:
 //   * Tracer disabled and FlightRecorder disabled: one relaxed atomic load
 //     (of the shared sink mask) per scope entry.
-//   * FlightRecorder only (the default — see obs/recorder.hpp): two
-//     steady-clock reads plus a handful of relaxed stores into a bounded
-//     per-thread ring.
+//   * FlightRecorder only (the default): two steady-clock reads plus a
+//     handful of release stores into the thread's bounded ring.
 //   * Tracer enabled: additionally an uncontended per-thread mutex push
-//     (the mutex is only contended while a snapshot drains buffers).
+//     (the mutex is only contended while a reader drains the events).
 //
-// Span names must outlive the span (string literals in practice); the flight
-// recorder retains them as raw pointers, so literals are mandatory there.
+// Span names must outlive the span (string literals in practice): both
+// sinks retain them as raw pointers, so literals are mandatory.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "common/trace_context.hpp"
 
 namespace oda::obs {
@@ -68,6 +72,16 @@ inline constexpr unsigned kTraceModeTracer = 1u;
 inline constexpr unsigned kTraceModeRecorder = 2u;
 extern std::atomic<unsigned> g_trace_mode;
 
+/// Sets or clears one sink bit of g_trace_mode.
+void set_trace_mode(unsigned bit, bool on);
+
+struct SpanRecord;   // obs/recorder.hpp
+struct ThreadSpans;  // obs/recorder.hpp
+
+/// Writes one event to whichever sinks `mode` has armed, through the
+/// calling thread's record.
+void dispatch(const SpanRecord& ev, unsigned mode);
+
 /// Out-of-line slow paths (trace.cpp): dispatch a finished span / an
 /// instant to whichever sinks `mode` has armed.
 void finish_span(const char* name, const char* category,
@@ -89,11 +103,6 @@ std::string trace_id_hex(std::uint64_t id);
 
 class Tracer {
  public:
-  Tracer();
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-  ~Tracer();
-
   /// The process-wide tracer the ODA_TRACE_SPAN macro records into.
   static Tracer& global();
 
@@ -102,9 +111,10 @@ class Tracer {
   /// recorder picks them up — see obs/recorder.hpp).
   void set_enabled(bool enabled);
   bool enabled() const {
-    // relaxed: an independent on/off flag; a span may see a toggle late,
-    // which only means one more or fewer event — no data is guarded by it.
-    return enabled_.load(std::memory_order_relaxed);
+    // relaxed: an advisory sink mask; a span may see a toggle late, which
+    // only means one more or fewer event — no data is guarded by it.
+    return (detail::g_trace_mode.load(std::memory_order_relaxed) &
+            detail::kTraceModeTracer) != 0;
   }
 
   /// Caps retained events across all threads (default 1<<16); further
@@ -115,12 +125,13 @@ class Tracer {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Microseconds since this tracer was constructed (the trace epoch).
+  /// Microseconds since the tracer was constructed (the trace epoch).
   std::uint64_t now_us() const;
 
   /// Records a completed span or instant. Usually called via the
   /// ODA_TRACE_* macros; the id triple defaults to 0 (untraced) so callers
-  /// that predate causal tracing keep working.
+  /// that predate causal tracing keep working. name/category must be string
+  /// literals (retained as pointers).
   void record(const char* name, const char* category, std::uint64_t ts_us,
               std::uint64_t dur_us,
               TraceEventKind kind = TraceEventKind::kSpan,
@@ -137,28 +148,16 @@ class Tracer {
   std::string to_chrome_json() const;
 
  private:
-  struct ThreadBuffer {
-    /// Trace-level like mu_; the two are taken nested (mu_ then buf->mu in
-    /// event_count/clear) but carry no mutual edge — the analysis only
-    /// checks declared pairs, and this intra-subsystem nesting is uniform.
-    Mutex mu ODA_ACQUIRED_AFTER(lock_order::trace)
-        ODA_ACQUIRED_BEFORE(lock_order::log);
-    std::vector<TraceEvent> events ODA_GUARDED_BY(mu);
-    std::uint32_t tid = 0;
-  };
+  friend void detail::dispatch(const detail::SpanRecord& ev, unsigned mode);
 
-  ThreadBuffer& local_buffer() ODA_EXCLUDES(mu_);
+  Tracer();
+  /// Appends `ev` to `spans`' traced events unless the cap is reached.
+  void append(detail::ThreadSpans& spans, const detail::SpanRecord& ev);
 
-  const std::uint64_t tracer_id_;
   const std::chrono::steady_clock::time_point epoch_;
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::size_t> capacity_{1 << 16};
-  mutable Mutex mu_ ODA_ACQUIRED_AFTER(lock_order::trace)
-      ODA_ACQUIRED_BEFORE(lock_order::log);  // guards buffers_
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_ ODA_GUARDED_BY(mu_);
-  std::uint32_t next_tid_ ODA_GUARDED_BY(mu_) = 1;
 };
 
 /// RAII causal span: on entry joins the thread's active trace (or roots a

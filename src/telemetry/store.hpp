@@ -33,9 +33,7 @@
 #include "telemetry/series_id.hpp"
 
 namespace oda::obs {
-class Counter;
 class Gauge;
-class Histogram;
 }  // namespace oda::obs
 
 namespace oda::telemetry {

@@ -233,25 +233,6 @@ TEST(Ewma, TracksStep) {
   EXPECT_NEAR(e.mean(), 10.0, 0.01);
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(2.0);
-  h.add(0.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 3u);
-}
-
 TEST(RollingWindow, EvictsOldest) {
   RollingWindow w(3);
   for (double x : {1.0, 2.0, 3.0, 4.0}) w.add(x);

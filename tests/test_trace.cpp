@@ -184,7 +184,7 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
   // An analytics cell opened from inside a bus delivery: its span must
   // also join the pass trace through the bus.deliver context.
   bus.subscribe("facility/*", [](const telemetry::Reading&) {
-    CellScope cell("building-infrastructure", "descriptive", "trace.cell");
+    ODA_CELL_SCOPE("building-infrastructure", "descriptive", "trace.cell");
   });
 
   // Four untraced passes build up the failures; only the fifth is traced.
@@ -344,22 +344,68 @@ TEST_F(CausalTraceTest, RecorderDisabledTogetherWithTracerRecordsNothing) {
 }
 
 TEST_F(CausalTraceTest, RingWrapKeepsMostRecentEvents) {
-  FlightRecorder local;
+  FlightRecorder& recorder = FlightRecorder::global();
   constexpr std::uint64_t kCap = FlightRecorder::kRingCapacity;
   constexpr std::uint64_t kTotal = kCap + 24;
+  const std::uint64_t recorded_before = recorder.recorded_total();
   for (std::uint64_t i = 0; i < kTotal; ++i) {
-    local.record("wrap.event", "test", i, 1, TraceEventKind::kSpan, 1, i + 1,
-                 0);
+    recorder.record("wrap.event", "test", i, 1, TraceEventKind::kSpan, 1,
+                    i + 1, 0);
   }
-  EXPECT_EQ(local.recorded_total(), kTotal);
-  const std::vector<TraceEvent> events = local.snapshot();
+  EXPECT_EQ(recorder.recorded_total() - recorded_before, kTotal);
+  // The fixture cleared every ring and this thread alone records here.
+  const std::vector<TraceEvent> events = recorder.snapshot();
   ASSERT_EQ(events.size(), kCap);
   for (const auto& e : events) {
     EXPECT_GE(e.ts_us, 24u);  // only the newest kCap of kTotal survive
     EXPECT_LT(e.ts_us, kTotal);
   }
-  local.clear();
-  EXPECT_EQ(local.event_count(), 0u);
+  recorder.clear();
+  EXPECT_EQ(recorder.event_count(), 0u);
+}
+
+TEST_F(CausalTraceTest, RecordedTotalNeverFallsAcrossClear) {
+  FlightRecorder& recorder = FlightRecorder::global();
+  for (int i = 0; i < 5; ++i) { TraceSpan span("total.before", "test"); }
+  const std::uint64_t before = recorder.recorded_total();
+  EXPECT_GE(recorder.event_count(), 5u);
+  recorder.clear();
+  EXPECT_EQ(recorder.event_count(), 0u);
+  EXPECT_GE(recorder.recorded_total(), before);
+  { TraceSpan span("total.after", "test"); }
+  EXPECT_GE(recorder.recorded_total(), before + 1);
+  const std::vector<TraceEvent> events = recorder.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "total.after");
+}
+
+TEST_F(CausalTraceTest, BothSinksReportOneTidPerThread) {
+  Tracer& tracer = Tracer::global();
+  FlightRecorder& recorder = FlightRecorder::global();
+  tracer.set_enabled(true);
+  { TraceSpan span("tid.main", "test"); }
+  ThreadPool pool(1);
+  pool.submit([] { TraceSpan span("tid.worker", "test"); }).get();
+  pool.shutdown();
+  tracer.set_enabled(false);
+
+  // span id -> tid, per sink.
+  const auto tids = [](const std::vector<TraceEvent>& events) {
+    std::map<std::uint64_t, std::uint32_t> out;
+    for (const auto& e : events) {
+      if (e.name == "tid.main" || e.name == "tid.worker") {
+        out[e.span_id] = e.tid;
+      }
+    }
+    return out;
+  };
+  const auto traced = tids(tracer.events());
+  const auto recorded = tids(recorder.snapshot());
+  ASSERT_EQ(traced.size(), 2u);
+  EXPECT_EQ(traced, recorded);
+  std::set<std::uint32_t> distinct;
+  for (const auto& [span, tid] : traced) distinct.insert(tid);
+  EXPECT_EQ(distinct.size(), 2u);  // the worker is its own thread
 }
 
 TEST_F(CausalTraceTest, UnhealthyAssessmentDumpsPostmortem) {
