@@ -119,25 +119,35 @@ NodeAnomalyMonitor::NodeAnomalyMonitor(Params params,
     : params_(std::move(params)), node_prefixes_(std::move(node_prefixes)) {
   ODA_REQUIRE(!node_prefixes_.empty(), "monitor needs nodes");
   ODA_REQUIRE(!params_.per_node_sensors.empty(), "monitor needs sensors");
+  telemetry::SeriesInterner& interner = telemetry::SeriesInterner::global();
+  ids_.reserve(params_.per_node_sensors.size() * node_prefixes_.size());
+  for (const auto& leaf : params_.per_node_sensors) {
+    for (const auto& prefix : node_prefixes_) {
+      ids_.push_back(interner.intern(prefix + "/" + leaf));
+    }
+  }
+  std::map<std::string, std::vector<std::size_t>> racks;
+  for (std::size_t c = 0; c < node_prefixes_.size(); ++c) {
+    racks[split(node_prefixes_[c], '/').front()].push_back(c);
+  }
+  for (auto& [rack, members] : racks) rack_members_.push_back(std::move(members));
+}
+
+std::span<const telemetry::SeriesId> NodeAnomalyMonitor::sensor_ids(
+    std::size_t sensor) const {
+  const std::size_t n_nodes = node_prefixes_.size();
+  return std::span<const telemetry::SeriesId>(ids_).subspan(sensor * n_nodes,
+                                                            n_nodes);
 }
 
 std::vector<std::vector<double>> NodeAnomalyMonitor::batch_features(
     const telemetry::TimeSeriesStore& store, TimePoint from,
     TimePoint to) const {
   const std::size_t n_nodes = node_prefixes_.size();
-  // Rack membership from the first path component.
-  std::vector<std::string> rack_of(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rack_of[i] = split(node_prefixes_[i], '/').front();
-  }
-
-  // Raw window features per node first...
+  // Raw window features per node first, one frame per sensor...
   std::vector<std::vector<double>> features(n_nodes);
-  for (const auto& leaf : params_.per_node_sensors) {
-    std::vector<std::string> paths;
-    paths.reserve(n_nodes);
-    for (const auto& prefix : node_prefixes_) paths.push_back(prefix + "/" + leaf);
-    const auto frame = store.frame(paths, from, to, params_.bucket);
+  for (std::size_t s_idx = 0; s_idx < params_.per_node_sensors.size(); ++s_idx) {
+    const auto frame = store.frame(sensor_ids(s_idx), from, to, params_.bucket);
     for (std::size_t c = 0; c < n_nodes; ++c) {
       std::vector<double> series;
       series.reserve(frame.rows());
@@ -167,10 +177,8 @@ std::vector<std::vector<double>> NodeAnomalyMonitor::batch_features(
     return sum / static_cast<double>(vals.size() - 2 * trim);
   };
   const std::size_t dim = features.empty() ? 0 : features[0].size();
-  std::map<std::string, std::vector<std::size_t>> rack_members;
-  for (std::size_t c = 0; c < n_nodes; ++c) rack_members[rack_of[c]].push_back(c);
   for (std::size_t d = 0; d < dim; ++d) {
-    for (const auto& [rack, members] : rack_members) {
+    for (const auto& members : rack_members_) {
       std::vector<double> vals;
       vals.reserve(members.size());
       for (std::size_t c : members) vals.push_back(features[c][d]);
@@ -227,12 +235,9 @@ void NodeAnomalyMonitor::train(const telemetry::TimeSeriesStore& store,
   // sigma on every node in the rack.
   constexpr double kScaleFloorFraction = 0.05;
   for (std::size_t s_idx = 0; s_idx < params_.per_node_sensors.size(); ++s_idx) {
-    std::vector<std::string> paths;
-    for (const auto& prefix : node_prefixes_) {
-      paths.push_back(prefix + "/" + params_.per_node_sensors[s_idx]);
-    }
     RunningStats fleet;
-    const auto fleet_frame = store.frame(paths, from, to, params_.window);
+    const auto fleet_frame =
+        store.frame(sensor_ids(s_idx), from, to, params_.window);
     for (std::size_t c = 0; c < fleet_frame.cols(); ++c) {
       for (double v : fleet_frame.column_values(c)) {
         if (!std::isnan(v)) fleet.add(v);

@@ -8,7 +8,6 @@
 // detector against injected-fault ground truth.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -164,8 +163,17 @@ class NodeAnomalyMonitor {
       TimePoint to) const;
   std::vector<double> standardize(std::vector<double> features) const;
 
+  /// The `per_node_sensors.size() * nodes` series this monitor reads,
+  /// sensor-major (sensor s of node n at s * nodes + n). Resolved once at
+  /// construction: an id names a path, not a store, so it holds for every
+  /// store and for series the store has not seen yet.
+  std::span<const telemetry::SeriesId> sensor_ids(std::size_t sensor) const;
+
   Params params_;
   std::vector<std::string> node_prefixes_;
+  std::vector<telemetry::SeriesId> ids_;
+  /// Node indices per rack (first path component), racks in name order.
+  std::vector<std::vector<std::size_t>> rack_members_;
   std::unique_ptr<math::IsolationForest> forest_;
   std::unique_ptr<math::Pca> pca_;
   // Healthy-calibrated normalizers: member score / threshold.

@@ -11,6 +11,22 @@ namespace oda::analytics {
 
 DvfsGovernor::DvfsGovernor(Params params) : params_(params) {}
 
+const std::vector<DvfsGovernor::NodeInputs>& DvfsGovernor::inputs(
+    sim::ClusterSimulation& cluster) {
+  if (nodes_.size() == cluster.node_count()) return nodes_;
+  telemetry::SeriesInterner& interner = telemetry::SeriesInterner::global();
+  nodes_.clear();
+  nodes_.reserve(cluster.node_count());
+  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
+    const std::string& prefix = cluster.node(i).path();
+    nodes_.push_back({interner.intern(prefix + "/cpu_util"),
+                      interner.intern(prefix + "/mem_bw_util"),
+                      interner.intern(prefix + "/cpu_temp"),
+                      prefix + "/freq_setpoint"});
+  }
+  return nodes_;
+}
+
 void DvfsGovernor::act(sim::ClusterSimulation& cluster,
                        const telemetry::TimeSeriesStore& store,
                        std::vector<Actuation>& log) {
@@ -26,15 +42,15 @@ void DvfsGovernor::act_energy(sim::ClusterSimulation& cluster,
                               const telemetry::TimeSeriesStore& store,
                               std::vector<Actuation>& log) {
   const TimePoint now = cluster.now();
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const std::string& prefix = cluster.node(i).path();
-    const auto cpu = store.query(prefix + "/cpu_util", now - params_.period, now);
+  const auto& nodes = inputs(cluster);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto cpu = store.query(nodes[i].cpu_util, now - params_.period, now);
     const auto mem =
-        store.query(prefix + "/mem_bw_util", now - params_.period, now);
+        store.query(nodes[i].mem_bw_util, now - params_.period, now);
     if (cpu.empty() || mem.empty()) continue;
     const double cpu_mean = mean(cpu.values);
     const double mem_mean = mean(mem.values);
-    const std::string knob = prefix + "/freq_setpoint";
+    const std::string& knob = nodes[i].knob;
     const double nominal = cluster.node(i).params().freq_nominal_ghz;
 
     if (cpu_mean < 0.05) {
@@ -56,16 +72,15 @@ void DvfsGovernor::act_energy(sim::ClusterSimulation& cluster,
 }
 
 double DvfsGovernor::effective_temp(const telemetry::TimeSeriesStore& store,
-                                    const std::string& node_prefix,
+                                    telemetry::SeriesId cpu_temp,
                                     TimePoint now) const {
-  const auto latest = store.latest(node_prefix + "/cpu_temp");
+  const auto latest = store.latest(cpu_temp);
   if (!latest) return 0.0;
   if (params_.mode != Mode::kThermalProactive) return latest->value;
 
   // Proactive: Holt forecast of the temperature over the lead window; act
   // on the max of measured and forecast so warming trends are pre-empted.
-  const auto slice =
-      store.query(node_prefix + "/cpu_temp", now - 30 * kMinute, now);
+  const auto slice = store.query(cpu_temp, now - 30 * kMinute, now);
   if (slice.size() < 8) return latest->value;
   const Duration sample = (slice.times.back() - slice.times.front()) /
                           static_cast<Duration>(slice.size() - 1);
@@ -83,11 +98,11 @@ void DvfsGovernor::act_thermal(sim::ClusterSimulation& cluster,
                                const telemetry::TimeSeriesStore& store,
                                std::vector<Actuation>& log) {
   const TimePoint now = cluster.now();
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const std::string& prefix = cluster.node(i).path();
-    const double temp = effective_temp(store, prefix, now);
+  const auto& nodes = inputs(cluster);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const double temp = effective_temp(store, nodes[i].cpu_temp, now);
     if (temp <= 0.0) continue;
-    const std::string knob = prefix + "/freq_setpoint";
+    const std::string& knob = nodes[i].knob;
     const double current = cluster.knobs().get(knob);
     const auto& np = cluster.node(i).params();
 

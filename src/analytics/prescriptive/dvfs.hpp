@@ -8,10 +8,12 @@
 //    hit (the Sec. V-A multi-type claim benchmarked in E5).
 #pragma once
 
-#include <map>
+#include <string>
+#include <vector>
 
 #include "analytics/predictive/forecaster.hpp"
 #include "analytics/prescriptive/controller.hpp"
+#include "telemetry/series_id.hpp"
 
 namespace oda::analytics {
 
@@ -53,9 +55,19 @@ class DvfsGovernor : public Controller {
   /// Temperature the governor should regulate against: measured now, or the
   /// forecast max over the lead window in proactive mode.
   double effective_temp(const telemetry::TimeSeriesStore& store,
-                        const std::string& node_prefix, TimePoint now) const;
+                        telemetry::SeriesId cpu_temp, TimePoint now) const;
+
+  /// One node's inputs and knob, resolved once.
+  struct NodeInputs {
+    telemetry::SeriesId cpu_util, mem_bw_util, cpu_temp;
+    std::string knob;  // <node>/freq_setpoint
+  };
+  /// The per-node inputs of `cluster`, resolved on the first act() and
+  /// again only if the node count changes: a governor serves one cluster.
+  const std::vector<NodeInputs>& inputs(sim::ClusterSimulation& cluster);
 
   Params params_;
+  std::vector<NodeInputs> nodes_;
 };
 
 }  // namespace oda::analytics

@@ -15,6 +15,7 @@ const char* to_string(LockRankId rank) noexcept {
     case LockRankId::kLog: return "log";
     case LockRankId::kPool: return "pool";
     case LockRankId::kThreadWatch: return "thread_watch";
+    case LockRankId::kStoreCatalog: return "store_catalog";
     case LockRankId::kCount: break;
   }
   return "invalid";

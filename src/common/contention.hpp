@@ -35,6 +35,7 @@ enum class LockRankId : std::uint8_t {
   kLog,
   kPool,        // BlockingQueue / ThreadPool idle wait (leaf)
   kThreadWatch, // watched-thread registry (leaf)
+  kStoreCatalog, // TimeSeriesStore::match() memo (leaf)
   kCount,
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 
@@ -20,27 +21,28 @@ double DecisionTree::gini(const std::vector<std::size_t>& counts,
   return impurity;
 }
 
-std::unique_ptr<DecisionTree::Node> DecisionTree::build(
-    const std::vector<LabeledSample>& data, std::vector<std::size_t>& idx,
-    std::size_t n_classes, const Params& params, std::size_t depth, Rng& rng) {
-  auto node = std::make_unique<Node>();
-
+void DecisionTree::build(const std::vector<LabeledSample>& data,
+                         std::vector<std::size_t>& idx, const Params& params,
+                         std::size_t depth, Rng& rng) {
+  const std::size_t n_classes = n_classes_;
   std::vector<std::size_t> counts(n_classes, 0);
   for (std::size_t i : idx) ++counts[data[i].label];
   const double parent_gini = gini(counts, idx.size());
 
   const auto make_leaf = [&] {
-    node->class_probs.assign(n_classes, 0.0);
+    Node leaf;
+    leaf.next = static_cast<std::uint32_t>(probs_.size());
+    nodes_.push_back(leaf);
     for (std::size_t c = 0; c < n_classes; ++c) {
-      node->class_probs[c] =
-          static_cast<double>(counts[c]) / static_cast<double>(idx.size());
+      probs_.push_back(static_cast<double>(counts[c]) /
+                       static_cast<double>(idx.size()));
     }
-    return std::move(node);
   };
 
   if (depth >= params.max_depth || idx.size() < params.min_samples_split ||
       parent_gini <= 1e-12) {
-    return make_leaf();
+    make_leaf();
+    return;
   }
 
   const std::size_t dim = data[0].features.size();
@@ -93,7 +95,10 @@ std::unique_ptr<DecisionTree::Node> DecisionTree::build(
     }
   }
 
-  if (best_feature < 0) return make_leaf();
+  if (best_feature < 0) {
+    make_leaf();
+    return;
+  }
 
   std::vector<std::size_t> left_idx, right_idx;
   for (std::size_t i : idx) {
@@ -102,11 +107,14 @@ std::unique_ptr<DecisionTree::Node> DecisionTree::build(
          : right_idx)
         .push_back(i);
   }
-  node->feature = best_feature;
-  node->threshold = best_threshold;
-  node->left = build(data, left_idx, n_classes, params, depth + 1, rng);
-  node->right = build(data, right_idx, n_classes, params, depth + 1, rng);
-  return node;
+  const std::size_t at = nodes_.size();
+  Node split;
+  split.feature = best_feature;
+  split.threshold = best_threshold;
+  nodes_.push_back(split);
+  build(data, left_idx, params, depth + 1, rng);
+  nodes_[at].next = static_cast<std::uint32_t>(nodes_.size());
+  build(data, right_idx, params, depth + 1, rng);
 }
 
 DecisionTree DecisionTree::fit(const std::vector<LabeledSample>& data,
@@ -123,20 +131,23 @@ DecisionTree DecisionTree::fit(const std::vector<LabeledSample>& data,
   tree.n_classes_ = n_classes;
   std::vector<std::size_t> idx(data.size());
   std::iota(idx.begin(), idx.end(), 0);
-  tree.root_ = build(data, idx, n_classes, params, 0, rng);
+  tree.build(data, idx, params, 0, rng);
   return tree;
 }
 
 std::vector<double> DecisionTree::predict_proba(
     std::span<const double> features) const {
-  ODA_REQUIRE(root_ != nullptr, "predict on unfitted tree");
-  const Node* node = root_.get();
-  while (node->feature >= 0) {
-    node = features[static_cast<std::size_t>(node->feature)] < node->threshold
-               ? node->left.get()
-               : node->right.get();
+  ODA_REQUIRE(!nodes_.empty(), "predict on unfitted tree");
+  std::size_t i = 0;
+  while (nodes_[i].feature >= 0) {
+    const Node& node = nodes_[i];
+    i = features[static_cast<std::size_t>(node.feature)] < node.threshold
+            ? i + 1
+            : node.next;
   }
-  return node->class_probs;
+  const auto first = probs_.begin() + nodes_[i].next;
+  return std::vector<double>(first,
+                             first + static_cast<std::ptrdiff_t>(n_classes_));
 }
 
 std::size_t DecisionTree::predict(std::span<const double> features) const {

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,20 +37,23 @@ class DecisionTree {
   std::size_t n_classes() const { return n_classes_; }
 
  private:
+  /// One node, stored in pre-order: a split's left child is the next node
+  /// and its right child is at `next`; a leaf's class probabilities are
+  /// probs_[next, next + n_classes_).
   struct Node {
     int feature = -1;  // -1 marks a leaf
+    std::uint32_t next = 0;
     double threshold = 0.0;
-    std::vector<double> class_probs;  // leaf only
-    std::unique_ptr<Node> left, right;
   };
 
-  static std::unique_ptr<Node> build(const std::vector<LabeledSample>& data,
-                                     std::vector<std::size_t>& idx,
-                                     std::size_t n_classes, const Params& params,
-                                     std::size_t depth, Rng& rng);
+  /// Appends the subtree grown from `idx` to nodes_ in pre-order.
+  void build(const std::vector<LabeledSample>& data,
+             std::vector<std::size_t>& idx, const Params& params,
+             std::size_t depth, Rng& rng);
   static double gini(const std::vector<std::size_t>& counts, std::size_t total);
 
-  std::unique_ptr<Node> root_;
+  std::vector<Node> nodes_;
+  std::vector<double> probs_;  // n_classes_ per leaf
   std::size_t n_classes_ = 0;
 };
 

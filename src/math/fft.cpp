@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -139,22 +140,31 @@ std::vector<SpectralComponent> dominant_components(std::span<const double> signa
   for (std::size_t i = 0; i < n; ++i) data[i] = Complex(signal[i] - m, 0.0);
   const auto spec = fft(std::move(data));
 
+  // Each bin's magnitude once, then only the top `count` bins ordered:
+  // descending magnitude, ties to the lower bin.
+  std::vector<double> magnitude(n / 2 + 1);
   std::vector<std::size_t> bins(n / 2);
-  for (std::size_t k = 1; k <= n / 2; ++k) bins[k - 1] = k;
-  std::sort(bins.begin(), bins.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(spec[a]) > std::abs(spec[b]);
-  });
+  for (std::size_t k = 1; k <= n / 2; ++k) {
+    magnitude[k] = std::abs(spec[k]);
+    bins[k - 1] = k;
+  }
+  const std::size_t top = std::min(count, bins.size());
+  std::partial_sort(bins.begin(), bins.begin() + static_cast<std::ptrdiff_t>(top),
+                    bins.end(), [&](std::size_t a, std::size_t b) {
+                      return magnitude[a] > magnitude[b] ||
+                             (magnitude[a] == magnitude[b] && a < b);
+                    });
 
   std::vector<SpectralComponent> out;
-  out.reserve(std::min(count, bins.size()));
-  for (std::size_t i = 0; i < bins.size() && out.size() < count; ++i) {
+  out.reserve(top);
+  for (std::size_t i = 0; i < top; ++i) {
     const std::size_t k = bins[i];
     SpectralComponent c;
     c.frequency = bin_frequency(k, n);
     // One-sided amplitude: 2|X_k|/n (the conjugate bin carries the rest);
     // the Nyquist bin (k == n/2 for even n) is not doubled.
     const bool nyquist = (n % 2 == 0) && (k == n / 2);
-    c.amplitude = (nyquist ? 1.0 : 2.0) * std::abs(spec[k]) / static_cast<double>(n);
+    c.amplitude = (nyquist ? 1.0 : 2.0) * magnitude[k] / static_cast<double>(n);
     c.phase = std::arg(spec[k]);
     out.push_back(c);
   }

@@ -36,7 +36,8 @@ struct SpectralComponent {
   double phase = 0.0;      // radians
 };
 
-/// The strongest `count` nonzero-frequency components (descending amplitude).
+/// The strongest `count` nonzero-frequency components, by descending bin
+/// magnitude; equal magnitudes keep the lower frequency first.
 std::vector<SpectralComponent> dominant_components(std::span<const double> signal,
                                                    std::size_t count);
 

@@ -14,13 +14,19 @@ double IsolationForest::c_factor(std::size_t n) {
   return 2.0 * harmonic - 2.0 * (nn - 1.0) / nn;
 }
 
-std::unique_ptr<IsolationForest::Node> IsolationForest::build_tree(
-    std::vector<std::size_t>& idx, const std::vector<std::vector<double>>& data,
-    std::size_t depth, std::size_t max_depth, Rng& rng) {
-  auto node = std::make_unique<Node>();
+void IsolationForest::add_leaf(std::size_t depth, std::size_t size) {
+  Node leaf;
+  leaf.value = static_cast<double>(depth) + c_factor(size);
+  nodes_.push_back(leaf);
+}
+
+void IsolationForest::build_tree(std::vector<std::size_t>& idx,
+                                 const std::vector<std::vector<double>>& data,
+                                 std::size_t depth, std::size_t max_depth,
+                                 Rng& rng) {
   if (idx.size() <= 1 || depth >= max_depth) {
-    node->size = idx.size();
-    return node;
+    add_leaf(depth, idx.size());
+    return;
   }
   const std::size_t dim = data[0].size();
   // Pick a feature with spread; give up after a few tries (constant data).
@@ -40,8 +46,8 @@ std::unique_ptr<IsolationForest::Node> IsolationForest::build_tree(
     }
   }
   if (feature < 0) {
-    node->size = idx.size();
-    return node;
+    add_leaf(depth, idx.size());
+    return;
   }
   const double threshold = rng.uniform(lo, hi);
   std::vector<std::size_t> left_idx, right_idx;
@@ -50,14 +56,19 @@ std::unique_ptr<IsolationForest::Node> IsolationForest::build_tree(
         .push_back(i);
   }
   if (left_idx.empty() || right_idx.empty()) {
-    node->size = idx.size();
-    return node;
+    add_leaf(depth, idx.size());
+    return;
   }
-  node->feature = feature;
-  node->threshold = threshold;
-  node->left = build_tree(left_idx, data, depth + 1, max_depth, rng);
-  node->right = build_tree(right_idx, data, depth + 1, max_depth, rng);
-  return node;
+  const std::size_t at = nodes_.size();
+  Node split;
+  split.feature = feature;
+  split.value = threshold;
+  nodes_.push_back(split);
+  // Left subtree first, then right: the same draw order as a recursive
+  // pointer tree, so a seeded forest is unchanged by the flat layout.
+  build_tree(left_idx, data, depth + 1, max_depth, rng);
+  nodes_[at].right = static_cast<std::uint32_t>(nodes_.size());
+  build_tree(right_idx, data, depth + 1, max_depth, rng);
 }
 
 IsolationForest IsolationForest::fit(const std::vector<std::vector<double>>& data,
@@ -83,29 +94,26 @@ IsolationForest IsolationForest::fit(const std::vector<std::vector<double>>& dat
     std::vector<std::size_t> idx = all;
     tree_rng.shuffle(idx);
     idx.resize(sample);
-    forest.trees_.push_back(build_tree(idx, data, 0, max_depth, tree_rng));
+    forest.roots_.push_back(static_cast<std::uint32_t>(forest.nodes_.size()));
+    forest.build_tree(idx, data, 0, max_depth, tree_rng);
   }
   return forest;
 }
 
-double IsolationForest::path_length(const Node& node,
-                                    std::span<const double> sample,
-                                    std::size_t depth) {
-  if (node.feature < 0) {
-    return static_cast<double>(depth) + c_factor(node.size);
-  }
-  const auto f = static_cast<std::size_t>(node.feature);
-  const Node& next = sample[f] < node.threshold ? *node.left : *node.right;
-  return path_length(next, sample, depth + 1);
-}
-
 double IsolationForest::score(std::span<const double> sample) const {
-  ODA_REQUIRE(!trees_.empty(), "score on unfitted isolation forest");
+  ODA_REQUIRE(!roots_.empty(), "score on unfitted isolation forest");
   double total = 0.0;
-  for (const auto& tree : trees_) {
-    total += path_length(*tree, sample, 0);
+  for (const std::uint32_t root : roots_) {
+    std::uint32_t i = root;
+    while (nodes_[i].feature >= 0) {
+      const Node& node = nodes_[i];
+      i = sample[static_cast<std::size_t>(node.feature)] < node.value
+              ? i + 1
+              : node.right;
+    }
+    total += nodes_[i].value;
   }
-  const double avg = total / static_cast<double>(trees_.size());
+  const double avg = total / static_cast<double>(roots_.size());
   if (expected_path_ <= 0.0) return 0.5;
   return std::pow(2.0, -avg / expected_path_);
 }

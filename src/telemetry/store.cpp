@@ -160,6 +160,9 @@ TimeSeriesStore::Series& TimeSeriesStore::series_locked(Shard& shard,
         capacity_ * sizeof(Sample) +
         SeriesInterner::global().path(id).size() + 64));
     shard_series_[id.value % kShards]->add(1.0);
+    // release: a match() that reads this count also sees the new series
+    // in its paths() pass (see match()).
+    series_count_.fetch_add(1, std::memory_order_release);
   }
   return *it->second;
 }
@@ -261,11 +264,25 @@ std::vector<std::string> TimeSeriesStore::paths() const {
 }
 
 std::vector<std::string> TimeSeriesStore::match(const std::string& pattern) const {
+  // acquire: pairs with series_locked's release increment, so every series
+  // this count includes is visible to the paths() pass below. A memo
+  // stamped with the current count therefore lists every stored match
+  // (series are never removed); one stamped older is recomputed.
+  const std::uint64_t series = series_count_.load(std::memory_order_acquire);
+  {
+    MutexLock lock(match_mu_);
+    const auto it = match_memo_.find(pattern);
+    if (it != match_memo_.end() && it->second.series == series) {
+      return it->second.paths;
+    }
+  }
   std::vector<std::string> out = paths();
   out.erase(std::remove_if(
                 out.begin(), out.end(),
                 [&](const std::string& p) { return !glob_match(pattern, p); }),
             out.end());
+  MutexLock lock(match_mu_);
+  match_memo_[pattern] = MatchMemo{series, out};
   return out;
 }
 
@@ -372,62 +389,84 @@ SeriesSlice TimeSeriesStore::query_aggregated(const std::string& path,
   return query_aggregated(id.value_or(SeriesId{}), from, to, bucket, agg);
 }
 
-void TimeSeriesStore::fill_column(Frame& f, std::size_t col, SeriesId id,
-                                  TimePoint from, TimePoint to, Duration bucket,
-                                  Aggregation agg) const {
-  // Per-column span: under a parallel frame() these run on pool workers and
-  // carry the submitter's trace context, so the critical-path analyzer sees
-  // the fan-out width (frame_parallelism) directly from the trace.
+void TimeSeriesStore::fill_columns(Frame& f, std::size_t lo, std::size_t hi,
+                                   std::span<const SeriesId> ids,
+                                   TimePoint from, TimePoint to,
+                                   Duration bucket, Aggregation agg) const {
+  // One span per claimed chunk: under a parallel frame() these run on pool
+  // workers and carry the submitter's trace context, so the critical-path
+  // analyzer still sees the fan-out width (frame_parallelism) from the
+  // trace, at a span cost per chunk rather than per column.
   ODA_TRACE_SPAN_CAT("store.fill_column", "store");
-  StoreMetrics::get().queries.inc();
-  // Unknown sensors (no interner entry, or interned but never inserted
-  // here) leave the column all-NaN — never an aliased series' data.
-  read_range(id, from, to,
-             [&](std::span<const Sample> ra, std::span<const Sample> rb) {
-               // The dense kernel writes aggregates straight into this
-               // column's contiguous stripe — no intermediate SeriesSlice,
-               // no scatter pass.
-               bucket_aggregate_dense(ra, rb, from, bucket, agg, f.rows(),
-                                      f.column_values(col).data());
-             });
+  StoreMetrics::get().queries.inc(hi - lo);
+  for (std::size_t col = lo; col < hi; ++col) {
+    // Unknown sensors (no interner entry, or interned but never inserted
+    // here) leave the column all-NaN — never an aliased series' data.
+    read_range(ids[col], from, to,
+               [&](std::span<const Sample> ra, std::span<const Sample> rb) {
+                 // The dense kernel writes aggregates straight into this
+                 // column's contiguous stripe — no intermediate
+                 // SeriesSlice, no scatter pass.
+                 bucket_aggregate_dense(ra, rb, from, bucket, agg, f.rows(),
+                                        f.column_values(col).data());
+               });
+  }
 }
 
-Frame TimeSeriesStore::frame(const std::vector<std::string>& sensor_paths,
-                             TimePoint from, TimePoint to, Duration bucket,
-                             Aggregation agg) const {
-  ODA_TRACE_SPAN_CAT("store.frame", "store");
+Frame TimeSeriesStore::frame_of(std::vector<std::string> columns,
+                                std::span<const SeriesId> ids, TimePoint from,
+                                TimePoint to, Duration bucket,
+                                Aggregation agg) const {
   ODA_REQUIRE(bucket > 0, "frame bucket must be positive");
   Frame f;
-  f.columns = sensor_paths;
+  f.columns = std::move(columns);
   const std::size_t n_buckets = static_cast<std::size_t>(
       std::max<TimePoint>(0, (to - from + bucket - 1) / bucket));
   f.times.resize(n_buckets);
   for (std::size_t bkt = 0; bkt < n_buckets; ++bkt) {
     f.times[bkt] = from + static_cast<Duration>(bkt) * bucket;
   }
-  f.allocate(n_buckets, sensor_paths.size());
+  f.allocate(n_buckets, ids.size());
 
+  // Columns are independent and each writes only its own cache-line-aligned
+  // stripe, so fan them out when a pool is wired in. parallel_for_chunks
+  // claims chunks of columns via a shared atomic cursor (grain auto-tuned),
+  // so a wide frame costs thread_count task submissions, not one per column.
+  if (pool_ != nullptr && ids.size() >= kParallelFrameColumns) {
+    pool_->parallel_for_chunks(0, ids.size(), [&](std::size_t lo, std::size_t hi) {
+      fill_columns(f, lo, hi, ids, from, to, bucket, agg);
+    });
+  } else {
+    fill_columns(f, 0, ids.size(), ids, from, to, bucket, agg);
+  }
+  return f;
+}
+
+Frame TimeSeriesStore::frame(std::span<const SeriesId> ids, TimePoint from,
+                             TimePoint to, Duration bucket,
+                             Aggregation agg) const {
+  ODA_TRACE_SPAN_CAT("store.frame", "store");
+  SeriesInterner& interner = SeriesInterner::global();
+  std::vector<std::string> columns;
+  columns.reserve(ids.size());
+  for (const SeriesId id : ids) {
+    columns.push_back(id.valid() ? interner.path(id) : std::string());
+  }
+  return frame_of(std::move(columns), ids, from, to, bucket, agg);
+}
+
+Frame TimeSeriesStore::frame(const std::vector<std::string>& sensor_paths,
+                             TimePoint from, TimePoint to, Duration bucket,
+                             Aggregation agg) const {
+  ODA_TRACE_SPAN_CAT("store.frame", "store");
   SeriesInterner& interner = SeriesInterner::global();
   std::vector<SeriesId> ids(sensor_paths.size());
   for (std::size_t c = 0; c < sensor_paths.size(); ++c) {
-    // Unknown paths map to the (explicitly invalid) default SeriesId;
-    // fill_column leaves those columns all-NaN.
+    // Unknown paths map to the (explicitly invalid) default SeriesId, whose
+    // column stays all-NaN.
     ids[c] = interner.lookup(sensor_paths[c]).value_or(SeriesId{});
   }
-  // Columns are independent and each writes only its own cache-line-aligned
-  // stripe, so fan them out when a pool is wired in. parallel_for claims
-  // chunks of columns via a shared atomic cursor (grain auto-tuned), so a
-  // wide frame costs thread_count task submissions, not one per column.
-  if (pool_ != nullptr && sensor_paths.size() >= kParallelFrameColumns) {
-    pool_->parallel_for(0, sensor_paths.size(), [&](std::size_t c) {
-      fill_column(f, c, ids[c], from, to, bucket, agg);
-    });
-  } else {
-    for (std::size_t c = 0; c < sensor_paths.size(); ++c) {
-      fill_column(f, c, ids[c], from, to, bucket, agg);
-    }
-  }
-  return f;
+  return frame_of(sensor_paths, ids, from, to, bucket, agg);
 }
 
 }  // namespace oda::telemetry

@@ -168,6 +168,11 @@ class TimeSeriesStore {
   bool contains(SeriesId id) const;
   /// All stored paths, sorted (the original std::map iteration order).
   std::vector<std::string> paths() const;
+  /// The stored paths that glob_match `pattern`, sorted. Memoised per
+  /// pattern and stamped with the store's series count, so a call scans
+  /// the catalog only when a series was created since the pattern's last
+  /// scan; otherwise it copies the memo. The memo keeps one entry per
+  /// distinct pattern, which suits the fixed patterns callers use.
   std::vector<std::string> match(const std::string& pattern) const;
   std::size_t sample_count(const std::string& path) const;
   std::size_t sample_count(SeriesId id) const;
@@ -195,7 +200,14 @@ class TimeSeriesStore {
 
   /// Aligned frame over several sensors with a shared bucket grid. Columns
   /// are independent and are computed on the pool set via set_pool(), when
-  /// there is one.
+  /// there is one, in claimed chunks of columns (one store.fill_column span
+  /// per chunk). Column names are the ids' interned paths; an invalid id
+  /// gives an empty name and an all-NaN column. Callers that read the same
+  /// sensors every run resolve their ids once and use this overload.
+  Frame frame(std::span<const SeriesId> ids, TimePoint from, TimePoint to,
+              Duration bucket, Aggregation agg = Aggregation::kMean) const;
+  /// String form: looks each path up once (unknown paths give all-NaN
+  /// columns) and keeps the caller's names as the column names.
   Frame frame(const std::vector<std::string>& sensor_paths, TimePoint from,
               TimePoint to, Duration bucket,
               Aggregation agg = Aggregation::kMean) const;
@@ -225,12 +237,30 @@ class TimeSeriesStore {
   /// unknown here, or when no sample falls in the range.
   template <typename Fn>
   void read_range(SeriesId id, TimePoint from, TimePoint to, Fn&& fn) const;
-  void fill_column(Frame& f, std::size_t col, SeriesId id, TimePoint from,
-                   TimePoint to, Duration bucket, Aggregation agg) const;
+  /// Fills columns [lo, hi) of `f` from ids[lo, hi) under one span.
+  void fill_columns(Frame& f, std::size_t lo, std::size_t hi,
+                    std::span<const SeriesId> ids, TimePoint from,
+                    TimePoint to, Duration bucket, Aggregation agg) const;
+  Frame frame_of(std::vector<std::string> columns,
+                 std::span<const SeriesId> ids, TimePoint from, TimePoint to,
+                 Duration bucket, Aggregation agg) const;
+
+  /// One match() result and the series count it was resolved at.
+  struct MatchMemo {
+    std::uint64_t series = 0;
+    std::vector<std::string> paths;
+  };
 
   std::size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;  // kShards entries
   std::atomic<std::uint64_t> total_inserted_{0};
+  /// Series created so far; bumped only where series_locked creates one.
+  std::atomic<std::uint64_t> series_count_{0};
+  /// Leaf lock: held only to read or replace a memo entry, never across
+  /// paths() (which takes the shard locks).
+  mutable Mutex match_mu_{LockRankId::kStoreCatalog};
+  mutable std::unordered_map<std::string, MatchMemo> match_memo_
+      ODA_GUARDED_BY(match_mu_);
   ThreadPool* pool_ = nullptr;
   Wal* wal_ = nullptr;
   // Per-shard instruments, owned by the global registry and shared across

@@ -3,6 +3,7 @@
 // fingerprinting, contention diagnosis, and software diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analytics/diagnostic/anomaly.hpp"
@@ -11,6 +12,7 @@
 #include "analytics/diagnostic/rootcause.hpp"
 #include "analytics/diagnostic/software.hpp"
 #include "analytics/diagnostic/stress_test.hpp"
+#include "math/fft.hpp"
 #include "sim/cluster.hpp"
 #include "telemetry/collector.hpp"
 
@@ -162,6 +164,38 @@ TEST_F(MonitorFixture, DetectsFanFailureLowFalsePositives) {
     EXPECT_LT(verdicts[i].score, verdicts[2].score);
     EXPECT_LT(verdicts[i].score, verdicts[5].score);
   }
+}
+
+TEST_F(MonitorFixture, ScanScoresPinnedBitForBit) {
+  run_until(3 * kHour);
+  Rng rng(13);
+  NodeAnomalyMonitor monitor({}, prefixes_);
+  monitor.train(*store_, kHour, 3 * kHour, rng);
+  cluster_->faults().schedule({sim::FaultKind::kFanFailure, prefixes_[6],
+                               cluster_->now(), cluster_->now() + kHour, 1.0});
+  run_until(cluster_->now() + 20 * kMinute);
+  // Member scores of the monitor that rebuilt its paths on every scan and
+  // scored a pointer-tree forest, printed with %a: resolving the inputs
+  // once and scoring the flat forest must reproduce them exactly.
+  const std::vector<std::pair<double, double>> want = {
+      {0x1.df3cf992f71d3p-2, 0x1.25a8a46e7cdabp-2},
+      {0x1.bf2d73d806936p-2, 0x1.5922111f80753p-7},
+      {0x1.d8b48f56f810bp-2, 0x1.c22e6b88c2d23p-2},
+      {0x1.d58900825f544p-2, 0x1.253cf601fc1dfp-3},
+      {0x1.89ed8ddafd4cfp-1, 0x1.635d3785c77e9p-1},
+      {0x1.42d610ab40a12p-1, 0x1.bdc62dc22d5c9p-2},
+      {0x1.9f3bb688e916ep-1, 0x1.e1a3f773f919p+6},
+      {0x1.5f68eefea9d73p-1, 0x1.06934952dd6a3p-3},
+  };
+  const auto verdicts = monitor.scan(*store_, cluster_->now());
+  ASSERT_EQ(verdicts.size(), want.size());
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i].subject, prefixes_[i]);
+    EXPECT_EQ(verdicts[i].forest_score, want[i].first) << prefixes_[i];
+    EXPECT_EQ(verdicts[i].pca_score, want[i].second) << prefixes_[i];
+    EXPECT_EQ(verdicts[i].score, std::max(want[i].first, want[i].second));
+  }
+  EXPECT_TRUE(verdicts[6].anomalous);  // the fan failure
 }
 
 TEST(PcaAnomalyDetector, FlagsOffSubspaceSamples) {
@@ -374,6 +408,23 @@ TEST(OsNoise, FindsInjectedPeriod) {
       << "dominant period " << report.dominant_period_s
       << " is not a harmonic of 0.1 s";
   EXPECT_LE(report.dominant_period_s, 0.11);
+}
+
+TEST(OsNoise, DominantComponentsPinnedBitForBit) {
+  const auto trace = synthesize_fwq(2048, 1e-3, 0.1, 2e-4, 1e-3, 0xF00DULL);
+  // The full-sort pick's components, printed with %a: the top-k pick
+  // must reproduce them exactly.
+  const auto comps = math::dominant_components(trace, 3);
+  ASSERT_EQ(comps.size(), 3u);
+  EXPECT_EQ(comps[0].frequency, 0x1p-1);
+  EXPECT_EQ(comps[0].amplitude, 0x1.0b6d162a51f42p-19);
+  EXPECT_EQ(comps[0].phase, 0x0p+0);
+  EXPECT_EQ(comps[1].frequency, 0x1p-2);
+  EXPECT_EQ(comps[1].amplitude, 0x1.096fd77c7d3ecp-18);
+  EXPECT_EQ(comps[1].phase, 0x1.169a9b394fe07p-7);
+  EXPECT_EQ(comps[2].frequency, 0x1.48p-5);
+  EXPECT_EQ(comps[2].amplitude, 0x1.0577cb8491b1ep-18);
+  EXPECT_EQ(comps[2].phase, 0x1.43592850a6b6bp+1);
 }
 
 TEST(OsNoise, QuietTraceIsClean) {

@@ -383,6 +383,31 @@ TEST(IsolationForest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(f1.score(q), f2.score(q));
 }
 
+TEST(IsolationForest, ScoresPinnedBitForBit) {
+  // Duplicated rows make leaves that stop on constant data above max depth,
+  // so every leaf shape contributes to the pinned scores.
+  Rng gen(83);
+  std::vector<std::vector<double>> data;
+  for (int i = 0; i < 300; ++i) {
+    data.push_back({gen.normal(), gen.normal(0.0, 3.0), gen.uniform(-1.0, 1.0)});
+  }
+  for (int i = 0; i < 40; ++i) data.push_back(data[static_cast<std::size_t>(i % 4)]);
+  Rng rng(89);
+  IsolationForest::Params params;
+  params.n_trees = 60;
+  const auto forest = IsolationForest::fit(data, params, rng);
+  // Scores of the pointer-tree forest, printed with %a: the flat forest
+  // must reproduce them exactly.
+  EXPECT_EQ(forest.score(std::vector<double>{0.0, 0.0, 0.0}),
+            0x1.a91885604cfcbp-2);
+  EXPECT_EQ(forest.score(std::vector<double>{4.0, -9.0, 0.9}),
+            0x1.6cd1a0ae405a1p-1);
+  EXPECT_EQ(forest.score(data[0]), 0x1.c0e22188672d1p-2);
+  EXPECT_EQ(forest.score(data[123]), 0x1.10796aa9334b5p-1);
+  EXPECT_EQ(forest.score(std::vector<double>{-0.3, 1.2, -0.7}),
+            0x1.cf781ce37c7dcp-2);
+}
+
 // ---------------------------------------------------------- decision tree
 
 TEST(DecisionTree, LearnsAxisAlignedSplit) {

@@ -9,6 +9,7 @@
 // suite exists for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/blocking_queue.hpp"
+#include "common/string_util.hpp"
 #include "common/thread_pool.hpp"
 #include "common/thread_watch.hpp"
 #include "common/trace_context.hpp"
@@ -708,6 +710,59 @@ TEST(RaceStress, ProfilerSamplesConcurrentPipelineTraffic) {
 // Every layer the scrape path crosses (registry snapshot, store shards,
 // interner, reactor post queue, connection table) is exercised against
 // writers — the interleavings TSan exists to catch.
+TEST(RaceStress, MatchRacesNewSeriesInserts) {
+  // Writers create series while readers call match(): the memo's count
+  // stamp and paths() pass must never hand out a result that misses a
+  // series the caller could already see, nor one out of order.
+  telemetry::TimeSeriesStore store(64);
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kSeriesPerWriter = 150;
+  std::atomic<int> readers_started{0};
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      // Start writing only once every reader is in its loop, so the two
+      // sides overlap however the threads are scheduled.
+      while (readers_started.load() < kReaders) std::this_thread::yield();
+      for (int i = 0; i < kSeriesPerWriter; ++i) {
+        const std::string base =
+            "race-match/w" + std::to_string(w) + "/s" + std::to_string(i);
+        store.insert(base + "/temp", {i, 1.0});
+        store.insert(base + "/power", {i, 2.0});
+        store.insert(base + "/temp", {i + 1, 1.5});  // an existing series
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      const std::string pattern =
+          r == 0 ? "race-match/*/temp" : "race-match/w1/*";
+      std::size_t last = 0;
+      readers_started.fetch_add(1);
+      do {
+        const auto got = store.match(pattern);
+        EXPECT_GE(got.size(), last);
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+        for (const auto& p : got) EXPECT_TRUE(glob_match(pattern, p)) << p;
+        last = got.size();
+      } while (writers_done.load() < kWriters);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const std::string pattern : {"race-match/*/temp", "race-match/w1/*"}) {
+    std::vector<std::string> fresh;
+    for (const auto& p : store.paths()) {
+      if (glob_match(pattern, p)) fresh.push_back(p);
+    }
+    EXPECT_EQ(store.match(pattern), fresh);
+  }
+  EXPECT_EQ(store.match("race-match/*/temp").size(),
+            static_cast<std::size_t>(kWriters * kSeriesPerWriter));
+}
+
 TEST(RaceStress, HttpScrapesRaceThePipeline) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::Counter& spin_counter =

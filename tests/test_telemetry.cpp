@@ -6,12 +6,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/string_util.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "telemetry/alerts.hpp"
@@ -251,6 +253,71 @@ TEST(Store, MatchGlob) {
   store.insert("rack00/node01/power", {0, 1.0});
   store.insert("facility/pue", {0, 1.0});
   EXPECT_EQ(store.match("rack*/node*/power").size(), 2u);
+}
+
+TEST(Store, MatchFollowsTheCatalog) {
+  TimeSeriesStore store;
+  const auto fresh = [&](const std::string& pattern) {
+    std::vector<std::string> out;
+    for (const auto& p : store.paths()) {
+      if (glob_match(pattern, p)) out.push_back(p);
+    }
+    return out;
+  };
+  const std::string pattern = "match-memo/rack*/temp";
+  store.insert("match-memo/rack1/temp", {0, 1.0});
+  store.insert("match-memo/rack0/temp", {0, 1.0});
+  store.insert("match-memo/rack0/power", {0, 1.0});
+  EXPECT_EQ(store.match(pattern),
+            (std::vector<std::string>{"match-memo/rack0/temp",
+                                      "match-memo/rack1/temp"}));
+  // A new matching series shows up in the next call; a new sample in a
+  // known series or a new non-matching series changes nothing.
+  store.insert("match-memo/rack2/temp", {0, 1.0});
+  EXPECT_EQ(store.match(pattern).size(), 3u);
+  EXPECT_EQ(store.match(pattern), fresh(pattern));
+  store.insert("match-memo/rack2/temp", {10, 2.0});
+  store.insert("match-memo/rack2/power", {0, 1.0});
+  EXPECT_EQ(store.match(pattern), fresh(pattern));
+  EXPECT_EQ(store.match("match-memo/*"), fresh("match-memo/*"));
+  store.insert("match-memo/rack3/temp", {0, 1.0});
+  EXPECT_EQ(store.match(pattern), fresh(pattern));
+  EXPECT_EQ(store.match(pattern).size(), 4u);
+  // Another store has its own catalog.
+  TimeSeriesStore other;
+  EXPECT_TRUE(other.match(pattern).empty());
+}
+
+TEST(Store, IdFrameMatchesStringFrame) {
+  TimeSeriesStore store;
+  for (TimePoint t = 0; t < 40; t += 5) {
+    store.insert("id-frame/a", {t, static_cast<double>(t)});
+    store.insert("id-frame/b", {t, 2.0 * static_cast<double>(t)});
+  }
+  const std::vector<std::string> paths = {"id-frame/b", "id-frame/none",
+                                          "id-frame/a"};
+  const std::vector<SeriesId> ids = {
+      SeriesInterner::global().intern("id-frame/b"), SeriesId{},
+      SeriesInterner::global().intern("id-frame/a")};
+  const Frame by_path = store.frame(paths, 0, 40, 10);
+  const Frame by_id = store.frame(std::span<const SeriesId>(ids), 0, 40, 10);
+  ASSERT_EQ(by_id.rows(), by_path.rows());
+  ASSERT_EQ(by_id.cols(), 3u);
+  EXPECT_EQ(by_id.columns,
+            (std::vector<std::string>{"id-frame/b", "", "id-frame/a"}));
+  EXPECT_EQ(by_path.columns, paths);
+  EXPECT_EQ(by_id.times, by_path.times);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t r = 0; r < by_id.rows(); ++r) {
+      if (c == 1) {
+        EXPECT_TRUE(std::isnan(by_id.at(r, c)));
+        EXPECT_TRUE(std::isnan(by_path.at(r, c)));
+      } else {
+        EXPECT_EQ(by_id.at(r, c), by_path.at(r, c));
+      }
+    }
+  }
+  EXPECT_EQ(by_id.at(1, 0), 25.0);  // mean of b at t = 10, 15
 }
 
 // -------------------------------------------------------------- collector
