@@ -33,7 +33,7 @@ void BM_BusPublish(benchmark::State& state) {
   }
   std::int64_t t = 0;
   for (auto _ : state) {
-    bus.publish("rack00/node01/power", ++t, 150.0);
+    bus.publish(telemetry::Reading{"rack00/node01/power", {++t, 150.0}});
   }
   state.SetItemsProcessed(state.iterations());
   benchmark::DoNotOptimize(delivered);

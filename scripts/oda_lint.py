@@ -23,6 +23,10 @@ lint error):
                   (src/common/log.* is exempt: it is the logging sink)
   no-cpp-include  no `#include` of a `.cpp` file anywhere in src/, tests/,
                   bench/, or examples/
+  shared-helper   no free function in src/ shares its name with a helper
+                  declared in one of SHARED_HELPER_HEADERS, outside that
+                  header's own .cpp — call the shared helper instead of
+                  keeping a second copy
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -50,6 +54,15 @@ RAW_MUTEX_RE = re.compile(
     r"|std::(?:lock_guard|unique_lock|shared_lock|scoped_lock)\b"
     r"|std::condition_variable(?:_any)?\b"
     r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>")
+# A namespace-scope function head: optional specifiers, a return type, the
+# name, then "(". Namespace members start in column 0 (namespaces are not
+# indented), which keeps class members out.
+FUNCTION_HEAD_RE = re.compile(
+    r"^(?:static\s+|inline\s+|constexpr\s+)*[\w:<>,]+(?:\s*[*&]+)?\s+[*&]?"
+    r"(?P<name>\w+)\s*\(", re.M)
+
+# Headers whose free functions are the one copy of a shared helper.
+SHARED_HELPER_HEADERS = ("src/common/string_util.hpp", "src/obs/exposition.hpp")
 
 
 class Finding:
@@ -165,8 +178,43 @@ def is_allowed(allow, lineno: int, rule: str, findings: list, path: str) -> bool
     return True
 
 
-def lint_file(root: str, rel: str, compiler: str | None,
-              include_dir: str) -> list[Finding]:
+def function_definitions(stripped: str):
+    """Yield (line, name) for each namespace-scope function definition in
+    comment- and string-stripped source (a head followed by a body, not a
+    declaration ending in ';')."""
+    for m in FUNCTION_HEAD_RE.finditer(stripped):
+        depth, i = 0, m.end() - 1
+        while i < len(stripped):
+            if stripped[i] == "(":
+                depth += 1
+            elif stripped[i] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            i += 1
+        while i < len(stripped) and stripped[i] not in "{;":
+            i += 1
+        if i < len(stripped) and stripped[i] == "{":
+            yield stripped.count("\n", 0, m.start()) + 1, m.group("name")
+
+
+def shared_helpers(root: str) -> dict[str, str]:
+    """Map helper name -> its header, for every function the shared helper
+    headers declare."""
+    helpers: dict[str, str] = {}
+    for header in SHARED_HELPER_HEADERS:
+        path = os.path.join(root, header)
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8", errors="replace") as f:
+            stripped = strip_comments_and_strings(f.read())
+        for m in FUNCTION_HEAD_RE.finditer(stripped):
+            helpers.setdefault(m.group("name"), header)
+    return helpers
+
+
+def lint_file(root: str, rel: str, compiler: str | None, include_dir: str,
+              helpers: dict[str, str]) -> list[Finding]:
     path = os.path.join(root, rel)
     findings: list[Finding] = []
     with open(path, encoding="utf-8", errors="replace") as f:
@@ -218,6 +266,16 @@ def lint_file(root: str, rel: str, compiler: str | None,
                 findings.append(Finding(rel, lineno, "atomic-order",
                                         f".{m.group(1)}() without an explicit "
                                         "std::memory_order argument"))
+
+    if in_src:
+        for lineno, name in function_definitions("\n".join(stripped_lines)):
+            header = helpers.get(name)
+            if header is None or rel == header[:-len(".hpp")] + ".cpp":
+                continue
+            if not is_allowed(allow, lineno, "shared-helper", findings, rel):
+                findings.append(Finding(rel, lineno, "shared-helper",
+                                        f"second copy of {name}(); call the "
+                                        f"one declared in {header}"))
 
     if in_src and is_header and compiler:
         findings.extend(check_self_contained(root, rel, compiler, include_dir))
@@ -280,16 +338,17 @@ def main() -> int:
         print("oda_lint: no sources found under", root, file=sys.stderr)
         return 2
 
+    helpers = shared_helpers(root)
     findings: list[Finding] = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [pool.submit(lint_file, root, rel, args.compiler,
-                               args.include_dir) for rel in files]
+                               args.include_dir, helpers) for rel in files]
         for fut in futures:
             findings.extend(fut.result())
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
-    checked_rules = 6 + (1 if args.compiler else 0)
+    checked_rules = 7 + (1 if args.compiler else 0)
     print(f"oda_lint: {len(files)} files, {checked_rules} rules, "
           f"{len(findings)} finding(s)")
     return 1 if findings else 0

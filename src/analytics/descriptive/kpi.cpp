@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -16,16 +17,20 @@ namespace oda::analytics {
 
 namespace {
 
-/// Integrates a power sensor (W) over [from, to) by trapezoid-free step
-/// integration (samples are step-held), returning kWh.
+/// Integrates a sensor over [from, to) by trapezoid-free step integration
+/// (samples are step-held), returning kWh. `watts` maps each sample value
+/// to the power it stands for; by default the sensor reads watts itself.
+template <typename ToWatts = std::identity>
 double integrate_kwh(const telemetry::TimeSeriesStore& store,
-                     const std::string& path, TimePoint from, TimePoint to) {
+                     const std::string& path, TimePoint from, TimePoint to,
+                     ToWatts watts = {}) {
   const auto slice = store.query(path, from, to);
   if (slice.empty()) return 0.0;
   double joules = 0.0;
   for (std::size_t i = 0; i < slice.size(); ++i) {
     const TimePoint t_next = i + 1 < slice.size() ? slice.times[i + 1] : to;
-    joules += slice.values[i] * static_cast<double>(t_next - slice.times[i]);
+    joules += watts(slice.values[i]) *
+              static_cast<double>(t_next - slice.times[i]);
   }
   return joules / units::kJoulesPerKilowattHour;
 }
@@ -65,16 +70,12 @@ ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
   report.it_energy_kwh = integrate_kwh(store, "cluster/it_power", from, to);
 
   // Fan energy: cubic law applied to each node's fan_speed series.
+  const auto fan_watts = [fan_max_power_w](double s) {
+    return fan_max_power_w * s * s * s;
+  };
   double fan_kwh = 0.0;
   for (const auto& path : store.match("rack*/node*/fan_speed")) {
-    const auto slice = store.query(path, from, to);
-    double joules = 0.0;
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-      const TimePoint t_next = i + 1 < slice.size() ? slice.times[i + 1] : to;
-      const double s = slice.values[i];
-      joules += fan_max_power_w * s * s * s * static_cast<double>(t_next - slice.times[i]);
-    }
-    fan_kwh += joules / units::kJoulesPerKilowattHour;
+    fan_kwh += integrate_kwh(store, path, from, to, fan_watts);
   }
   report.fan_energy_kwh = fan_kwh;
 
@@ -83,8 +84,13 @@ ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
   const double useful = report.it_energy_kwh - overhead_kwh;
   report.itue = useful > 0.0 ? report.it_energy_kwh / useful : 1.0;
 
-  const PueReport pue = compute_pue(store, from, to);
-  report.tue = report.itue * (pue.pue > 0.0 ? pue.pue : 1.0);
+  // PUE over the same interval, as compute_pue() defines it.
+  const double facility_kwh =
+      integrate_kwh(store, "facility/total_power", from, to);
+  const double pue = report.it_energy_kwh > 0.0
+                         ? facility_kwh / report.it_energy_kwh
+                         : 0.0;
+  report.tue = report.itue * (pue > 0.0 ? pue : 1.0);
   return report;
 }
 

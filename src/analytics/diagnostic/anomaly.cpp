@@ -92,22 +92,33 @@ void StuckSensorDetector::observe(double value) {
 
 // ----------------------------------------------------------- window features
 
+namespace {
+
+/// Appends one column's feature triple (mean, stddev, Theil-Sen slope) over
+/// its non-NaN cells to `out`; zeros when every cell is NaN.
+void append_column_features(std::span<const double> column,
+                            std::vector<double>& out) {
+  std::vector<double> values;
+  values.reserve(column.size());
+  for (double v : column) {
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  if (values.empty()) {
+    out.insert(out.end(), {0.0, 0.0, 0.0});
+    return;
+  }
+  out.push_back(mean(values));
+  out.push_back(stddev(values));
+  out.push_back(math::fit_theil_sen(values).slope);
+}
+
+}  // namespace
+
 std::vector<double> window_features(const telemetry::Frame& frame) {
   std::vector<double> features;
   features.reserve(frame.cols() * 3);
   for (std::size_t c = 0; c < frame.cols(); ++c) {
-    std::vector<double> col;
-    col.reserve(frame.rows());
-    for (double v : frame.column_values(c)) {
-      if (!std::isnan(v)) col.push_back(v);
-    }
-    if (col.empty()) {
-      features.insert(features.end(), {0.0, 0.0, 0.0});
-      continue;
-    }
-    features.push_back(mean(col));
-    features.push_back(stddev(col));
-    features.push_back(math::fit_theil_sen(col).slope);
+    append_column_features(frame.column_values(c), features);
   }
   return features;
 }
@@ -149,18 +160,7 @@ std::vector<std::vector<double>> NodeAnomalyMonitor::batch_features(
   for (std::size_t s_idx = 0; s_idx < params_.per_node_sensors.size(); ++s_idx) {
     const auto frame = store.frame(sensor_ids(s_idx), from, to, params_.bucket);
     for (std::size_t c = 0; c < n_nodes; ++c) {
-      std::vector<double> series;
-      series.reserve(frame.rows());
-      for (double v : frame.column_values(c)) {
-        if (!std::isnan(v)) series.push_back(v);
-      }
-      if (series.empty()) {
-        features[c].insert(features[c].end(), {0.0, 0.0, 0.0});
-        continue;
-      }
-      features[c].push_back(mean(series));
-      features[c].push_back(stddev(series));
-      features[c].push_back(math::fit_theil_sen(series).slope);
+      append_column_features(frame.column_values(c), features[c]);
     }
   }
 
@@ -325,44 +325,6 @@ std::vector<AnomalyVerdict> NodeAnomalyMonitor::scan(
     out.push_back(std::move(v));
   }
   return out;
-}
-
-// -------------------------------------------------------- PcaAnomalyDetector
-
-void PcaAnomalyDetector::train(const std::vector<std::vector<double>>& healthy,
-                               double variance_target) {
-  ODA_REQUIRE(healthy.size() >= 8, "not enough healthy samples for PCA");
-  ODA_REQUIRE(variance_target > 0.0 && variance_target <= 1.0,
-              "variance target in (0,1]");
-  const auto data = math::Matrix::from_rows(healthy);
-  // Fit full PCA, then keep the leading components reaching the target.
-  const auto full = math::Pca::fit(data, 0, /*scale=*/true);
-  double total = 0.0;
-  for (double v : full.explained_variance()) total += v;
-  std::size_t keep = 1;
-  double cum = 0.0;
-  for (std::size_t i = 0; i < full.explained_variance().size(); ++i) {
-    cum += full.explained_variance()[i];
-    if (total > 0.0 && cum / total >= variance_target) {
-      keep = i + 1;
-      break;
-    }
-    keep = i + 1;
-  }
-  // Keep at least one dimension of residual so errors are informative.
-  keep = std::min(keep, healthy[0].size() > 1 ? healthy[0].size() - 1
-                                              : healthy[0].size());
-  pca_ = std::make_unique<math::Pca>(math::Pca::fit(data, keep, /*scale=*/true));
-
-  std::vector<double> errors;
-  errors.reserve(healthy.size());
-  for (const auto& s : healthy) errors.push_back(pca_->reconstruction_error(s));
-  error_p99_ = std::max(quantile(errors, 0.99), 1e-9);
-}
-
-double PcaAnomalyDetector::score(std::span<const double> features) const {
-  ODA_REQUIRE(trained(), "score before train");
-  return pca_->reconstruction_error(features) / error_p99_;
 }
 
 // ------------------------------------------------------------------- scoring

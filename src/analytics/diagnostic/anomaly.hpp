@@ -184,24 +184,6 @@ class NodeAnomalyMonitor {
   std::vector<double> feature_std_;
 };
 
-/// PCA reconstruction-error detector (autoencoder-lite, Borghesi-style [17]).
-class PcaAnomalyDetector {
- public:
-  /// Fits on healthy feature vectors keeping enough components for
-  /// `variance_target` of the variance.
-  void train(const std::vector<std::vector<double>>& healthy,
-             double variance_target = 0.95);
-  bool trained() const { return pca_ != nullptr; }
-
-  /// Reconstruction error normalized by the healthy p99 error
-  /// (>= 1 = anomalous).
-  double score(std::span<const double> features) const;
-
- private:
-  std::unique_ptr<math::Pca> pca_;
-  double error_p99_ = 1.0;
-};
-
 // ---------------------------------------------------------------------------
 // Evaluation against ground truth.
 // ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class CrisisFingerprinter {
  public:
   /// Registers a labeled incident signature.
   void add_incident(const std::string& label, std::vector<double> signature);
-  std::size_t incident_count() const { return labels_.size(); }
 
   struct Match {
     std::string label;

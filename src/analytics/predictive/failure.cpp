@@ -105,8 +105,4 @@ double WeibullLifetime::conditional_failure(double t_hours,
   return 1.0 - survival(t_hours + dt_hours) / s_now;
 }
 
-double WeibullLifetime::mean_lifetime() const {
-  return scale_ * std::tgamma(1.0 + 1.0 / shape_);
-}
-
 }  // namespace oda::analytics

@@ -44,7 +44,6 @@ class WeibullLifetime {
   double hazard(double t_hours) const;
   /// P(fail within the next dt | survived to t).
   double conditional_failure(double t_hours, double dt_hours) const;
-  double mean_lifetime() const;
 
  private:
   double shape_ = 1.0;

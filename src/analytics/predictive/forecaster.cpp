@@ -109,10 +109,6 @@ std::vector<double> ArForecaster::forecast(std::size_t horizon) const {
   return model_->forecast(tail_, horizon);
 }
 
-std::size_t ArForecaster::fitted_order() const {
-  return model_ ? model_->order() : 0;
-}
-
 LinearTrendForecaster::LinearTrendForecaster(std::size_t window)
     : window_(window) {}
 

@@ -97,7 +97,6 @@ class ArForecaster : public Forecaster {
   void fit(std::span<const double> history) override;
   std::vector<double> forecast(std::size_t horizon) const override;
   const char* name() const override { return "ar"; }
-  std::size_t fitted_order() const;
 
  private:
   std::size_t order_, max_order_;

@@ -22,10 +22,6 @@ void WorkloadForecaster::observe_arrival(TimePoint submit) {
   ++total_;
 }
 
-void WorkloadForecaster::observe_trace(std::span<const sim::JobSpec> jobs) {
-  for (const auto& j : jobs) observe_arrival(j.submit_time);
-}
-
 std::vector<double> WorkloadForecaster::arrival_series() const {
   return counts_;
 }

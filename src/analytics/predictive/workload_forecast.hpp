@@ -3,11 +3,9 @@
 // Holt–Winters on the residual, with queue-pressure projection.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/workload.hpp"
 
 namespace oda::analytics {
 
@@ -18,8 +16,6 @@ class WorkloadForecaster {
 
   /// Feeds a submitted job's submit time.
   void observe_arrival(TimePoint submit);
-  /// Feeds many (e.g. from a trace).
-  void observe_trace(std::span<const sim::JobSpec> jobs);
 
   /// Arrival counts per bucket so far (dense from the first arrival).
   std::vector<double> arrival_series() const;

@@ -60,7 +60,6 @@ class ControlLoop {
   /// Every actuation since construction, including those the audit log
   /// has dropped.
   std::size_t actuation_count() const { return actuations_; }
-  std::size_t controller_count() const { return controllers_.size(); }
 
  private:
   sim::ClusterSimulation& cluster_;

@@ -37,8 +37,6 @@ class CoolingSetpointOptimizer : public Controller {
            const telemetry::TimeSeriesStore& store,
            std::vector<Actuation>& log) override;
 
-  double current_step_c() const { return step_c_; }
-
  private:
   double measure_power(const telemetry::TimeSeriesStore& store,
                        TimePoint now) const;

@@ -32,9 +32,6 @@ void PowerCapGovernor::act(sim::ClusterSimulation& cluster,
                            const telemetry::TimeSeriesStore& store,
                            std::vector<Actuation>& log) {
   const TimePoint now = cluster.now();
-  const auto latest = store.latest("facility/total_power");
-  if (latest && latest->value > params_.cap_w) ++violations_;
-
   const double power = anticipated_power(store, now);
   if (power <= 0.0) return;
   const double trigger = params_.cap_w * params_.guard_band;

@@ -31,7 +31,6 @@ class PowerCapGovernor : public Controller {
            const telemetry::TimeSeriesStore& store,
            std::vector<Actuation>& log) override;
 
-  std::size_t cap_violations() const { return violations_; }
   const Params& params() const { return params_; }
 
  private:
@@ -39,7 +38,6 @@ class PowerCapGovernor : public Controller {
                            TimePoint now) const;
 
   Params params_;
-  std::size_t violations_ = 0;
 };
 
 }  // namespace oda::analytics

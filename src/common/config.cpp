@@ -64,11 +64,6 @@ std::string Config::get_string(const std::string& key) const {
   return *v;
 }
 
-std::string Config::get_string_or(const std::string& key,
-                                  std::string fallback) const {
-  return raw(key).value_or(std::move(fallback));
-}
-
 double Config::get_double(const std::string& key) const {
   const std::string v = get_string(key);
   char* end = nullptr;
@@ -77,10 +72,6 @@ double Config::get_double(const std::string& key) const {
     throw ConfigError("config key '" + key + "' is not a number: " + v);
   }
   return d;
-}
-
-double Config::get_double_or(const std::string& key, double fallback) const {
-  return contains(key) ? get_double(key) : fallback;
 }
 
 std::int64_t Config::get_int(const std::string& key) const {
@@ -103,10 +94,6 @@ bool Config::get_bool(const std::string& key) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw ConfigError("config key '" + key + "' is not a boolean: " + v);
-}
-
-bool Config::get_bool_or(const std::string& key, bool fallback) const {
-  return contains(key) ? get_bool(key) : fallback;
 }
 
 Config Config::scoped(const std::string& prefix) const {

@@ -27,16 +27,13 @@ class Config {
   bool contains(const std::string& key) const;
   std::vector<std::string> keys() const;
 
-  /// Typed getters: the _or variants return the fallback when missing; the
-  /// required variants throw ConfigError when missing or malformed.
+  /// Typed getters: get_int_or returns the fallback when the key is
+  /// missing; the others throw ConfigError when it is missing or malformed.
   std::string get_string(const std::string& key) const;
-  std::string get_string_or(const std::string& key, std::string fallback) const;
   double get_double(const std::string& key) const;
-  double get_double_or(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   bool get_bool(const std::string& key) const;
-  bool get_bool_or(const std::string& key, bool fallback) const;
 
   /// Returns a sub-config of keys under "prefix." with the prefix stripped.
   Config scoped(const std::string& prefix) const;

@@ -1,15 +1,13 @@
 // Error handling primitives.
 //
-// Library code reports recoverable failures through Result<T> (a lightweight
-// expected-like type; std::expected is C++23) and reserves exceptions for
-// programming errors surfaced via ODA_REQUIRE.
+// Contract violations (programming errors, surfaced via ODA_REQUIRE) throw
+// ContractError and malformed configuration throws ConfigError. Expected
+// absences are part of a function's return type instead (std::optional,
+// empty results, status flags), so callers never catch to branch.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <variant>
 
 namespace oda {
 
@@ -32,43 +30,5 @@ class ConfigError : public std::runtime_error {
                                  (msg) + " [" #cond "]");                  \
     }                                                                      \
   } while (false)
-
-/// Minimal expected-like result carrying either a value or an error message.
-template <typename T>
-class Result {
- public:
-  Result(T value) : data_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  static Result failure(std::string message) {
-    return Result(Error{std::move(message)});
-  }
-
-  bool ok() const { return std::holds_alternative<T>(data_); }
-  explicit operator bool() const { return ok(); }
-
-  const T& value() const& {
-    if (!ok()) throw ContractError("Result::value on failure: " + error());
-    return std::get<T>(data_);
-  }
-  T&& value() && {
-    if (!ok()) throw ContractError("Result::value on failure: " + error());
-    return std::get<T>(std::move(data_));
-  }
-  const std::string& error() const {
-    static const std::string kNone = "(no error)";
-    return ok() ? kNone : std::get<Error>(data_).message;
-  }
-
-  /// Returns the value or a fallback.
-  T value_or(T fallback) const {
-    return ok() ? std::get<T>(data_) : std::move(fallback);
-  }
-
- private:
-  struct Error {
-    std::string message;
-  };
-  explicit Result(Error e) : data_(std::move(e)) {}
-  std::variant<T, Error> data_;
-};
 
 }  // namespace oda

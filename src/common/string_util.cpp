@@ -53,10 +53,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 bool glob_match(std::string_view pattern, std::string_view text) {
   // Iterative wildcard matching with backtracking over the last '*'.
   std::size_t p = 0, t = 0;

@@ -12,7 +12,6 @@ std::string_view trim(std::string_view s);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string to_lower(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Glob-style match where '*' matches any run of characters and '?' one
 /// character. Used for wildcard sensor-topic subscriptions.

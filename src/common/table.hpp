@@ -25,7 +25,6 @@ class TextTable {
   void set_title(std::string title);
 
   std::size_t row_count() const { return rows_.size(); }
-  std::size_t column_count() const { return headers_.size(); }
 
   /// Renders with unicode-free box drawing (pipes and dashes).
   std::string render() const;

@@ -60,17 +60,6 @@ void ThreadPool::task_done() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  parallel_for_chunks(
-      begin, end,
-      [&fn](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      },
-      grain);
-}
-
 void ThreadPool::parallel_for_chunks(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
@@ -115,7 +104,7 @@ void ThreadPool::parallel_for_chunks(
   for (std::size_t h = 0; h < helpers; ++h) {
     futures.push_back(submit(drain));
   }
-  // The caller works too instead of blocking — parallel_for costs nothing
+  // The caller works too instead of blocking — a fan-out costs nothing
   // extra on a saturated pool and still finishes on a pool of one.
   std::exception_ptr first_error;
   try {

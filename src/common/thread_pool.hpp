@@ -1,5 +1,6 @@
-// Fixed-size thread pool with future-returning submission and a parallel_for
-// helper. Collectors and batch analytics use it to fan work across cores.
+// Fixed-size thread pool with future-returning submission and a chunked
+// parallel_for_chunks helper. Collectors and batch analytics use it to fan
+// work across cores.
 #pragma once
 
 #include <chrono>
@@ -106,27 +107,21 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for i in [begin, end) across the pool and waits. Work is
-  /// split into chunks of `grain` indices claimed from a shared atomic
-  /// cursor, so threads that finish early steal the remaining chunks and
-  /// uneven per-index costs still balance; the calling thread participates,
-  /// so only min(thread_count, chunks - 1) helper tasks are ever submitted
-  /// (a 1000-index loop no longer pays 1000 task/queue round-trips).
-  /// grain == 0 auto-tunes to ~8 chunks per thread.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 0);
-
-  /// Chunk-granular variant: body(lo, hi) receives each claimed half-open
-  /// chunk, for callers that amortize per-chunk setup (RNG splits, trace
-  /// spans, buffers) across the indices inside it. Same claiming, balancing,
-  /// and caller-participation semantics as parallel_for.
+  /// Runs body(lo, hi) over half-open chunks of [begin, end) across the
+  /// pool and waits. Chunks of `grain` indices are claimed from a shared
+  /// atomic cursor, so threads that finish early steal the remaining chunks
+  /// and uneven per-chunk costs still balance; the calling thread
+  /// participates, so only min(thread_count, chunks - 1) helper tasks are
+  /// ever submitted. A chunk-granular body amortizes per-chunk setup (RNG
+  /// splits, trace spans, buffers) across the indices inside it.
+  /// grain == 0 auto-tunes to ~8 chunks per thread. The first exception a
+  /// chunk throws is rethrown after every helper has been joined.
   void parallel_for_chunks(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& body,
       std::size_t grain = 0);
 
-  /// Lifetime totals for the chunked parallel_for machinery: calls that
+  /// Lifetime totals for parallel_for_chunks: calls that
   /// actually fanned out, and chunks claimed (by helpers or the caller).
   // relaxed (both): standalone statistics; they synchronize nothing.
   std::uint64_t parallel_for_calls() const {

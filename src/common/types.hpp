@@ -44,7 +44,6 @@ inline constexpr double kJoulesPerKilowattHour = 3.6e6;
 
 inline constexpr double celsius_to_kelvin(double c) { return c + 273.15; }
 inline constexpr double kelvin_to_celsius(double k) { return k - 273.15; }
-inline constexpr double watts_to_kilowatts(double w) { return w / 1e3; }
 inline constexpr double joules_to_kwh(double j) { return j / kJoulesPerKilowattHour; }
 }  // namespace units
 

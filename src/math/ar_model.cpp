@@ -40,7 +40,6 @@ ArModel ArModel::fit_yule_walker(std::span<const double> xs, std::size_t order) 
   if (gamma[0] <= 0.0) {
     // Constant series: predict the mean.
     model.phi_.assign(order, 0.0);
-    model.noise_var_ = 0.0;
     return model;
   }
 
@@ -64,7 +63,6 @@ ArModel ArModel::fit_yule_walker(std::span<const double> xs, std::size_t order) 
     prev = phi;
   }
   model.phi_ = std::move(phi);
-  model.noise_var_ = e;
   return model;
 }
 
@@ -88,9 +86,6 @@ ArModel ArModel::fit_least_squares(std::span<const double> xs, std::size_t order
   // Ridge with a tiny lambda guards against collinear lags.
   const auto lm = fit_ridge(x, y, 1e-8);
   model.phi_ = lm.coefficients;
-
-  const auto res = model.residuals(xs);
-  model.noise_var_ = res.empty() ? 0.0 : oda::variance(res);
   return model;
 }
 

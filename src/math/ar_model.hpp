@@ -20,8 +20,6 @@ class ArModel {
   std::size_t order() const { return phi_.size(); }
   const std::vector<double>& coefficients() const { return phi_; }
   double mean() const { return mean_; }
-  /// Innovation (one-step residual) variance.
-  double noise_variance() const { return noise_var_; }
 
   /// One-step-ahead prediction from the most recent `order()` observations
   /// (history.back() is the latest value).
@@ -37,7 +35,6 @@ class ArModel {
  private:
   std::vector<double> phi_;
   double mean_ = 0.0;
-  double noise_var_ = 0.0;
 };
 
 /// Orders 1..max_order scored by AIC on one-step residuals; returns the best.

@@ -114,17 +114,6 @@ std::vector<Complex> fft_real(std::span<const double> signal) {
   return fft(std::move(data));
 }
 
-std::vector<double> power_spectrum(std::span<const double> signal) {
-  const std::size_t n = signal.size();
-  if (n == 0) return {};
-  const auto spec = fft_real(signal);
-  std::vector<double> out(n / 2 + 1);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    out[k] = std::norm(spec[k]) / static_cast<double>(n);
-  }
-  return out;
-}
-
 double bin_frequency(std::size_t k, std::size_t n) {
   ODA_REQUIRE(n > 0, "bin_frequency of empty transform");
   return static_cast<double>(k) / static_cast<double>(n);

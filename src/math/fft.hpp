@@ -23,9 +23,6 @@ std::vector<Complex> ifft(std::vector<Complex> data);
 /// Forward FFT of a real signal; returns the full complex spectrum.
 std::vector<Complex> fft_real(std::span<const double> signal);
 
-/// One-sided power spectrum |X_k|²/n for k = 0..n/2.
-std::vector<double> power_spectrum(std::span<const double> signal);
-
 /// Frequency (cycles per sample) of one-sided bin k for an n-point transform.
 double bin_frequency(std::size_t k, std::size_t n);
 

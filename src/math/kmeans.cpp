@@ -35,10 +35,6 @@ std::size_t KMeansResult::predict(std::span<const double> sample) const {
   return best;
 }
 
-double KMeansResult::distance_to_nearest(std::span<const double> sample) const {
-  return std::sqrt(sq_dist(sample, centroids[predict(sample)]));
-}
-
 KMeansResult kmeans(const std::vector<std::vector<double>>& data, std::size_t k,
                     Rng& rng, std::size_t max_iterations, double tol) {
   ODA_REQUIRE(!data.empty(), "kmeans on empty data");

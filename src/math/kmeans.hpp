@@ -19,8 +19,6 @@ struct KMeansResult {
 
   /// Nearest centroid for a new sample.
   std::size_t predict(std::span<const double> sample) const;
-  /// Distance from the sample to its nearest centroid.
-  double distance_to_nearest(std::span<const double> sample) const;
 };
 
 KMeansResult kmeans(const std::vector<std::vector<double>>& data, std::size_t k,

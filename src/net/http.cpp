@@ -1,19 +1,17 @@
 #include "net/http.hpp"
 
 #include <algorithm>
-#include <cctype>
+
+#include "common/string_util.hpp"
 
 namespace oda::net {
 
 namespace {
 
-std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
-}
-
+// HTTP's optional whitespace is SP and HTAB only (RFC 9110 5.6.3); the
+// common trim() strips every isspace() byte, which would accept a header
+// value padded with CR, LF, VT or FF.
+// ODA-LINT-ALLOW(shared-helper): header OWS is SP/HTAB, not isspace().
 std::string trim(const std::string& s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -221,7 +219,7 @@ ParseStatus HttpParser::parse() {
         name.find('\t') != std::string::npos) {
       return fail(400, "whitespace in header field name");
     }
-    req.headers.emplace_back(to_lower(std::move(name)),
+    req.headers.emplace_back(to_lower(name),
                              trim(field.substr(colon + 1)));
   }
   if (req.header("transfer-encoding") != nullptr) {

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -34,35 +33,6 @@ const char* const kKnownPaths[] = {
     "/",      "/metrics", "/metrics.json", "/healthz",    "/trace",
     "/flight", "/profile", "/varz",        "/selfscrape",
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string format_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -222,7 +192,7 @@ HttpResponse ObsServer::varz() const {
 
   std::string body = "{\n";
   body += "  \"pid\": " + std::to_string(::getpid()) + ",\n";
-  body += "  \"uptime_seconds\": " + format_double(uptime_s) + ",\n";
+  body += "  \"uptime_seconds\": " + obs::json_number(uptime_s) + ",\n";
   body += "  \"threads\": {\"watched\": " +
           std::to_string(ThreadWatchRegistry::global().size()) +
           ", \"roles\": {";
@@ -233,7 +203,7 @@ HttpResponse ObsServer::varz() const {
     // Appended piecewise: GCC 12 at -O3 flags `"\"" + json_escape(role)`
     // with a false -Werror=restrict.
     body += '"';
-    body += json_escape(role);
+    body += obs::json_escape(role);
     body += "\": ";
     body += std::to_string(count);
   }
@@ -266,12 +236,12 @@ HttpResponse ObsServer::selfscrape_dump() const {
   const std::size_t listed = std::min(paths.size(), kMaxListed);
   for (std::size_t i = 0; i < listed; ++i) {
     const std::string& path = paths[i];
-    body += "    {\"path\": \"" + json_escape(path) + "\", \"samples\": " +
-            std::to_string(store_->sample_count(path));
     const telemetry::SeriesSlice slice = store_->query_all(path);
+    body += "    {\"path\": \"" + obs::json_escape(path) + "\", \"samples\": " +
+            std::to_string(slice.size());
     if (!slice.empty()) {
       body += ", \"last_time\": " + std::to_string(slice.times.back()) +
-              ", \"last_value\": " + format_double(slice.values.back());
+              ", \"last_value\": " + obs::json_number(slice.values.back());
     }
     body += i + 1 < listed ? "},\n" : "}\n";
   }

@@ -51,34 +51,7 @@ void append_sample(std::string& out, const std::string& name,
   out += '\n';
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
-/// JSON number: NaN/Inf are not representable, map them to null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return format_sample_value(v);
-}
 
 void append_json_labels(std::ostringstream& out, const LabelSet& labels) {
   out << '{';
@@ -144,6 +117,37 @@ std::string format_sample_value(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
+}
+
+std::string json_escape(const std::string& s) {
+  static const char* hex = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+          out += hex[static_cast<unsigned char>(c) & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  return format_sample_value(v);
 }
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {

@@ -23,5 +23,12 @@ std::string escape_help_text(const std::string& value);
 /// Renders a sample value: integers exactly, doubles with round-trip
 /// precision, infinities as +Inf/-Inf.
 std::string format_sample_value(double value);
+/// Escapes a JSON string body: quote, backslash, the two-character escapes
+/// for newline, tab, CR, backspace and form feed, and a four-hex-digit
+/// escape for every other control character.
+std::string json_escape(const std::string& s);
+/// Renders a JSON number as format_sample_value() does; NaN and the
+/// infinities are not representable in JSON and render as null.
+std::string json_number(double v);
 
 }  // namespace oda::obs

@@ -354,17 +354,18 @@ InstrumentationHandles register_thread_pool(MetricsRegistry& registry,
       "Tasks submitted after shutdown (executed inline on the submitter)",
       labels,
       [&pool] { return static_cast<double>(pool.rejected_count()); }));
-  // Chunked parallel_for attribution: calls that fanned out and chunks
+  // parallel_for_chunks attribution: calls that fanned out and chunks
   // claimed. chunks/calls >> threads means the grain is finer than the
   // fan-out needs; chunks ~= calls means the loop degenerated to serial.
   out.handles.push_back(registry.counter_callback(
       "oda_pool_parallel_for_total",
-      "parallel_for/parallel_for_chunks calls that fanned out to the pool",
+      "parallel_for_chunks calls that fanned out to the pool",
       labels,
       [&pool] { return static_cast<double>(pool.parallel_for_calls()); }));
   out.handles.push_back(registry.counter_callback(
       "oda_pool_parallel_for_chunks_total",
-      "Chunks claimed across all parallel_for calls (helpers and callers)",
+      "Chunks claimed across all parallel_for_chunks calls (helpers and "
+      "callers)",
       labels, [&pool] {
         return static_cast<double>(pool.parallel_for_chunks_claimed());
       }));

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "obs/exposition.hpp"
 #include "obs/recorder.hpp"
 
 namespace oda::obs {
@@ -88,36 +89,6 @@ void emit_instant(const char* name, const char* category, unsigned mode) {
 }
 
 }  // namespace detail
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += hex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string trace_id_hex(std::uint64_t id) {
   static const char* hex = "0123456789abcdef";

@@ -227,10 +227,6 @@ void MessageBus::publish(const Reading& reading) {
   dispatch({&r, 1}, &reading);
 }
 
-void MessageBus::publish(const std::string& path, TimePoint time, double value) {
-  publish(Reading{path, {time, value}});
-}
-
 std::size_t MessageBus::subscriber_count() const {
   MutexLock lock(mu_);
   return subs_.size();

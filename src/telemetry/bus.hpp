@@ -62,8 +62,6 @@ class MessageBus {
   /// Interns `reading.path` and routes it as a batch of one; subscribers
   /// receive `reading` itself.
   void publish(const Reading& reading) ODA_EXCLUDES(mu_);
-  void publish(const std::string& path, TimePoint time, double value)
-      ODA_EXCLUDES(mu_);
 
   std::size_t subscriber_count() const ODA_EXCLUDES(mu_);
   // relaxed: published_/delivered_ are monotonic statistics counters; they

@@ -1,6 +1,6 @@
 // Interned series handles. Sensor paths are strings at the edges of the
 // system (config, bus patterns, dashboards) but the hot data plane —
-// collector passes, store shards, derived-sensor evaluation — should not
+// collector passes, store shards, the WAL — should not
 // re-hash and re-compare strings on every sample. A SeriesInterner assigns
 // each path a dense 32-bit SeriesId exactly once; hot paths resolve their
 // paths up front and carry integer handles from then on.

@@ -125,16 +125,6 @@ void Frame::allocate(std::size_t rows, std::size_t cols) {
   base_ = misalign == 0 ? 0 : kLine - misalign;
 }
 
-std::vector<double> Frame::column(const std::string& name) const {
-  for (std::size_t c = 0; c < columns.size(); ++c) {
-    if (columns[c] == name) {
-      const auto stripe = column_values(c);
-      return std::vector<double>(stripe.begin(), stripe.end());
-    }
-  }
-  throw ContractError("frame column not found: " + name);
-}
-
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_sensor)
     : capacity_(capacity_per_sensor) {
   ODA_REQUIRE(capacity_per_sensor > 0, "store capacity must be positive");
@@ -244,11 +234,6 @@ bool TimeSeriesStore::contains(SeriesId id) const {
   return shard.series.count(id.value) != 0;
 }
 
-bool TimeSeriesStore::contains(const std::string& path) const {
-  const auto id = SeriesInterner::global().lookup(path);
-  return id.has_value() && contains(*id);
-}
-
 std::vector<std::string> TimeSeriesStore::paths() const {
   SeriesInterner& interner = SeriesInterner::global();
   std::vector<std::string> out;
@@ -292,11 +277,6 @@ std::size_t TimeSeriesStore::sample_count(SeriesId id) const {
   ReaderLock lock(shard.mu);
   const auto it = shard.series.find(id.value);
   return it == shard.series.end() ? 0 : it->second->samples.size();
-}
-
-std::size_t TimeSeriesStore::sample_count(const std::string& path) const {
-  const auto id = SeriesInterner::global().lookup(path);
-  return id ? sample_count(*id) : 0;
 }
 
 std::optional<Sample> TimeSeriesStore::latest(SeriesId id) const {

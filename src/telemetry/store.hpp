@@ -85,9 +85,6 @@ struct Frame {
     return {values_.data() + base_ + col * stride_, rows_};
   }
 
-  /// Copy of the named column; throws ContractError when absent.
-  std::vector<double> column(const std::string& name) const;
-
  private:
   // Copies keep base_ as-is: the slack allocated for alignment travels with
   // the buffer, so stale offsets stay in range — a copy merely loses the
@@ -164,7 +161,6 @@ class TimeSeriesStore {
   Wal* wal() const { return wal_; }
 
   // -- catalog ----------------------------------------------------------------
-  bool contains(const std::string& path) const;
   bool contains(SeriesId id) const;
   /// All stored paths, sorted (the original std::map iteration order).
   std::vector<std::string> paths() const;
@@ -174,7 +170,6 @@ class TimeSeriesStore {
   /// scan; otherwise it copies the memo. The memo keeps one entry per
   /// distinct pattern, which suits the fixed patterns callers use.
   std::vector<std::string> match(const std::string& pattern) const;
-  std::size_t sample_count(const std::string& path) const;
   std::size_t sample_count(SeriesId id) const;
   std::uint64_t total_inserted() const {
     // relaxed: monotonic statistics counter; synchronizes nothing (matches

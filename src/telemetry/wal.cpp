@@ -589,8 +589,7 @@ WalRecoveryStats Wal::recover(std::vector<IdReading>& out) {
   WalMetrics& m = WalMetrics::get();
   m.replayed.inc(stats.samples_replayed);
   m.truncated_bytes.inc(stats.truncated_bytes);
-  recovery_stats_ = stats;
-  return recovery_stats_;
+  return stats;
 }
 
 WalRecoveryStats Wal::recover_into(TimeSeriesStore& store) {

@@ -280,9 +280,6 @@ class Wal {
     return lost_samples_.load(std::memory_order_relaxed);
   }
 
-  const WalRecoveryStats& recovery_stats() const noexcept {
-    return recovery_stats_;
-  }
   const WalOptions& options() const noexcept { return opts_; }
 
  private:
@@ -331,7 +328,6 @@ class Wal {
   std::atomic<std::uint64_t> lost_samples_{0};
 
   bool recovered_ = false;  // recover() ran (main thread, pre-start)
-  WalRecoveryStats recovery_stats_;
   std::thread writer_;
 };
 

@@ -326,7 +326,9 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(0, 100, [&](std::size_t i) { hits[i]++; });
+  pool.parallel_for_chunks(0, 100, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

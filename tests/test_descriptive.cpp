@@ -7,6 +7,7 @@
 #include "analytics/descriptive/aggregation.hpp"
 #include "analytics/descriptive/dashboard.hpp"
 #include "analytics/descriptive/kpi.hpp"
+#include "obs/cell.hpp"
 #include "sim/cluster.hpp"
 #include "telemetry/collector.hpp"
 
@@ -57,6 +58,26 @@ TEST_F(DescriptiveFixture, ItueAboveOneAndTueAbovePue) {
   EXPECT_LT(itue.itue, 1.5);
   const auto pue = compute_pue(*store_, 0, cluster_->now());
   EXPECT_GT(itue.tue, pue.pue);
+}
+
+TEST_F(DescriptiveFixture, ItueReportIsBitExact) {
+  // The seeded store's report, bit for bit: the step integration's
+  // arithmetic order is part of the contract.
+  const auto itue = compute_itue(*store_, 0, cluster_->now());
+  EXPECT_EQ(itue.itue, 0x1.0e4495a75b57ap+0);
+  EXPECT_EQ(itue.tue, 0x1.4b4c8002ceec1p+0);
+  EXPECT_EQ(itue.fan_energy_kwh, 0x1.da5755b950503p-6);
+  EXPECT_EQ(itue.it_energy_kwh, 0x1.4bdae9bf90852p+3);
+}
+
+TEST_F(DescriptiveFixture, ItueRunsNoPueCell) {
+  // TUE needs only the facility/IT energy ratio, so kpi.itue must not
+  // account a kpi.pue run of its own.
+  const obs::Histogram& pue_runs = obs::CellScope::seconds_for(
+      "building-infrastructure", "descriptive", "kpi.pue");
+  const std::uint64_t before = pue_runs.count();
+  compute_itue(*store_, 0, cluster_->now());
+  EXPECT_EQ(pue_runs.count(), before);
 }
 
 TEST_F(DescriptiveFixture, EreBelowPueWithReuse) {

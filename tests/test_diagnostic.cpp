@@ -198,20 +198,6 @@ TEST_F(MonitorFixture, ScanScoresPinnedBitForBit) {
   EXPECT_TRUE(verdicts[6].anomalous);  // the fan failure
 }
 
-TEST(PcaAnomalyDetector, FlagsOffSubspaceSamples) {
-  Rng rng(6);
-  std::vector<std::vector<double>> healthy;
-  for (int i = 0; i < 200; ++i) {
-    const double t = rng.normal();
-    healthy.push_back({t + rng.normal(0.0, 0.05), 2.0 * t + rng.normal(0.0, 0.05),
-                       -t + rng.normal(0.0, 0.05)});
-  }
-  PcaAnomalyDetector det;
-  det.train(healthy, 0.95);
-  EXPECT_LT(det.score(healthy[0]), 1.5);
-  EXPECT_GT(det.score(std::vector<double>{3.0, -6.0, 3.0}), 2.0);
-}
-
 TEST(WindowFeatures, ShapeAndSlope) {
   telemetry::Frame frame;
   frame.columns = {"a", "b"};

@@ -30,7 +30,6 @@
 #include "sim/config.hpp"
 #include "telemetry/bus.hpp"
 #include "telemetry/collector.hpp"
-#include "telemetry/derived.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/store.hpp"
 
@@ -232,29 +231,6 @@ INSTANTIATE_TEST_SUITE_P(
                       PoolSizeCase{"faulted_pool2", true, 2},
                       PoolSizeCase{"faulted_pool4", true, 4}),
     [](const auto& suite_info) { return std::string(suite_info.param.name); });
-
-// ------------------------------------------------ derived sensors in the loop
-
-TEST(Integration, DerivedPueMatchesFacilitySensor) {
-  sim::ClusterParams params;
-  params.racks = 1;
-  params.nodes_per_rack = 4;
-  sim::ClusterSimulation cluster(params);
-  telemetry::TimeSeriesStore store;
-  telemetry::Collector collector(cluster, &store, nullptr);
-  collector.add_all_sensors(60);
-  telemetry::DerivedSensors derived(store);
-  derived.define_ratio("derived/pue", "facility/total_power", "cluster/it_power");
-  while (cluster.now() < kHour) {
-    cluster.step();
-    collector.collect();
-    derived.evaluate(cluster.now());
-  }
-  const auto direct = store.latest("facility/pue");
-  const auto computed = store.latest("derived/pue");
-  ASSERT_TRUE(direct && computed);
-  EXPECT_NEAR(direct->value, computed->value, 1e-9);
-}
 
 // ------------------------------------------- diagnostic -> prescriptive loop
 

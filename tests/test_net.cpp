@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -472,6 +473,29 @@ TEST(HttpServerSocket, StopWithIdleConnectionReturnsPromptly) {
 
 // ----------------------------------------------------------- obs server
 
+TEST(ObsServerSocket, SelfScrapeRendersNonFiniteValuesAsJsonNull) {
+  telemetry::TimeSeriesStore store(1 << 10);
+  store.insert("oda/oda_test_obs_nan_gauge",
+               {3, std::numeric_limits<double>::quiet_NaN()});
+  HttpServerOptions opts;
+  opts.port = 0;
+  ObsServer obs_http(opts);
+  obs_http.set_store(&store);
+  ASSERT_TRUE(obs_http.start());
+  const int fd = connect_loopback(obs_http.port());
+  ASSERT_GE(fd, 0);
+  const std::string resp =
+      round_trip(fd, "GET /selfscrape HTTP/1.1\r\n\r\n");
+  ::close(fd);
+  obs_http.stop();
+  EXPECT_EQ(response_code(resp), 200);
+  EXPECT_NE(resp.find("\"path\": \"oda/oda_test_obs_nan_gauge\", "
+                      "\"samples\": 1, \"last_time\": 3, "
+                      "\"last_value\": null}"),
+            std::string::npos)
+      << resp;
+}
+
 TEST(ObsServerSocket, EndpointsAnswerWithExpectedCodes) {
   // Touch a metric so /metrics has at least one family.
   obs::MetricsRegistry::global()
@@ -571,7 +595,7 @@ TEST(SelfScrape, IngestsRegistryIntoStoreUnderPrefix) {
   const std::vector<std::string> series = store.match("oda/*");
   ASSERT_FALSE(series.empty());
   const std::string marker_path = "oda/oda_test_selfscrape_marker_total";
-  EXPECT_EQ(store.sample_count(marker_path), 1u);
+  EXPECT_EQ(store.query_all(marker_path).size(), 1u);
   {
     const telemetry::SeriesSlice slice = store.query_all(marker_path);
     ASSERT_EQ(slice.times.size(), 1u);
@@ -600,10 +624,10 @@ TEST(SelfScrape, HistogramsIngestSumAndCount) {
   SelfScrape scraper(store);
   ASSERT_GT(scraper.scrape_once(1), 0u);
   EXPECT_EQ(
-      store.sample_count("oda/oda_test_selfscrape_hist_seconds_sum{k=v}"),
+      store.query_all("oda/oda_test_selfscrape_hist_seconds_sum{k=v}").size(),
       1u);
   EXPECT_EQ(
-      store.sample_count("oda/oda_test_selfscrape_hist_seconds_count{k=v}"),
+      store.query_all("oda/oda_test_selfscrape_hist_seconds_count{k=v}").size(),
       1u);
 }
 

@@ -192,6 +192,18 @@ TEST(Exposition, FormatSampleValue) {
   }
 }
 
+TEST(Exposition, JsonEscapeAndNumber) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("q\"b\\"), "q\\\"b\\\\");
+  EXPECT_EQ(json_escape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(json_number(0.5), "0.5");
+  EXPECT_EQ(json_number(42.0), "42");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
+}
+
 TEST(Exposition, EmptyRegistry) {
   MetricsRegistry reg;
   EXPECT_EQ(to_prometheus(reg.snapshot()), "");

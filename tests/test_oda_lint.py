@@ -123,6 +123,43 @@ def main() -> int:
     case("no-cpp-include fires everywhere",
          {"tests/inc.cpp": "#include <other.cpp>\n"}, {"no-cpp-include"})
 
+    helpers = {
+        "src/common/string_util.hpp": HEADER +
+        "#include <string>\n#include <string_view>\n"
+        "namespace oda {\nstd::string to_lower(std::string_view s);\n}\n",
+        "src/obs/exposition.hpp": HEADER +
+        "#include <string>\n"
+        "namespace oda::obs {\nstd::string json_escape(const std::string& s);\n}\n",
+    }
+
+    case("shared-helper: a second definition of a shared helper is flagged",
+         {**helpers,
+          "src/net/copy.cpp": "#include <string>\nnamespace oda::net {\n"
+                              "namespace {\n"
+                              "std::string to_lower(std::string s) { return s; }\n"
+                              "}  // namespace\n}  // namespace oda::net\n",
+          "src/obs/trace.cpp": "#include <string>\nnamespace oda::obs {\n"
+                               "std::string json_escape(const std::string& s) {\n"
+                               "  return s;\n}\n}  // namespace oda::obs\n"},
+         {"shared-helper"})
+
+    case("shared-helper: the helper's own .cpp, calls, declarations, members "
+         "and an allowed copy stay quiet",
+         {**helpers,
+          "src/common/string_util.cpp":
+          "#include \"common/string_util.hpp\"\nnamespace oda {\n"
+          "std::string to_lower(std::string_view s) { return std::string(s); }\n"
+          "}  // namespace oda\n",
+          "src/user.cpp": "#include \"common/string_util.hpp\"\n"
+                          "std::string to_lower(std::string_view s);\n"
+                          "std::string f() { return oda::to_lower(\"A\"); }\n"
+                          "struct S {\n  std::string to_lower() const { return {}; }\n};\n",
+          "src/net/ows.cpp": "#include <string>\n"
+                             "// ODA-LINT-ALLOW(shared-helper): self-test fixture\n"
+                             "std::string json_escape(const std::string& s) {\n"
+                             "  return s;\n}\n"},
+         set(), {"shared-helper"})
+
     print()
     if FAILURES:
         print(f"test_oda_lint: {len(FAILURES)} failed expectation(s)")

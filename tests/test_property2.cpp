@@ -179,7 +179,7 @@ TEST(BusConcurrency, ParallelPublishersDeliverEverything) {
   for (int p = 0; p < kPublishers; ++p) {
     pubs.emplace_back([&bus, p] {
       for (int i = 0; i < kEach; ++i) {
-        bus.publish("topic" + std::to_string(p), i, 1.0);
+        bus.publish(telemetry::Reading{"topic" + std::to_string(p), {i, 1.0}});
       }
     });
   }

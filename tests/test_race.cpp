@@ -218,11 +218,13 @@ TEST(RaceThreadPool, ParallelForRacingWithSubmits) {
     }
   });
 
-  pool.parallel_for(0, kN, [&](std::size_t i) { touched[i] = 1; });
+  pool.parallel_for_chunks(0, kN, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) touched[i] = 1;
+  });
   noise.join();
   pool.wait_idle();
 
-  // parallel_for partitions [0, kN) disjointly, so plain (non-atomic) writes
+  // parallel_for_chunks partitions [0, kN) disjointly, so plain writes
   // are safe — TSan verifies that claim — and every index is covered.
   EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), static_cast<int>(kN));
   EXPECT_EQ(side_tasks.load(), 500);
@@ -237,15 +239,19 @@ TEST(RaceThreadPool, ParallelForUnevenChunkCostsBalance) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 4096;
   std::vector<std::uint32_t> result(kN, 0);
-  pool.parallel_for(
+  pool.parallel_for_chunks(
       0, kN,
-      [&](std::size_t i) {
-        if (i % 512 == 0) {
-          // Expensive outlier: real work, not sleep, so TSan interleaves.
-          volatile double sink = 0.0;
-          for (int k = 0; k < 200000; ++k) sink = sink + static_cast<double>(k);
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (i % 512 == 0) {
+            // Expensive outlier: real work, not sleep, so TSan interleaves.
+            volatile double sink = 0.0;
+            for (int k = 0; k < 200000; ++k) {
+              sink = sink + static_cast<double>(k);
+            }
+          }
+          result[i] = static_cast<std::uint32_t>(i) + 1;
         }
-        result[i] = static_cast<std::uint32_t>(i) + 1;
       },
       /*grain=*/8);
   for (std::size_t i = 0; i < kN; ++i) {
@@ -282,16 +288,16 @@ TEST(RaceThreadPool, ParallelForChunksCoversRangeDisjointly) {
 
 TEST(RaceThreadPool, ParallelForPropagatesBodyException) {
   // An exception from any participant (helper or caller) surfaces to the
-  // parallel_for caller after every helper has been joined — no helper may
-  // outlive the call frame it borrows.
+  // parallel_for_chunks caller after every helper has been joined — no
+  // helper may outlive the call frame it borrows.
   ThreadPool pool(2);
   std::atomic<int> ran{0};
   EXPECT_THROW(
-      pool.parallel_for(
+      pool.parallel_for_chunks(
           0, 64,
-          [&](std::size_t i) {
+          [&](std::size_t lo, std::size_t) {
             ran.fetch_add(1, std::memory_order_relaxed);
-            if (i == 13) throw std::runtime_error("boom");
+            if (lo == 13) throw std::runtime_error("boom");
           },
           /*grain=*/1),
       std::runtime_error);
@@ -328,7 +334,8 @@ TEST(RaceMessageBus, ParallelPublishersDeliverEverything) {
   for (int p = 0; p < kPublishers; ++p) {
     pubs.emplace_back([&, p] {
       for (int i = 0; i < kBusMessages; ++i) {
-        bus.publish("node/" + std::to_string(p), i, static_cast<double>(i));
+        bus.publish(telemetry::Reading{"node/" + std::to_string(p),
+                                       {i, static_cast<double>(i)}});
       }
     });
   }
@@ -350,7 +357,7 @@ TEST(RaceMessageBus, SubscribeUnsubscribeDuringPublish) {
   for (int p = 0; p < 2; ++p) {
     pubs.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        bus.publish("sensor/a/power", 0, 1.0);
+        bus.publish(telemetry::Reading{"sensor/a/power", {0, 1.0}});
       }
     });
   }
@@ -422,7 +429,8 @@ TEST(RaceMessageBus, ReentrantPublishFromCallback) {
   // derived-metrics engine uses — must not deadlock or race against
   // concurrent external publishers.
   bus.subscribe("raw/*", [&](const telemetry::Reading& r) {
-    bus.publish("derived/" + r.path, r.sample.time, r.sample.value * 2.0);
+    bus.publish(telemetry::Reading{"derived/" + r.path,
+                                   {r.sample.time, r.sample.value * 2.0}});
   });
   bus.subscribe("derived/*", [&](const telemetry::Reading&) {
     derived_seen.fetch_add(1, std::memory_order_relaxed);
@@ -432,7 +440,7 @@ TEST(RaceMessageBus, ReentrantPublishFromCallback) {
   for (int p = 0; p < 2; ++p) {
     pubs.emplace_back([&] {
       for (int i = 0; i < kBusMessages; ++i) {
-        bus.publish("raw/x", i, 1.0);
+        bus.publish(telemetry::Reading{"raw/x", {i, 1.0}});
       }
     });
   }
@@ -525,7 +533,8 @@ TEST(RaceMessageBus, InstrumentedPublishKeepsGlobalCountersExact) {
   for (int p = 0; p < kPublishers; ++p) {
     pubs.emplace_back([&, p] {
       for (int i = 0; i < kBusMessages; ++i) {
-        bus.publish("obs/" + std::to_string(p), i, static_cast<double>(i));
+        bus.publish(telemetry::Reading{"obs/" + std::to_string(p),
+                                       {i, static_cast<double>(i)}});
       }
     });
   }
@@ -610,7 +619,8 @@ TEST(RaceCausalTracing, ContextPropagatesThroughPoolAndBusUnderStress) {
             }
             ODA_TRACE_SPAN_CAT("race.pool_child", "test");
           });
-          bus.publish("trace/" + std::to_string(s), i, 1.0);
+          bus.publish(
+              telemetry::Reading{"trace/" + std::to_string(s), {i, 1.0}});
           f.get();
         }
       });
@@ -670,7 +680,7 @@ TEST(RaceStress, ProfilerSamplesConcurrentPipelineTraffic) {
       WatchedThreadScope scope("race.producer");
       std::int64_t t = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        bus.publish("prof/node", ++t, 1.0);
+        bus.publish(telemetry::Reading{"prof/node", {++t, 1.0}});
       }
     });
 

@@ -143,7 +143,8 @@ TEST(CircuitBreaker, OpensHalfOpensAndRecloses) {
   // Fault is long gone: breaker closed again and samples flowing.
   EXPECT_EQ(collector.breaker_state("facility/pue"), BreakerState::kClosed);
   EXPECT_EQ(collector.open_breakers(), 0u);
-  EXPECT_GT(store.sample_count("facility/pue"), 0u);
+  EXPECT_GT(store.sample_count(SeriesInterner::global().intern("facility/pue")),
+            0u);
   EXPECT_GT(collector.retries_total(), 0u);
   // Exact conservation: every expected sample is either ingested or an
   // accounted gap.
@@ -168,7 +169,8 @@ TEST(CircuitBreaker, DeadlineBoundsStalledSensor) {
     cluster.step();
     collector.collect();
   }
-  EXPECT_EQ(store.sample_count("facility/pue"), 0u);
+  EXPECT_EQ(store.sample_count(SeriesInterner::global().intern("facility/pue")),
+            0u);
   EXPECT_EQ(collector.breaker_state("facility/pue"), BreakerState::kOpen);
   EXPECT_EQ(collector.samples_expected(),
             collector.samples_collected() + collector.gaps_total());

@@ -222,7 +222,9 @@ void run_equivalence_round(std::uint64_t seed, std::size_t capacity) {
   EXPECT_EQ(store.match("equiv" + std::to_string(seed) + "/rack0/*/power"),
             ref.match("equiv" + std::to_string(seed) + "/rack0/*/power"));
   for (const auto& path : paths) {
-    EXPECT_EQ(store.sample_count(path), ref.sample_count(path)) << path;
+    EXPECT_EQ(store.sample_count(SeriesInterner::global().intern(path)),
+              ref.sample_count(path))
+        << path;
     const auto got = store.latest(path);
     const auto want = ref.latest(path);
     ASSERT_EQ(got.has_value(), want.has_value()) << path;
@@ -362,7 +364,8 @@ TEST(StoreEquivalence, FrameUnknownColumnsStayAllNaN) {
 
 TEST(StoreEquivalence, ContainsAndInvalidHandles) {
   TimeSeriesStore store(16);
-  EXPECT_FALSE(store.contains("equiv-missing/x"));
+  EXPECT_FALSE(
+      store.contains(SeriesInterner::global().intern("equiv-missing/x")));
   EXPECT_FALSE(store.contains(SeriesId{}));
   EXPECT_TRUE(store.query(SeriesId{}, 0, 100).empty());
   EXPECT_TRUE(store.query_aggregated(SeriesId{}, 0, 100, 10,
@@ -371,7 +374,8 @@ TEST(StoreEquivalence, ContainsAndInvalidHandles) {
   EXPECT_FALSE(store.latest(SeriesId{}).has_value());
   EXPECT_EQ(store.sample_count(SeriesId{}), 0u);
   store.insert("equiv-contains/x", {0, 1.0});
-  EXPECT_TRUE(store.contains("equiv-contains/x"));
+  EXPECT_TRUE(
+      store.contains(SeriesInterner::global().intern("equiv-contains/x")));
   // Interned elsewhere but never inserted into this store.
   const SeriesId foreign = SeriesInterner::global().intern("equiv-foreign/y");
   EXPECT_FALSE(store.contains(foreign));

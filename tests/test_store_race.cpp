@@ -75,7 +75,7 @@ TEST(RaceStore, ConcurrentBatchInsertAndQueryAcrossShards) {
         (void)store.query_aggregated(ids[p], 0, kBatchesPerWriter, 4,
                                      Aggregation::kStdDev);
         (void)store.latest(ids[p]);
-        (void)store.sample_count(paths[p]);
+        (void)store.sample_count(SeriesInterner::global().intern(paths[p]));
         (void)store.match("race-store/rack*/node*/power");
         (void)store.frame({paths[0], paths[7], paths[15], paths[31]}, 0,
                           kBatchesPerWriter, 2, Aggregation::kMean);
@@ -92,7 +92,9 @@ TEST(RaceStore, ConcurrentBatchInsertAndQueryAcrossShards) {
       kWriterThreads) * kBatchesPerWriter * kBatchSize;
   EXPECT_EQ(store.total_inserted(), total_written);
   std::uint64_t retained = 0;
-  for (const auto& path : paths) retained += store.sample_count(path);
+  for (const auto& path : paths) {
+    retained += store.sample_count(SeriesInterner::global().intern(path));
+  }
   // Rings are sized to hold everything (capacity 1024 per series >= worst
   // case per-series share), so retention must equal the write count.
   EXPECT_EQ(retained, total_written);
@@ -199,7 +201,8 @@ TEST(RaceStore, ParallelCollectorReadsWithFaultOverlay) {
   EXPECT_EQ(store.total_inserted(),
             static_cast<std::uint64_t>(kPasses) * defs.size());
   for (const auto& def : defs) {
-    EXPECT_EQ(store.sample_count(def.path), static_cast<std::size_t>(kPasses))
+    EXPECT_EQ(store.sample_count(SeriesInterner::global().intern(def.path)),
+              static_cast<std::size_t>(kPasses))
         << def.path;
   }
 }

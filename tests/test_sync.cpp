@@ -270,7 +270,7 @@ TEST(StoreContention, ContendedBatchIngestStaysExact) {
   }
   for (auto& th : writers) th.join();
   for (const std::string& path : paths) {
-    EXPECT_EQ(store.sample_count(path),
+    EXPECT_EQ(store.sample_count(SeriesInterner::global().intern(path)),
               static_cast<std::size_t>(kBatches) * kBatch);
   }
   EXPECT_EQ(store.total_inserted(),

@@ -19,7 +19,6 @@
 #include "telemetry/alerts.hpp"
 #include "telemetry/bus.hpp"
 #include "telemetry/collector.hpp"
-#include "telemetry/derived.hpp"
 #include "telemetry/sample.hpp"
 #include "telemetry/series_id.hpp"
 #include "telemetry/store.hpp"
@@ -34,8 +33,8 @@ TEST(MessageBus, DeliversToMatchingSubscribers) {
   int node_hits = 0, all_hits = 0;
   bus.subscribe("rack*/node*/power", [&](const Reading&) { ++node_hits; });
   bus.subscribe("*", [&](const Reading&) { ++all_hits; });
-  bus.publish("rack00/node01/power", 10, 150.0);
-  bus.publish("facility/pue", 10, 1.3);
+  bus.publish(Reading{"rack00/node01/power", {10, 150.0}});
+  bus.publish(Reading{"facility/pue", {10, 1.3}});
   EXPECT_EQ(node_hits, 1);
   EXPECT_EQ(all_hits, 2);
   EXPECT_EQ(bus.published_count(), 2u);
@@ -46,9 +45,9 @@ TEST(MessageBus, UnsubscribeStopsDelivery) {
   MessageBus bus;
   int hits = 0;
   const auto id = bus.subscribe("*", [&](const Reading&) { ++hits; });
-  bus.publish("x", 0, 1.0);
+  bus.publish(Reading{"x", {0, 1.0}});
   bus.unsubscribe(id);
-  bus.publish("x", 0, 1.0);
+  bus.publish(Reading{"x", {0, 1.0}});
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(bus.subscriber_count(), 0u);
 }
@@ -57,10 +56,11 @@ TEST(MessageBus, ReentrantPublishDoesNotDeadlock) {
   MessageBus bus;
   int secondary = 0;
   bus.subscribe("primary", [&](const Reading& r) {
-    bus.publish("secondary", r.sample.time, r.sample.value * 2.0);
+    bus.publish(
+        Reading{"secondary", {r.sample.time, r.sample.value * 2.0}});
   });
   bus.subscribe("secondary", [&](const Reading&) { ++secondary; });
-  bus.publish("primary", 0, 1.0);
+  bus.publish(Reading{"primary", {0, 1.0}});
   EXPECT_EQ(secondary, 1);
 }
 
@@ -178,7 +178,7 @@ TEST(MessageBus, SubscribeFromCallbackAppliesToNextPublish) {
   EXPECT_EQ(bus.delivered_count(), 3u);
   bus.publish_batch(interned({"cb/one", "cb/two"}));
   EXPECT_EQ(late_hits, 2);
-  bus.publish("cb/one", 0, 1.0);
+  bus.publish(Reading{"cb/one", {0, 1.0}});
   EXPECT_EQ(late_hits, 3);
 }
 
@@ -193,7 +193,7 @@ TEST(Store, InsertAndQueryRange) {
   ASSERT_EQ(slice.size(), 4u);
   EXPECT_EQ(slice.times.front(), 20);
   EXPECT_EQ(slice.times.back(), 50);
-  EXPECT_EQ(store.sample_count("s"), 10u);
+  EXPECT_EQ(store.sample_count(SeriesInterner::global().intern("s")), 10u);
 }
 
 TEST(Store, LatestAndMissing) {
@@ -208,7 +208,7 @@ TEST(Store, LatestAndMissing) {
 TEST(Store, CapacityBoundsRetention) {
   TimeSeriesStore store(4);
   for (TimePoint t = 0; t < 10; ++t) store.insert("s", {t, 0.0});
-  EXPECT_EQ(store.sample_count("s"), 4u);
+  EXPECT_EQ(store.sample_count(SeriesInterner::global().intern("s")), 4u);
   const auto slice = store.query_all("s");
   EXPECT_EQ(slice.times.front(), 6);
 }
@@ -242,9 +242,6 @@ TEST(Store, FrameAlignsMultipleSensors) {
   EXPECT_TRUE(std::isnan(f.at(3, 1)));  // missing data is NaN
   EXPECT_EQ(f.column_values(1).size(), 4u);
   EXPECT_DOUBLE_EQ(f.column_values(1)[1], 2.0);
-  const auto col = f.column("a");
-  EXPECT_EQ(col.size(), 4u);
-  EXPECT_THROW(f.column("zzz"), ContractError);
 }
 
 TEST(Store, MatchGlob) {
@@ -336,8 +333,10 @@ TEST(Collector, SamplesIntoStoreAtPeriod) {
     collector.collect();
   }
   // period 30 with dt 15 -> every other step.
-  EXPECT_EQ(store.sample_count("facility/pue"), 4u);
-  EXPECT_EQ(store.sample_count("weather/drybulb_temp"), 0u);  // not in group
+  SeriesInterner& interner = SeriesInterner::global();
+  EXPECT_EQ(store.sample_count(interner.intern("facility/pue")), 4u);
+  // not in group
+  EXPECT_EQ(store.sample_count(interner.intern("weather/drybulb_temp")), 0u);
 }
 
 TEST(Collector, PublishesToBus) {
@@ -546,9 +545,10 @@ TEST(MessageBus, CountsUnroutedPublishes) {
   MessageBus bus;
   bus.subscribe("rack0/*", [](const Reading&) {});
   const auto before = bus.unrouted_count();
-  bus.publish("rack0/power", 0, 1.0);   // routed
-  bus.publish("orphan/metric", 0, 1.0);  // no subscriber
-  bus.publish("orphan/other", 0, 1.0);   // same prefix: counted, logged once
+  bus.publish(Reading{"rack0/power", {0, 1.0}});    // routed
+  bus.publish(Reading{"orphan/metric", {0, 1.0}});  // no subscriber
+  // Same prefix: counted, logged once.
+  bus.publish(Reading{"orphan/other", {0, 1.0}});
   EXPECT_EQ(bus.unrouted_count(), before + 2);
 }
 
@@ -577,9 +577,9 @@ TEST(MessageBus, SlowCheckCountsCpuNotWallTime) {
     }
   });
   const double before = slow();
-  bus.publish("idle/x", 0, 1.0);
+  bus.publish(Reading{"idle/x", {0, 1.0}});
   EXPECT_EQ(slow(), before);
-  bus.publish("busy/x", 0, 1.0);
+  bus.publish(Reading{"busy/x", {0, 1.0}});
   EXPECT_EQ(slow(), before + 1);
 }
 
@@ -598,41 +598,6 @@ TEST(Collector, WarnsOnPatternMatchingNothing) {
     if (line.find("matched no sensors") != std::string::npos) warned = true;
   }
   EXPECT_TRUE(warned);
-}
-
-// ---------------------------------------------------------------- derived
-
-TEST(Derived, RatioAndSum) {
-  TimeSeriesStore store;
-  store.insert("a", {0, 10.0});
-  store.insert("b", {0, 4.0});
-  DerivedSensors derived(store);
-  derived.define_ratio("r", "a", "b");
-  derived.define("total", {"a", "b"}, [](const std::vector<double>& v) {
-    return v[0] + v[1];
-  });
-  derived.evaluate(0);
-  EXPECT_DOUBLE_EQ(store.latest("r")->value, 2.5);
-  EXPECT_DOUBLE_EQ(store.latest("total")->value, 14.0);
-}
-
-TEST(Derived, SkipsWhenInputMissing) {
-  TimeSeriesStore store;
-  store.insert("a", {0, 1.0});
-  DerivedSensors derived(store);
-  derived.define_ratio("r", "a", "missing");
-  derived.evaluate(0);
-  EXPECT_FALSE(store.latest("r").has_value());
-}
-
-TEST(Derived, SumOverPattern) {
-  TimeSeriesStore store;
-  store.insert("rack0/power", {0, 100.0});
-  store.insert("rack1/power", {0, 150.0});
-  DerivedSensors derived(store);
-  derived.define_sum("total_power", "rack*/power");
-  derived.evaluate(0);
-  EXPECT_DOUBLE_EQ(store.latest("total_power")->value, 250.0);
 }
 
 }  // namespace

@@ -340,6 +340,76 @@ TEST_F(WalTest, TornWriteDegradesWithExactConservation) {
   }
 }
 
+TEST_F(WalTest, TornTailWithFailedRollbackIsTruncatedByRecovery) {
+  // The writer's rollback truncate fails too, so the torn bytes stay on
+  // disk. Recovery's first-invalid-record rule must still replay exactly
+  // the acknowledged prefix, and a restarted Wal must append after it.
+  const std::string dir = scratch_dir("fault_torn_no_rollback");
+  const auto ids = make_ids("walt/fault_torn_no_rollback", 2);
+  PosixWalFs posix;
+  FaultFs faults(posix);
+
+  std::vector<IdReading> acked;
+  for (int i = 0; i < 16; ++i) {
+    acked.push_back({ids[static_cast<std::size_t>(i) % 2], {i, i * 1.0}});
+  }
+  {
+    Wal wal(WalOptions{.dir = dir}, &faults);
+    std::vector<IdReading> recovered;
+    wal.recover(recovered);
+    ASSERT_TRUE(wal.start());
+    ASSERT_TRUE(wal.append(std::span<const IdReading>(acked)));
+    ASSERT_TRUE(wal.flush());
+
+    faults.fail_next_append_after(7);
+    faults.fail_truncate(1);
+    wal.append(std::span<const IdReading>(acked));
+    EXPECT_FALSE(wal.flush());
+    EXPECT_TRUE(wal.degraded());
+    EXPECT_EQ(faults.appends_failed(), 1u);
+    wal.stop();
+  }
+
+  TimeSeriesStore store(1 << 10);
+  Wal restarted(WalOptions{.dir = dir});
+  const WalRecoveryStats stats = restarted.recover_into(store);
+  EXPECT_TRUE(stats.tail_truncated);
+  EXPECT_EQ(stats.truncate_reason, "short_record");
+  EXPECT_EQ(stats.truncated_bytes, 7u);
+  EXPECT_EQ(stats.samples_replayed, acked.size());
+  for (std::size_t s = 0; s < ids.size(); ++s) {
+    const SeriesSlice got =
+        store.query_all(SeriesInterner::global().path(ids[s]));
+    ASSERT_EQ(got.size(), acked.size() / 2);
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const IdReading& want = acked[2 * k + s];
+      EXPECT_EQ(got.times[k], want.sample.time);
+      EXPECT_TRUE(bits_equal(got.values[k], want.sample.value));
+    }
+  }
+
+  std::vector<IdReading> later;
+  for (int i = 16; i < 24; ++i) {
+    later.push_back({ids[static_cast<std::size_t>(i) % 2], {i, i * 1.0}});
+  }
+  ASSERT_TRUE(restarted.start());
+  ASSERT_TRUE(restarted.append(std::span<const IdReading>(later)));
+  ASSERT_TRUE(restarted.flush());
+  restarted.stop();
+  EXPECT_FALSE(restarted.degraded());
+
+  WalRecoveryStats again;
+  const auto replay = recover_wal(dir, &again);
+  EXPECT_FALSE(again.tail_truncated);
+  ASSERT_EQ(replay.size(), acked.size() + later.size());
+  for (std::size_t i = 0; i < acked.size(); ++i) {
+    ASSERT_TRUE(same_reading(replay[i], acked[i]));
+  }
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    ASSERT_TRUE(same_reading(replay[acked.size() + i], later[i]));
+  }
+}
+
 TEST_F(WalTest, SilentCorruptionIsCaughtByCrcOnRecovery) {
   const std::string dir = scratch_dir("fault_crc");
   const auto ids = make_ids("walt/fault_crc", 1);
