@@ -1,7 +1,7 @@
 // Experiment P2 (DESIGN.md): analytics-kernel microbenchmarks — the
 // algorithmic costs underlying the four analytics types: FFT scaling,
-// AR/Holt-Winters fitting, PCA, k-means, isolation forest, random forest,
-// and DTW. These are the design-choice ablation data for DESIGN.md §6.
+// AR/Holt-Winters fitting, PCA, isolation forest, random forest, and
+// DTW. These are the design-choice ablation data for DESIGN.md §6.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -15,7 +15,6 @@
 #include "math/distance.hpp"
 #include "math/fft.hpp"
 #include "math/isolation_forest.hpp"
-#include "math/kmeans.hpp"
 #include "math/pca.hpp"
 #include "math/smoothing.hpp"
 
@@ -94,20 +93,6 @@ void BM_PcaFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PcaFit)->Arg(256)->Arg(2048);
-
-void BM_KMeans(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<std::vector<double>> data;
-  for (int i = 0; i < 1024; ++i) {
-    data.push_back({rng.normal(i % 4 * 10.0, 1.0), rng.normal(0, 1)});
-  }
-  for (auto _ : state) {
-    Rng local(7);
-    auto result = math::kmeans(data, static_cast<std::size_t>(state.range(0)), local);
-    benchmark::DoNotOptimize(&result);
-  }
-}
-BENCHMARK(BM_KMeans)->Arg(4)->Arg(16);
 
 void BM_IsolationForestFit(benchmark::State& state) {
   Rng rng(11);

@@ -65,6 +65,7 @@
 #include "analytics/prescriptive/dvfs.hpp"
 #include "analytics/prescriptive/placement.hpp"
 #include "analytics/prescriptive/recommend.hpp"
+#include "core/bindings.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/exposition.hpp"
 #include "obs/health.hpp"
@@ -377,7 +378,7 @@ int main(int argc, char** argv) {
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   const obs::PipelineHealthReport health = obs::assess_pipeline_health(snapshot);
   std::printf("\n%s\n", health.render().c_str());
-  std::printf("%s\n", obs::render_cell_costs(snapshot).c_str());
+  std::printf("%s\n", core::render_cell_costs(snapshot).c_str());
   std::printf("%s\n", obs::render_metrics_table(snapshot).c_str());
 
   // 6. Machine-readable exports.

@@ -27,6 +27,10 @@ lint error):
                   declared in one of SHARED_HELPER_HEADERS, outside that
                   header's own .cpp — call the shared helper instead of
                   keeping a second copy
+  cell-id         every ODA_CELL_SCOPE in src/ names, as a string literal,
+                  a capability id of the catalog in CELL_CATALOG, and no id
+                  opens two scopes — the catalog is the one place a cell's
+                  grid position is written
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -63,6 +67,12 @@ FUNCTION_HEAD_RE = re.compile(
 
 # Headers whose free functions are the one copy of a shared helper.
 SHARED_HELPER_HEADERS = ("src/common/string_util.hpp", "src/obs/exposition.hpp")
+
+# The capability catalog: each `add("<id>", ...)` call is one row.
+CELL_CATALOG = "src/core/bindings.cpp"
+CATALOG_ROW_RE = re.compile(r'\badd\(\s*"([^"]+)"')
+CELL_SCOPE_RE = re.compile(r"\bODA_CELL_SCOPE\s*\(")
+CELL_SCOPE_ID_RE = re.compile(r'\s*"([^"]*)"\s*\)')
 
 
 class Finding:
@@ -213,6 +223,59 @@ def shared_helpers(root: str) -> dict[str, str]:
     return helpers
 
 
+def catalog_ids(root: str) -> set[str]:
+    """The capability ids the catalog registers (empty when it is absent)."""
+    path = os.path.join(root, CELL_CATALOG)
+    if not os.path.isfile(path):
+        return set()
+    with open(path, encoding="utf-8", errors="replace") as f:
+        return set(CATALOG_ROW_RE.findall(f.read()))
+
+
+def cell_scopes(raw_lines: list[str], stripped_lines: list[str]):
+    """Yield (line, id) for each ODA_CELL_SCOPE use in code; id is None when
+    the argument is not a single string literal. The macro's own #define is
+    not a use."""
+    for lineno, line in enumerate(stripped_lines, start=1):
+        if line.lstrip().startswith("#"):
+            continue
+        for m in CELL_SCOPE_RE.finditer(line):
+            literal = CELL_SCOPE_ID_RE.match(raw_lines[lineno - 1], m.end())
+            yield lineno, literal.group(1) if literal else None
+
+
+def check_cell_ids(root: str, rels: list[str]) -> list[Finding]:
+    """cell-id: each scope names a catalog row, and each row at most once."""
+    ids = catalog_ids(root)
+    findings: list[Finding] = []
+    first_scope: dict[str, str] = {}
+    for rel in rels:
+        if not rel.startswith("src/"):
+            continue
+        with open(os.path.join(root, rel), encoding="utf-8", errors="replace") as f:
+            raw = f.read()
+        if "ODA_CELL_SCOPE" not in raw:
+            continue
+        raw_lines = raw.splitlines()
+        allow = allowances(raw_lines)
+        stripped_lines = strip_comments_and_strings(raw).splitlines()
+        for lineno, cid in cell_scopes(raw_lines, stripped_lines):
+            if is_allowed(allow, lineno, "cell-id", findings, rel):
+                continue
+            where = f"{rel}:{lineno}"
+            if cid is None:
+                message = "ODA_CELL_SCOPE takes one string literal"
+            elif cid not in ids:
+                message = f"'{cid}' is not a capability id in {CELL_CATALOG}"
+            elif cid in first_scope:
+                message = f"'{cid}' already opens a scope at {first_scope[cid]}"
+            else:
+                first_scope[cid] = where
+                continue
+            findings.append(Finding(rel, lineno, "cell-id", message))
+    return findings
+
+
 def lint_file(root: str, rel: str, compiler: str | None, include_dir: str,
               helpers: dict[str, str]) -> list[Finding]:
     path = os.path.join(root, rel)
@@ -345,10 +408,11 @@ def main() -> int:
                                args.include_dir, helpers) for rel in files]
         for fut in futures:
             findings.extend(fut.result())
+    findings.extend(check_cell_ids(root, files))
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
-    checked_rules = 7 + (1 if args.compiler else 0)
+    checked_rules = 8 + (1 if args.compiler else 0)
     print(f"oda_lint: {len(files)} files, {checked_rules} rules, "
           f"{len(findings)} finding(s)")
     return 1 if findings else 0

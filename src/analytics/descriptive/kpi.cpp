@@ -40,7 +40,7 @@ double integrate_kwh(const telemetry::TimeSeriesStore& store,
 PueReport compute_pue(const telemetry::TimeSeriesStore& store, TimePoint from,
                       TimePoint to,
                       const telemetry::SensorHealthTracker* health) {
-  ODA_CELL_SCOPE("building-infrastructure", "descriptive", "kpi.pue");
+  ODA_CELL_SCOPE("kpi.pue");
   PueReport report;
   std::size_t usable = 0;
   const auto usable_kwh = [&](const std::string& path) {
@@ -65,7 +65,7 @@ PueReport compute_pue(const telemetry::TimeSeriesStore& store, TimePoint from,
 ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
                         TimePoint to, double fan_max_power_w,
                         double psu_overhead_fraction) {
-  ODA_CELL_SCOPE("system-hardware", "descriptive", "kpi.itue");
+  ODA_CELL_SCOPE("kpi.itue");
   ItueReport report;
   report.it_energy_kwh = integrate_kwh(store, "cluster/it_power", from, to);
 
@@ -104,7 +104,7 @@ double compute_ere(const PueReport& pue, double reuse_fraction) {
 
 SlowdownReport compute_slowdown(std::span<const sim::JobRecord> records,
                                 Duration tau) {
-  ODA_CELL_SCOPE("system-software", "descriptive", "kpi.slowdown");
+  ODA_CELL_SCOPE("kpi.slowdown");
   SlowdownReport report;
   if (records.empty()) return report;
   std::vector<double> waits;
@@ -197,7 +197,7 @@ SieReport compute_sie(const telemetry::TimeSeriesStore& store,
 
 RooflinePoint roofline(double peak_gflops, double peak_bw_gbs,
                        double achieved_gflops, double bytes_per_flop) {
-  ODA_CELL_SCOPE("applications", "descriptive", "kpi.roofline");
+  ODA_CELL_SCOPE("kpi.roofline");
   ODA_REQUIRE(peak_gflops > 0.0 && peak_bw_gbs > 0.0, "roofline ceilings must be positive");
   ODA_REQUIRE(bytes_per_flop > 0.0, "bytes_per_flop must be positive");
   RooflinePoint p;

@@ -309,7 +309,7 @@ void NodeAnomalyMonitor::train(const telemetry::TimeSeriesStore& store,
 
 std::vector<AnomalyVerdict> NodeAnomalyMonitor::scan(
     const telemetry::TimeSeriesStore& store, TimePoint now) const {
-  ODA_CELL_SCOPE("system-hardware", "diagnostic", "diag.node");
+  ODA_CELL_SCOPE("diag.node");
   ODA_REQUIRE(trained(), "scan before train");
   std::vector<AnomalyVerdict> out;
   out.reserve(node_prefixes_.size());

@@ -123,8 +123,7 @@ struct AnomalyVerdict {
 /// median of the node's rack peers — the correlation-wise-smoothing idea of
 /// Netti et al. [47]): rack-common modes such as inlet-temperature shifts
 /// cancel out, so one faulty node does not drag its whole rack over the
-/// alarm threshold. Rack-wide anomalies are the root-cause analyzer's job,
-/// not this monitor's.
+/// alarm threshold. This monitor does not flag rack-wide anomalies.
 ///
 /// Both member scores are calibrated on the healthy training windows; the
 /// reported score is the ensemble max, normalized so >= 1 means anomalous.

@@ -1,79 +1,9 @@
 #include "analytics/diagnostic/fingerprint.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "math/distance.hpp"
 
 namespace oda::analytics {
-
-std::vector<double> crisis_signature(const telemetry::TimeSeriesStore& store,
-                                     const std::vector<std::string>& metrics,
-                                     TimePoint from, TimePoint to) {
-  std::vector<double> signature;
-  signature.reserve(metrics.size() * 3);
-  for (const auto& path : metrics) {
-    const auto slice = store.query(path, from, to);
-    if (slice.empty()) {
-      signature.insert(signature.end(), {0.0, 0.0, 0.0});
-      continue;
-    }
-    signature.push_back(quantile(slice.values, 0.5));
-    signature.push_back(quantile(slice.values, 0.95));
-    signature.push_back(stddev(slice.values));
-  }
-  return signature;
-}
-
-void CrisisFingerprinter::add_incident(const std::string& label,
-                                       std::vector<double> signature) {
-  ODA_REQUIRE(!signature.empty(), "empty crisis signature");
-  if (!signatures_.empty()) {
-    ODA_REQUIRE(signature.size() == signatures_[0].size(),
-                "signature dimension mismatch");
-  }
-  signatures_.push_back(std::move(signature));
-  labels_.push_back(label);
-}
-
-CrisisFingerprinter::Match CrisisFingerprinter::identify(
-    const std::vector<double>& signature, double radius_factor) const {
-  ODA_REQUIRE(!signatures_.empty(), "no known incidents");
-  Match match;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < signatures_.size(); ++i) {
-    const double d = math::euclidean_distance(signature, signatures_[i]);
-    if (d < best) {
-      best = d;
-      match.label = labels_[i];
-    }
-  }
-  match.distance = best;
-
-  // Match radius: median pairwise distance among known incidents of the
-  // winning class (or overall when the class has a single exemplar).
-  std::vector<double> intra;
-  for (std::size_t i = 0; i < signatures_.size(); ++i) {
-    for (std::size_t j = i + 1; j < signatures_.size(); ++j) {
-      if (labels_[i] == match.label && labels_[j] == match.label) {
-        intra.push_back(math::euclidean_distance(signatures_[i], signatures_[j]));
-      }
-    }
-  }
-  if (intra.empty()) {
-    for (std::size_t i = 0; i < signatures_.size(); ++i) {
-      for (std::size_t j = i + 1; j < signatures_.size(); ++j) {
-        intra.push_back(math::euclidean_distance(signatures_[i], signatures_[j]));
-      }
-    }
-  }
-  const double radius = intra.empty() ? best : median(intra);
-  match.known = best <= radius_factor * std::max(radius, 1e-9);
-  return match;
-}
 
 std::vector<double> job_signature(const telemetry::TimeSeriesStore& store,
                                   const sim::JobRecord& record,

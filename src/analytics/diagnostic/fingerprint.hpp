@@ -1,10 +1,6 @@
-// Fingerprinting diagnostics:
-//  * datacenter crisis fingerprinting (Bodik et al. [38]) — summarize the
-//    whole facility's state into a signature vector, cluster known crises,
-//    and match new incidents to the nearest known class;
-//  * application fingerprinting (Taxonomist [33], DeMasi et al. [36]) —
-//    classify a job from the statistical signature of its node telemetry,
-//    in particular flagging crypto-miners.
+// Application fingerprinting (Taxonomist [33], DeMasi et al. [36]):
+// classify a job from the statistical signature of its node telemetry, in
+// particular flagging crypto-miners.
 #pragma once
 
 #include <map>
@@ -15,45 +11,11 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "math/decision_tree.hpp"
-#include "math/kmeans.hpp"
 #include "math/knn.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/store.hpp"
 
 namespace oda::analytics {
-
-// ---------------------------------------------------------------------------
-// Datacenter crisis fingerprinting.
-// ---------------------------------------------------------------------------
-
-/// Facility-state signature: quantiles of each metric over an interval.
-std::vector<double> crisis_signature(const telemetry::TimeSeriesStore& store,
-                                     const std::vector<std::string>& metrics,
-                                     TimePoint from, TimePoint to);
-
-class CrisisFingerprinter {
- public:
-  /// Registers a labeled incident signature.
-  void add_incident(const std::string& label, std::vector<double> signature);
-
-  struct Match {
-    std::string label;
-    double distance = 0.0;
-    bool known = false;  // within the match radius of a known incident
-  };
-  /// Nearest known incident; `known` is false when the distance exceeds
-  /// radius_factor times the median intra-class distance.
-  Match identify(const std::vector<double>& signature,
-                 double radius_factor = 3.0) const;
-
- private:
-  std::vector<std::vector<double>> signatures_;
-  std::vector<std::string> labels_;
-};
-
-// ---------------------------------------------------------------------------
-// Application fingerprinting.
-// ---------------------------------------------------------------------------
 
 /// Extracts the telemetry signature of a completed job: statistics of its
 /// nodes' cpu/mem/net/io counters over the job's runtime.

@@ -7,48 +7,14 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "math/fft.hpp"
-#include "math/regression.hpp"
 
 #include "obs/cell.hpp"
 
 namespace oda::analytics {
 
-LeakVerdict detect_memory_leak(const telemetry::TimeSeriesStore& store,
-                               const sim::RunningJob& job,
-                               const std::vector<std::string>& node_prefixes,
-                               TimePoint now, const LeakParams& params) {
-  LeakVerdict verdict;
-  verdict.job_id = job.spec.id;
-  if (job.nodes.empty()) return verdict;
-  // Memory is replicated per node for our job model; one node suffices.
-  const std::size_t n = job.nodes.front();
-  ODA_REQUIRE(n < node_prefixes.size(), "node index out of range");
-  const auto slice = store.query(node_prefixes[n] + "/mem_used",
-                                 std::max(now - params.window, job.start_time),
-                                 now);
-  if (slice.size() < 8) return verdict;
-
-  const auto trend = math::fit_theil_sen(slice.values);
-  // Samples are not necessarily 1s apart; convert per-sample slope to per
-  // hour using the mean sample spacing.
-  const double span_s =
-      static_cast<double>(slice.times.back() - slice.times.front());
-  const double spacing =
-      span_s / std::max<double>(1.0, static_cast<double>(slice.size() - 1));
-  verdict.slope_gb_per_hour = trend.slope * 3600.0 / std::max(spacing, 1e-9);
-  verdict.leaking =
-      verdict.slope_gb_per_hour >= params.slope_threshold_gb_per_hour;
-  if (verdict.leaking) {
-    const double headroom = params.memory_capacity_gb - slice.values.back();
-    verdict.projected_hours_to_oom =
-        std::max(0.0, headroom / verdict.slope_gb_per_hour);
-  }
-  return verdict;
-}
-
 NoiseReport analyze_fwq(std::span<const double> durations, double expected,
                         double sample_period_s, double tolerance) {
-  ODA_CELL_SCOPE("system-software", "diagnostic", "diag.noise");
+  ODA_CELL_SCOPE("diag.noise");
   ODA_REQUIRE(expected > 0.0, "expected quantum must be positive");
   ODA_REQUIRE(sample_period_s > 0.0, "sample period must be positive");
   NoiseReport report;
@@ -121,7 +87,7 @@ Boundedness classify_boundedness(const telemetry::TimeSeriesStore& store,
                                  const sim::RunningJob& job,
                                  const std::vector<std::string>& node_prefixes,
                                  TimePoint now, Duration window) {
-  ODA_CELL_SCOPE("applications", "diagnostic", "diag.bound");
+  ODA_CELL_SCOPE("diag.bound");
   const TimePoint from = std::max(now - window, job.start_time);
   double cpu = 0.0, mem = 0.0, net = 0.0, io = 0.0;
   std::size_t counted = 0;

@@ -1,6 +1,4 @@
 // Software-oriented diagnostics (system-software & applications pillars):
-//  * memory-leak detection — robust positive slope in a job's resident
-//    memory (Tuncer et al. [16]);
 //  * OS-noise characterization — FWQ (fixed-work-quantum) trace analysis:
 //    noise intensity, periodicity, and the dominant interference period
 //    (Ferreira et al. [57]);
@@ -18,27 +16,6 @@
 #include "telemetry/store.hpp"
 
 namespace oda::analytics {
-
-// ---------------------------------------------------------------- mem leaks
-
-struct LeakVerdict {
-  std::uint64_t job_id = 0;
-  bool leaking = false;
-  double slope_gb_per_hour = 0.0;
-  double projected_hours_to_oom = 0.0;  // at the current slope
-};
-
-struct LeakParams {
-  double slope_threshold_gb_per_hour = 1.0;
-  Duration window = 30 * kMinute;
-  double memory_capacity_gb = 256.0;
-};
-
-/// Tests one running job's memory trace for a sustained upward slope.
-LeakVerdict detect_memory_leak(const telemetry::TimeSeriesStore& store,
-                               const sim::RunningJob& job,
-                               const std::vector<std::string>& node_prefixes,
-                               TimePoint now, const LeakParams& params);
 
 // ----------------------------------------------------------------- OS noise
 

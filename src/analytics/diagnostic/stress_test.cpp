@@ -44,7 +44,7 @@ double fit_time_constant(const std::vector<double>& t_s,
 StressTestResult run_cooling_stress_test(sim::ClusterSimulation& cluster,
                                          double baseline_tau_s,
                                          const StressTestParams& params) {
-  ODA_CELL_SCOPE("building-infrastructure", "diagnostic", "diag.stress");
+  ODA_CELL_SCOPE("diag.stress");
   ODA_REQUIRE(std::abs(params.step_k) >= 0.5, "step too small to measure");
   StressTestResult result;
   result.step_k = params.step_k;

@@ -13,7 +13,7 @@ namespace oda::analytics {
 FailureProjection project_failure(std::span<const double> signal,
                                   double sample_period_s, double threshold,
                                   bool increasing_is_bad) {
-  ODA_CELL_SCOPE("system-hardware", "predictive", "pred.failure");
+  ODA_CELL_SCOPE("pred.failure");
   ODA_REQUIRE(sample_period_s > 0.0, "sample period must be positive");
   FailureProjection p;
   if (signal.size() < 8) return p;

@@ -47,7 +47,7 @@ void JobRuntimePredictor::observe(const sim::JobRecord& record) {
 
 JobRuntimePredictor::Estimate JobRuntimePredictor::predict(
     const sim::JobSpec& spec) const {
-  ODA_CELL_SCOPE("applications", "predictive", "pred.runtime");
+  ODA_CELL_SCOPE("pred.runtime");
   Estimate est;
   const double cap = static_cast<double>(spec.walltime_requested);
   const auto it = user_runtimes_.find(spec.user);
@@ -67,26 +67,6 @@ JobRuntimePredictor::Estimate JobRuntimePredictor::predict(
   est.runtime_s = cap;
   est.source = "request";
   return est;
-}
-
-void JobEnergyPredictor::observe(const sim::JobRecord& record) {
-  const double runtime = std::max<double>(1.0, static_cast<double>(record.run_time()));
-  const double node_power =
-      record.energy_j / runtime / static_cast<double>(std::max<std::size_t>(
-                                      record.nodes.size(), 1));
-  knn_.add(submission_features(record.spec), node_power);
-  ++observed_;
-}
-
-double JobEnergyPredictor::predict_node_power_w(const sim::JobSpec& spec) const {
-  if (knn_.size() == 0) return 0.0;
-  return knn_.predict(submission_features(spec), knn_k_);
-}
-
-double JobEnergyPredictor::predict_energy_j(const sim::JobSpec& spec,
-                                            double predicted_runtime_s) const {
-  return predict_node_power_w(spec) *
-         static_cast<double>(spec.nodes_requested) * predicted_runtime_s;
 }
 
 PredictionScore evaluate_runtime_predictor(

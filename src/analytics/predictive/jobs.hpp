@@ -1,7 +1,7 @@
-// Job runtime & resource prediction ([30],[31],[34],[35],[52],[53]): learn
-// from completed jobs, predict runtime/energy for newly submitted ones from
-// their observable submission features (user, size, requested walltime,
-// queue, submit hour — never the hidden ground truth).
+// Job runtime prediction ([30],[31],[34],[35],[52],[53]): learn from
+// completed jobs, predict the runtime of newly submitted ones from their
+// observable submission features (user, size, requested walltime, queue,
+// submit hour — never the hidden ground truth).
 #pragma once
 
 #include <map>
@@ -46,25 +46,6 @@ class JobRuntimePredictor {
  private:
   Params params_;
   std::map<std::string, std::vector<double>> user_runtimes_;
-  math::KnnRegressor knn_;
-  std::size_t observed_ = 0;
-};
-
-/// Mean-power / total-energy predictor from the same features.
-class JobEnergyPredictor {
- public:
-  explicit JobEnergyPredictor(std::size_t knn_k = 7) : knn_k_(knn_k) {}
-
-  void observe(const sim::JobRecord& record);
-  /// Predicted mean power per node (W); multiply by nodes and predicted
-  /// runtime for an energy estimate.
-  double predict_node_power_w(const sim::JobSpec& spec) const;
-  double predict_energy_j(const sim::JobSpec& spec,
-                          double predicted_runtime_s) const;
-  std::size_t observed() const { return observed_; }
-
- private:
-  std::size_t knn_k_;
   math::KnnRegressor knn_;
   std::size_t observed_ = 0;
 };

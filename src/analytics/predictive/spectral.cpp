@@ -46,7 +46,7 @@ std::vector<double> SpectralForecaster::forecast(std::size_t horizon) const {
 
 std::vector<PowerSwingEvent> detect_power_swings(std::span<const double> power,
                                                  const NotificationRule& rule) {
-  ODA_CELL_SCOPE("building-infrastructure", "predictive", "pred.spectral");
+  ODA_CELL_SCOPE("pred.spectral");
   ODA_REQUIRE(rule.sample_period > 0, "sample period must be positive");
   const auto lag = static_cast<std::size_t>(rule.window / rule.sample_period);
   std::vector<PowerSwingEvent> out;

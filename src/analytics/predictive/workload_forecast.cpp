@@ -41,7 +41,7 @@ std::vector<double> WorkloadForecaster::daily_profile() const {
 }
 
 std::vector<double> WorkloadForecaster::forecast(std::size_t horizon) const {
-  ODA_CELL_SCOPE("system-software", "predictive", "pred.workload");
+  ODA_CELL_SCOPE("pred.workload");
   const auto per_day = static_cast<std::size_t>(kDay / bucket_);
   std::vector<double> out(horizon, 0.0);
   if (counts_.empty()) return out;

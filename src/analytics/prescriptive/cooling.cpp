@@ -27,7 +27,7 @@ double CoolingSetpointOptimizer::measure_power(
 void CoolingSetpointOptimizer::act(sim::ClusterSimulation& cluster,
                                    const telemetry::TimeSeriesStore& store,
                                    std::vector<Actuation>& log) {
-  ODA_CELL_SCOPE("building-infrastructure", "prescriptive", "presc.setpoint");
+  ODA_CELL_SCOPE("presc.setpoint");
   const TimePoint now = cluster.now();
 
   // Safety: back off immediately if any CPU is near its limit.

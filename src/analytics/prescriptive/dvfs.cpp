@@ -30,7 +30,7 @@ const std::vector<DvfsGovernor::NodeInputs>& DvfsGovernor::inputs(
 void DvfsGovernor::act(sim::ClusterSimulation& cluster,
                        const telemetry::TimeSeriesStore& store,
                        std::vector<Actuation>& log) {
-  ODA_CELL_SCOPE("system-hardware", "prescriptive", "presc.dvfs");
+  ODA_CELL_SCOPE("presc.dvfs");
   if (params_.mode == Mode::kEnergy) {
     act_energy(cluster, store, log);
   } else {

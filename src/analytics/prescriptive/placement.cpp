@@ -62,7 +62,7 @@ std::optional<std::vector<std::size_t>> place_rack_local(
 
 std::optional<std::vector<std::size_t>> ThermalAwarePlacement::place(
     const sim::JobSpec& spec, const std::vector<bool>& node_busy) {
-  ODA_CELL_SCOPE("system-software", "prescriptive", "presc.placement");
+  ODA_CELL_SCOPE("presc.placement");
   // Rank racks coolest-first (by power, our hotspot proxy).
   std::vector<std::size_t> rack_order(racks_);
   std::iota(rack_order.begin(), rack_order.end(), 0);

@@ -16,7 +16,7 @@ JobProfile profile_job(const telemetry::TimeSeriesStore& store,
                        const sim::JobRecord& record,
                        const std::vector<std::string>& node_prefixes,
                        Duration bucket) {
-  ODA_CELL_SCOPE("applications", "prescriptive", "presc.recommend");
+  ODA_CELL_SCOPE("presc.recommend");
   JobProfile profile;
   std::vector<double> per_node_cpu;
   double cpu = 0.0, mem = 0.0, net = 0.0, io = 0.0;

@@ -1,6 +1,11 @@
 #include "core/bindings.hpp"
 
+#include <cstdint>
+#include <map>
+
 #include "common/error.hpp"
+#include "common/string_util.hpp"
+#include "common/table.hpp"
 
 namespace oda::core {
 
@@ -74,31 +79,15 @@ FrameworkGrid implemented_capabilities() {
       {{P::kBuildingInfrastructure, T::kDiagnostic}},
       {"facility/supply_temp"}, {"StressTestResult"},
       {"facility/supply_setpoint"});
-  add("diag.crisis", "Crisis fingerprinting [analytics/diagnostic/fingerprint]",
-      "Facility-state signatures matched against labeled incident classes.",
-      {{P::kBuildingInfrastructure, T::kDiagnostic}},
-      {"facility/*", "weather/*"}, {"incident label"});
   add("diag.node", "Node anomaly monitor [analytics/diagnostic/anomaly]",
       "Isolation-forest and PCA reconstruction scoring of per-node window "
       "features.",
       {{P::kSystemHardware, T::kDiagnostic}},
       {"rack*/node*/*"}, {"per-node verdicts"});
-  add("diag.rca", "Root-cause analysis [analytics/diagnostic/rootcause]",
-      "Dependency-graph blame ranking over symptomatic components.",
-      {{P::kSystemHardware, T::kDiagnostic}},
-      {"anomaly verdicts"}, {"ranked causes"});
-  add("diag.contention", "Network contention diagnosis [analytics/diagnostic/contention]",
-      "Saturated-uplink detection with aggressor/victim attribution.",
-      {{P::kSystemHardware, T::kDiagnostic}},
-      {"network/*", "rack*/node*/net_util", "placements"}, {"ContentionReport"});
   add("diag.noise", "OS noise analysis [analytics/diagnostic/software]",
       "FWQ trace analysis: noise fraction and dominant interference period.",
       {{P::kSystemSoftware, T::kDiagnostic}},
       {"FWQ benchmark trace"}, {"NoiseReport"});
-  add("diag.leak", "Memory-leak detection [analytics/diagnostic/software]",
-      "Theil-Sen slope test on resident memory with OOM projection.",
-      {{P::kSystemSoftware, T::kDiagnostic}},
-      {"rack*/node*/mem_used"}, {"LeakVerdict"});
   add("diag.appfp", "Application fingerprinting [analytics/diagnostic/fingerprint]",
       "kNN/random-forest classification of job telemetry signatures "
       "(crypto-miner detection).",
@@ -141,10 +130,6 @@ FrameworkGrid implemented_capabilities() {
       "Per-user history + kNN estimation capped by the walltime request.",
       {{P::kApplications, T::kPredictive}},
       {"job records", "submission features"}, {"runtime estimate"});
-  add("pred.energy", "Job resource prediction [analytics/predictive/jobs]",
-      "Node-power/energy estimation from submission features.",
-      {{P::kApplications, T::kPredictive}},
-      {"job records"}, {"power/energy estimate"});
 
   // ---- Prescriptive ---------------------------------------------------------
   add("presc.setpoint", "Cooling set-point optimizer [analytics/prescriptive/cooling]",
@@ -201,6 +186,47 @@ CoverageReport verify_full_coverage(const FrameworkGrid& grid) {
               "framework grid has uncovered cells — the library no longer "
               "realizes the full 4x4 framework");
   return report;
+}
+
+std::string render_cell_costs(const obs::MetricsSnapshot& snapshot) {
+  const FrameworkGrid catalog = implemented_capabilities();
+  struct Cost {
+    std::uint64_t runs = 0;
+    double seconds = 0.0;
+  };
+  std::map<GridCell, Cost> costs;
+  if (const obs::MetricFamily* fam =
+          snapshot.find("oda_analytics_run_seconds")) {
+    for (const auto& h : fam->histograms) {
+      for (const auto& [key, id] : h.labels) {
+        if (key != "capability" || !catalog.contains(id)) continue;
+        Cost& cost = costs[catalog.at(id).cells.front()];
+        cost.runs += h.count;
+        cost.seconds += h.sum;
+      }
+    }
+  }
+
+  std::vector<std::string> header{"analytics type"};
+  for (const Pillar pillar : kAllPillars) header.emplace_back(to_string(pillar));
+  TextTable table(std::move(header));
+  table.set_title("ANALYTICS COST PER GRID CELL (runs @ mean ms)");
+  for (const AnalyticsType type : kAllTypes) {
+    std::vector<std::string> row{to_string(type)};
+    for (const Pillar pillar : kAllPillars) {
+      const auto it = costs.find({pillar, type});
+      if (it == costs.end() || it->second.runs == 0) {
+        row.emplace_back("-");
+      } else {
+        const double mean_ms =
+            it->second.seconds / static_cast<double>(it->second.runs) * 1e3;
+        row.push_back(std::to_string(it->second.runs) + " @ " +
+                      format_double(mean_ms, 2));
+      }
+    }
+    table.add_row(std::move(row));
+  }
+  return table.render();
 }
 
 }  // namespace oda::core

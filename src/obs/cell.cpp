@@ -2,13 +2,11 @@
 
 namespace oda::obs {
 
-Histogram& CellScope::seconds_for(const char* pillar, const char* type,
-                                  const char* capability) {
+Histogram& CellScope::seconds_for(const char* capability) {
   return MetricsRegistry::global().histogram(
       "oda_analytics_run_seconds",
-      "Latency of instrumented analytics capabilities per grid cell",
-      default_latency_bounds(),
-      {{"pillar", pillar}, {"type", type}, {"capability", capability}});
+      "Latency of instrumented analytics capabilities",
+      default_latency_bounds(), {{"capability", capability}});
 }
 
 CellScope::CellScope(Histogram& seconds, const char* capability)

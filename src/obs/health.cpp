@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <map>
 
 #include "common/contention.hpp"
 #include "common/log.hpp"
@@ -281,49 +280,6 @@ std::string render_metrics_table(const MetricsSnapshot& snap) {
                        to_string(fam.type), fmt("%.6g", v.value), ""});
       }
     }
-  }
-  return table.render();
-}
-
-std::string render_cell_costs(const MetricsSnapshot& snap) {
-  static constexpr const char* kPillars[] = {
-      "building-infrastructure", "system-hardware", "system-software",
-      "applications"};
-  static constexpr const char* kTypes[] = {"descriptive", "diagnostic",
-                                           "predictive", "prescriptive"};
-  struct Cell {
-    std::uint64_t runs = 0;
-    double seconds = 0.0;
-  };
-  std::map<std::pair<std::string, std::string>, Cell> cells;
-  if (const MetricFamily* fam = snap.find("oda_analytics_run_seconds")) {
-    for (const auto& h : fam->histograms) {
-      const std::string* pillar = label_value(h.labels, "pillar");
-      const std::string* type = label_value(h.labels, "type");
-      if (pillar == nullptr || type == nullptr) continue;
-      Cell& cell = cells[{*type, *pillar}];
-      cell.runs += h.count;
-      cell.seconds += h.sum;
-    }
-  }
-
-  TextTable table({"analytics type", "building-infrastructure",
-                   "system-hardware", "system-software", "applications"});
-  table.set_title("ANALYTICS COST PER GRID CELL (runs @ mean ms)");
-  for (const char* type : kTypes) {
-    std::vector<std::string> row{type};
-    for (const char* pillar : kPillars) {
-      const auto it = cells.find({type, pillar});
-      if (it == cells.end() || it->second.runs == 0) {
-        row.push_back("-");
-      } else {
-        const double mean_ms =
-            it->second.seconds / static_cast<double>(it->second.runs) * 1e3;
-        row.push_back(fmt("%.0f", static_cast<double>(it->second.runs)) +
-                      " @ " + fmt("%.2f", mean_ms));
-      }
-    }
-    table.add_row(std::move(row));
   }
   return table.render();
 }

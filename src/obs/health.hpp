@@ -1,9 +1,9 @@
 // Pipeline health: turns a MetricsSnapshot into an operator-facing report —
 // per-check verdicts (drops, slow subscribers, rejected tasks, trace
-// buffer overflow), a rendered table of every metric family, and the 4x4
-// grid cost view built from the CellScope series. Also hosts the pull-model
-// registration helpers that connect common/ concurrency primitives (which
-// obs cannot be a dependency of) to the registry via callback gauges.
+// buffer overflow) and a rendered table of every metric family. Also hosts
+// the pull-model registration helpers that connect common/ concurrency
+// primitives (which obs cannot be a dependency of) to the registry via
+// callback gauges.
 #pragma once
 
 #include <functional>
@@ -45,10 +45,6 @@ PipelineHealthReport assess_pipeline_health(const MetricsSnapshot& snapshot);
 /// Renders every family as a table: counters/gauges with their summed
 /// value, histograms with count / mean / max-bucket.
 std::string render_metrics_table(const MetricsSnapshot& snapshot);
-
-/// Renders the 4x4 grid of oda_analytics_run_seconds as "runs @ mean-ms"
-/// per (type row, pillar column) — the live cost-per-cell view.
-std::string render_cell_costs(const MetricsSnapshot& snapshot);
 
 /// Keeps a set of callback registrations alive; dropping it unregisters
 /// them (safe teardown before the instrumented object dies).

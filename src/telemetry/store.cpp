@@ -227,13 +227,6 @@ void TimeSeriesStore::insert_batch(std::span<const IdReading> readings) {
   metrics.inserts.inc(readings.size());
 }
 
-bool TimeSeriesStore::contains(SeriesId id) const {
-  if (!id.valid()) return false;
-  Shard& shard = shard_of(id);
-  ReaderLock lock(shard.mu);
-  return shard.series.count(id.value) != 0;
-}
-
 std::vector<std::string> TimeSeriesStore::paths() const {
   SeriesInterner& interner = SeriesInterner::global();
   std::vector<std::string> out;

@@ -161,7 +161,6 @@ class TimeSeriesStore {
   Wal* wal() const { return wal_; }
 
   // -- catalog ----------------------------------------------------------------
-  bool contains(SeriesId id) const;
   /// All stored paths, sorted (the original std::map iteration order).
   std::vector<std::string> paths() const;
   /// The stored paths that glob_match `pattern`, sorted. Memoised per

@@ -1,15 +1,22 @@
 // Tests for the core ODA framework: pillars/types, the 4x4 grid, the survey
 // catalog that regenerates Table I, the complex-system compositions of
-// Figure 3, and the library's own full-coverage binding.
+// Figure 3, the library's own full-coverage binding, and the cost-per-cell
+// view it places on the grid.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "core/bindings.hpp"
 #include "core/figures.hpp"
 #include "core/grid.hpp"
 #include "core/oda_system.hpp"
 #include "core/pillars.hpp"
 #include "core/survey_catalog.hpp"
+#include "obs/metrics.hpp"
 
 namespace oda::core {
 namespace {
@@ -300,6 +307,76 @@ TEST(Bindings, PrescriptiveCapabilitiesDeclareKnobs) {
 TEST(Bindings, RoadmapEmptyWhenFullyCovered) {
   const auto grid = implemented_capabilities();
   EXPECT_TRUE(grid.roadmap().empty());
+}
+
+// ------------------------------------------------------------- cell costs
+
+/// The four pillar cells of `type`'s row in a rendered cost table.
+std::vector<std::string> cost_row(const std::string& table,
+                                  AnalyticsType type) {
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> cells;
+    for (const auto& part : split(line, '|')) {
+      cells.emplace_back(trim(part));
+    }
+    // "| type | c0 | c1 | c2 | c3 |" splits into 7 parts.
+    if (cells.size() == 7 && cells[1] == to_string(type)) {
+      return {cells.begin() + 2, cells.end() - 1};
+    }
+  }
+  return {};
+}
+
+TEST(PipelineHealth, RenderCellCosts) {
+  obs::MetricsRegistry reg;
+  obs::Histogram& h =
+      reg.histogram("oda_analytics_run_seconds", "runs", std::vector<double>{1},
+                    {{"capability", "pred.runtime"}});
+  h.observe(0.010);
+  h.observe(0.030);
+  const std::string table = render_cell_costs(reg.snapshot());
+  // 2 runs at a 20 ms mean in the (predictive, applications) cell.
+  EXPECT_NE(table.find("2 @ 20.00"), std::string::npos);
+  EXPECT_NE(table.find("predictive"), std::string::npos);
+  const auto row = cost_row(table, AnalyticsType::kPredictive);
+  ASSERT_EQ(row.size(), kPillarCount);
+  EXPECT_EQ(row[static_cast<std::size_t>(Pillar::kApplications)], "2 @ 20.00");
+  // Untouched cells render as "-".
+  EXPECT_NE(table.find("-"), std::string::npos);
+}
+
+TEST(CellCosts, MultiCellCapabilityLandsInItsFirstCell) {
+  // pred.spectral's catalog row lists two cells; its runs count once, in
+  // the first: building-infrastructure x predictive.
+  obs::MetricsRegistry reg;
+  reg.histogram("oda_analytics_run_seconds", "runs", std::vector<double>{1},
+                {{"capability", "pred.spectral"}})
+      .observe(0.004);
+  const std::string table = render_cell_costs(reg.snapshot());
+  for (const AnalyticsType type : kAllTypes) {
+    const auto row = cost_row(table, type);
+    ASSERT_EQ(row.size(), kPillarCount) << to_string(type);
+    for (const Pillar pillar : kAllPillars) {
+      const bool home = type == AnalyticsType::kPredictive &&
+                        pillar == Pillar::kBuildingInfrastructure;
+      EXPECT_EQ(row[static_cast<std::size_t>(pillar)], home ? "1 @ 4.00" : "-")
+          << to_string(GridCell{pillar, type});
+    }
+  }
+}
+
+TEST(CellCosts, CapabilityOutsideCatalogIsSkipped) {
+  obs::MetricsRegistry reg;
+  reg.histogram("oda_analytics_run_seconds", "runs", std::vector<double>{1},
+                {{"capability", "unit.cell"}})
+      .observe(0.004);
+  const std::string table = render_cell_costs(reg.snapshot());
+  for (const AnalyticsType type : kAllTypes) {
+    EXPECT_EQ(cost_row(table, type),
+              std::vector<std::string>(kPillarCount, "-"))
+        << to_string(type);
+  }
 }
 
 }  // namespace

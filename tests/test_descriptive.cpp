@@ -73,8 +73,7 @@ TEST_F(DescriptiveFixture, ItueReportIsBitExact) {
 TEST_F(DescriptiveFixture, ItueRunsNoPueCell) {
   // TUE needs only the facility/IT energy ratio, so kpi.itue must not
   // account a kpi.pue run of its own.
-  const obs::Histogram& pue_runs = obs::CellScope::seconds_for(
-      "building-infrastructure", "descriptive", "kpi.pue");
+  const obs::Histogram& pue_runs = obs::CellScope::seconds_for("kpi.pue");
   const std::uint64_t before = pue_runs.count();
   compute_itue(*store_, 0, cluster_->now());
   EXPECT_EQ(pue_runs.count(), before);

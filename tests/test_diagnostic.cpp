@@ -1,15 +1,13 @@
 // Tests for the diagnostic pillar: streaming/multivariate anomaly detection
-// (scored against injected-fault ground truth), root-cause analysis,
-// fingerprinting, contention diagnosis, and software diagnostics.
+// (scored against injected-fault ground truth), application fingerprinting,
+// and software diagnostics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
 #include "analytics/diagnostic/anomaly.hpp"
-#include "analytics/diagnostic/contention.hpp"
 #include "analytics/diagnostic/fingerprint.hpp"
-#include "analytics/diagnostic/rootcause.hpp"
 #include "analytics/diagnostic/software.hpp"
 #include "analytics/diagnostic/stress_test.hpp"
 #include "math/fft.hpp"
@@ -214,60 +212,7 @@ TEST(WindowFeatures, ShapeAndSlope) {
   EXPECT_NEAR(f[5], 0.0, 1e-12);  // slope(b)
 }
 
-// ------------------------------------------------------------------- RCA
-
-TEST(RootCause, BlamesCoolingWhenAllRacksHot) {
-  auto graph = DependencyGraph::standard_cluster(2, 4);
-  std::vector<std::string> symptoms;
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t n = 0; n < 4; ++n) symptoms.push_back(sim::node_path(r, n));
-  }
-  const auto causes = graph.diagnose(symptoms);
-  ASSERT_FALSE(causes.empty());
-  EXPECT_EQ(causes.front().component, "facility/cooling");
-}
-
-TEST(RootCause, BlamesRackWhenOnlyItsNodesHot) {
-  auto graph = DependencyGraph::standard_cluster(2, 4);
-  std::vector<std::string> symptoms;
-  for (std::size_t n = 0; n < 4; ++n) symptoms.push_back(sim::node_path(1, n));
-  const auto causes = graph.diagnose(symptoms);
-  ASSERT_FALSE(causes.empty());
-  EXPECT_EQ(causes.front().component, "rack01");
-}
-
-TEST(RootCause, SingleNodeIsItsOwnCause) {
-  auto graph = DependencyGraph::standard_cluster(2, 4);
-  const auto causes = graph.diagnose({sim::node_path(0, 2)});
-  ASSERT_FALSE(causes.empty());
-  EXPECT_EQ(causes.front().component, sim::node_path(0, 2));
-}
-
-TEST(RootCause, GraphStructure) {
-  auto graph = DependencyGraph::standard_cluster(3, 2);
-  EXPECT_TRUE(graph.contains("facility/cooling"));
-  EXPECT_EQ(graph.children_of("rack00").size(), 2u);
-  EXPECT_EQ(graph.descendants_of("facility/cooling").size(), 3 + 3 * 2 + 2u);
-}
-
 // ----------------------------------------------------------- fingerprinting
-
-TEST(CrisisFingerprinter, MatchesKnownIncidentClass) {
-  CrisisFingerprinter fp;
-  Rng rng(7);
-  // Two incident classes with distinct signatures.
-  for (int i = 0; i < 5; ++i) {
-    fp.add_incident("cooling-loss",
-                    {40.0 + rng.normal(0, 0.5), 80.0 + rng.normal(0, 0.5), 2.0});
-    fp.add_incident("power-surge",
-                    {10.0 + rng.normal(0, 0.5), 20.0 + rng.normal(0, 0.5), 9.0});
-  }
-  const auto match = fp.identify({40.3, 79.7, 2.1});
-  EXPECT_EQ(match.label, "cooling-loss");
-  EXPECT_TRUE(match.known);
-  const auto novel = fp.identify({400.0, 0.0, -50.0});
-  EXPECT_FALSE(novel.known);
-}
 
 TEST(ApplicationFingerprinter, SeparatesSyntheticClasses) {
   ApplicationFingerprinter fp;
@@ -285,98 +230,7 @@ TEST(ApplicationFingerprinter, SeparatesSyntheticClasses) {
   EXPECT_GT(fp.predict_forest({0.995, 0.02, 0.04, 0.01}).confidence, 0.7);
 }
 
-// -------------------------------------------------------- contention E2E
-
-TEST(Contention, DiagnosesDegradedUplink) {
-  sim::ClusterParams params;
-  params.racks = 2;
-  params.nodes_per_rack = 8;
-  params.seed = 31;
-  params.workload.peak_arrival_rate_per_hour = 0.0;
-  sim::ClusterSimulation cluster(params);
-  cluster.set_workload_enabled(false);
-
-  // A cross-rack network-heavy job.
-  sim::JobSpec spec;
-  spec.id = 1;
-  spec.user = "netuser";
-  spec.nodes_requested = 12;  // spans both racks under first-fit
-  sim::JobPhase phase;
-  phase.nominal_duration = 6 * kHour;
-  phase.cpu_util = 0.5;
-  phase.net_util = 0.9;
-  spec.phases = {phase};
-  spec.walltime_requested = 12 * kHour;
-  cluster.scheduler().submit(spec);
-
-  // Degrade rack 0's uplink so the shared link saturates.
-  cluster.faults().schedule({sim::FaultKind::kNetworkDegradation, "0", 0,
-                             12 * kHour, 0.3});
-
-  telemetry::TimeSeriesStore store;
-  telemetry::Collector collector(cluster, &store, nullptr);
-  collector.add_all_sensors(60);
-  while (cluster.now() < kHour) {
-    cluster.step();
-    collector.collect();
-  }
-
-  std::vector<std::string> prefixes;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    prefixes.push_back(cluster.node(i).path());
-  }
-  ContentionParams cp;
-  cp.nodes_per_rack = 8;
-  const auto report = diagnose_contention(store, cluster.scheduler().running(),
-                                          prefixes, cluster.now(), cp);
-  ASSERT_TRUE(report.contention_detected());
-  EXPECT_EQ(report.hot_links.front().rack, 0u);
-  ASSERT_FALSE(report.involved_jobs.empty());
-  EXPECT_EQ(report.involved_jobs.front().job_id, 1u);
-  EXPECT_TRUE(report.involved_jobs.front().aggressor);
-}
-
 // --------------------------------------------------------------- software
-
-TEST(MemoryLeak, DetectedOnLeakClassJob) {
-  sim::ClusterParams params;
-  params.racks = 1;
-  params.nodes_per_rack = 2;
-  params.workload.peak_arrival_rate_per_hour = 0.0;
-  sim::ClusterSimulation cluster(params);
-  cluster.set_workload_enabled(false);
-
-  sim::JobSpec leak;
-  leak.id = 1;
-  leak.user = "u";
-  leak.job_class = sim::JobClass::kMemoryLeak;
-  leak.nodes_requested = 1;
-  sim::JobPhase phase;
-  phase.nominal_duration = 6 * kHour;
-  phase.cpu_util = 0.8;
-  leak.phases = {phase};
-  leak.walltime_requested = 12 * kHour;
-  cluster.scheduler().submit(leak);
-
-  telemetry::TimeSeriesStore store;
-  telemetry::Collector collector(cluster, &store, nullptr);
-  collector.add_all_sensors(60);
-  while (cluster.now() < kHour) {
-    cluster.step();
-    collector.collect();
-  }
-
-  std::vector<std::string> prefixes;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    prefixes.push_back(cluster.node(i).path());
-  }
-  ASSERT_FALSE(cluster.scheduler().running().empty());
-  const auto verdict = detect_memory_leak(
-      store, cluster.scheduler().running()[0], prefixes, cluster.now(), {});
-  EXPECT_TRUE(verdict.leaking);
-  EXPECT_NEAR(verdict.slope_gb_per_hour, 90.0, 20.0);  // 1.5 GB/min ramp
-  EXPECT_GT(verdict.projected_hours_to_oom, 0.0);
-}
 
 TEST(OsNoise, FindsInjectedPeriod) {
   // One interference event every 0.1 s against 0.0105 s quanta: ~10% of

@@ -16,7 +16,6 @@
 #include "analytics/descriptive/kpi.hpp"
 #include "analytics/diagnostic/anomaly.hpp"
 #include "analytics/diagnostic/fingerprint.hpp"
-#include "analytics/diagnostic/rootcause.hpp"
 #include "analytics/predictive/spectral.hpp"
 #include "analytics/prescriptive/controller.hpp"
 #include "analytics/prescriptive/dvfs.hpp"
@@ -276,23 +275,6 @@ TEST(Integration, EniStyleDetectAndRespond) {
   ASSERT_FALSE(log.empty());
   EXPECT_EQ(log[0].knob, "facility/pump_speed");
   EXPECT_GT(cluster.knobs().get("facility/pump_speed"), 1.0);
-}
-
-// ----------------------------------------- anomaly -> RCA composition
-
-TEST(Integration, MonitorFeedsRootCauseAnalysis) {
-  // A facility-wide condition (hot supply water) makes many nodes run hot;
-  // the RCA should blame the shared cooling rather than any node.
-  auto graph = analytics::DependencyGraph::standard_cluster(2, 4);
-  std::vector<std::string> symptomatic;
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t n = 0; n < 4; ++n) {
-      symptomatic.push_back(sim::node_path(r, n));
-    }
-  }
-  const auto causes = graph.diagnose(symptomatic);
-  ASSERT_FALSE(causes.empty());
-  EXPECT_EQ(causes.front().component, "facility/cooling");
 }
 
 // --------------------------------------------- closed-loop DVFS on real sim

@@ -1,4 +1,4 @@
-// Tests for time-series models, FFT, and the ML kernels (PCA, k-means, kNN,
+// Tests for time-series models, FFT, and the ML kernels (PCA, kNN,
 // isolation forest, decision trees) plus the optimizers.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "math/entropy.hpp"
 #include "math/fft.hpp"
 #include "math/isolation_forest.hpp"
-#include "math/kmeans.hpp"
 #include "math/knn.hpp"
 #include "math/optimize.hpp"
 #include "math/pca.hpp"
@@ -295,44 +294,6 @@ TEST(Pca, TransformInverseRoundTripFullRank) {
   const auto pca = Pca::fit(Matrix::from_rows(rows), 3);
   const auto recon = pca.inverse_transform(pca.transform(rows[7]));
   for (int d = 0; d < 3; ++d) EXPECT_NEAR(recon[d], rows[7][d], 1e-9);
-}
-
-// ----------------------------------------------------------------- kmeans
-
-TEST(KMeans, SeparatesObviousClusters) {
-  Rng rng(47);
-  std::vector<std::vector<double>> data;
-  for (int i = 0; i < 50; ++i) data.push_back({rng.normal(0, 0.3), rng.normal(0, 0.3)});
-  for (int i = 0; i < 50; ++i) data.push_back({rng.normal(10, 0.3), rng.normal(10, 0.3)});
-  const auto result = kmeans(data, 2, rng);
-  EXPECT_EQ(result.centroids.size(), 2u);
-  // All points in each half share a label.
-  for (int i = 1; i < 50; ++i) EXPECT_EQ(result.labels[i], result.labels[0]);
-  for (int i = 51; i < 100; ++i) EXPECT_EQ(result.labels[i], result.labels[50]);
-  EXPECT_NE(result.labels[0], result.labels[50]);
-}
-
-TEST(KMeans, PredictAssignsNearest) {
-  Rng rng(53);
-  std::vector<std::vector<double>> data{{0, 0}, {0, 1}, {10, 10}, {10, 11}};
-  const auto result = kmeans(data, 2, rng);
-  EXPECT_EQ(result.predict(std::vector<double>{0.2, 0.3}),
-            result.labels[0]);
-  EXPECT_EQ(result.predict(std::vector<double>{9.9, 10.4}),
-            result.labels[2]);
-}
-
-TEST(KMeans, ElbowFindsClusterCount) {
-  Rng rng(59);
-  std::vector<std::vector<double>> data;
-  for (const double cx : {0.0, 20.0, 40.0}) {
-    for (int i = 0; i < 40; ++i) {
-      data.push_back({cx + rng.normal(0, 0.5), rng.normal(0, 0.5)});
-    }
-  }
-  const std::size_t k = select_k_elbow(data, 6, rng);
-  EXPECT_GE(k, 2u);
-  EXPECT_LE(k, 4u);
 }
 
 // -------------------------------------------------------------------- kNN

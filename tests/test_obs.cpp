@@ -339,12 +339,10 @@ TEST(CellScope, AccountsRunsAndSeconds) {
   MetricsRegistry& reg = MetricsRegistry::global();
   Histogram& seconds =
       reg.histogram("oda_analytics_run_seconds", "Analytics run latency",
-                    {{"pillar", "system-software"},
-                     {"type", "diagnostic"},
-                     {"capability", "unit.cell"}});
+                    {{"capability", "unit.cell"}});
   const std::uint64_t count_before = seconds.count();
   for (int run = 0; run < 2; ++run) {
-    ODA_CELL_SCOPE("system-software", "diagnostic", "unit.cell");
+    ODA_CELL_SCOPE("unit.cell");
   }
   // One series per cell: its _count is the run count.
   EXPECT_EQ(seconds.count(), count_before + 2);
@@ -392,21 +390,6 @@ TEST(PipelineHealth, FastCollectorPassIsHealthy) {
   Histogram& pass = reg.histogram("oda_collector_pass_seconds", "pass");
   pass.observe(0.002);
   EXPECT_TRUE(assess_pipeline_health(reg.snapshot()).healthy());
-}
-
-TEST(PipelineHealth, RenderCellCosts) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram(
-      "oda_analytics_run_seconds", "runs", std::vector<double>{1},
-      {{"pillar", "applications"}, {"type", "predictive"}});
-  h.observe(0.010);
-  h.observe(0.030);
-  const std::string table = render_cell_costs(reg.snapshot());
-  // 2 runs at a 20 ms mean in the (predictive, applications) cell.
-  EXPECT_NE(table.find("2 @ 20.00"), std::string::npos);
-  EXPECT_NE(table.find("predictive"), std::string::npos);
-  // Untouched cells render as "-".
-  EXPECT_NE(table.find("-"), std::string::npos);
 }
 
 TEST(PipelineHealth, RenderMetricsTableListsFamilies) {

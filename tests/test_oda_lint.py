@@ -42,7 +42,8 @@ def write_tree(root: str, files: dict[str, str]) -> None:
 
 
 def case(name: str, files: dict[str, str], expect_rules: set[str],
-         forbid_rules: set[str] = frozenset()) -> None:
+         forbid_rules: set[str] = frozenset(),
+         expect_lines: tuple[str, ...] = ()) -> None:
     print(f"case: {name}")
     with tempfile.TemporaryDirectory() as root:
         write_tree(root, files)
@@ -55,6 +56,8 @@ def case(name: str, files: dict[str, str], expect_rules: set[str],
             expect(f"[{rule}]" in out, f"rule '{rule}' fires", out)
         for rule in sorted(forbid_rules):
             expect(f"[{rule}]" not in out, f"rule '{rule}' stays quiet", out)
+        for text in expect_lines:
+            expect(text in out, f"finding '{text}' reported", out)
 
 
 HEADER = "#pragma once\n"
@@ -159,6 +162,38 @@ def main() -> int:
                              "std::string json_escape(const std::string& s) {\n"
                              "  return s;\n}\n"},
          set(), {"shared-helper"})
+
+    catalog = {
+        "src/core/bindings.cpp":
+        "void build() {\n"
+        "  add(\"kpi.pue\", \"PUE\", \"...\", {}, {}, {});\n"
+        "  add(\"pred.spectral\", \"Spectral\", \"...\", {}, {}, {});\n"
+        "}\n",
+        "src/obs/cell.hpp": HEADER +
+        "#define ODA_CELL_SCOPE(capability) (void)(capability)\n",
+    }
+
+    case("cell-id: a scope outside the catalog and an id opening two scopes "
+         "are flagged",
+         {**catalog,
+          "src/a/kpi.cpp": "void pue() { ODA_CELL_SCOPE(\"kpi.pue\"); }\n"
+                           "void ere() { ODA_CELL_SCOPE(\"kpi.ere\"); }\n",
+          "src/b/spectral.cpp":
+          "void swings() { ODA_CELL_SCOPE(\"pred.spectral\"); }\n"
+          "void again() {\n  ODA_CELL_SCOPE(\"kpi.pue\");\n}\n"},
+         {"cell-id"},
+         expect_lines=("src/a/kpi.cpp:2: [cell-id]",
+                       "src/b/spectral.cpp:3: [cell-id]", ", 2 finding(s)"))
+
+    case("cell-id: one scope per catalog id, the macro definition, comments "
+         "and test scopes stay quiet",
+         {**catalog,
+          "src/a/kpi.cpp": "// ODA_CELL_SCOPE(\"not.a.row\") in a comment\n"
+                           "void pue() { ODA_CELL_SCOPE(\"kpi.pue\"); }\n",
+          "src/b/spectral.cpp":
+          "void swings() { ODA_CELL_SCOPE(\"pred.spectral\"); }\n",
+          "tests/t.cpp": "void t() { ODA_CELL_SCOPE(\"unit.cell\"); }\n"},
+         set(), {"cell-id"})
 
     print()
     if FAILURES:

@@ -239,21 +239,6 @@ TEST(JobRuntime, EvaluationShowsImprovement) {
   EXPECT_LT(score.mape, 0.5);
 }
 
-TEST(JobEnergy, PredictsStablePower) {
-  JobEnergyPredictor predictor;
-  for (int i = 0; i < 20; ++i) {
-    predictor.observe(make_record("u", kHour, 2 * kHour, i * kHour));
-  }
-  sim::JobSpec spec;
-  spec.user = "u";
-  spec.nodes_requested = 2;
-  spec.walltime_requested = 2 * kHour;
-  spec.queue = "small";
-  EXPECT_NEAR(predictor.predict_node_power_w(spec), 200.0, 10.0);
-  EXPECT_NEAR(predictor.predict_energy_j(spec, 3600.0),
-              200.0 * 2 * 3600.0, 200.0 * 2 * 3600.0 * 0.1);
-}
-
 // ---------------------------------------------------------------- failure
 
 TEST(Failure, ProjectsThresholdCrossing) {

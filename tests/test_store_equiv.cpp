@@ -364,9 +364,9 @@ TEST(StoreEquivalence, FrameUnknownColumnsStayAllNaN) {
 
 TEST(StoreEquivalence, ContainsAndInvalidHandles) {
   TimeSeriesStore store(16);
-  EXPECT_FALSE(
-      store.contains(SeriesInterner::global().intern("equiv-missing/x")));
-  EXPECT_FALSE(store.contains(SeriesId{}));
+  EXPECT_EQ(
+      store.sample_count(SeriesInterner::global().intern("equiv-missing/x")),
+      0u);
   EXPECT_TRUE(store.query(SeriesId{}, 0, 100).empty());
   EXPECT_TRUE(store.query_aggregated(SeriesId{}, 0, 100, 10,
                                      Aggregation::kMean)
@@ -374,11 +374,13 @@ TEST(StoreEquivalence, ContainsAndInvalidHandles) {
   EXPECT_FALSE(store.latest(SeriesId{}).has_value());
   EXPECT_EQ(store.sample_count(SeriesId{}), 0u);
   store.insert("equiv-contains/x", {0, 1.0});
-  EXPECT_TRUE(
-      store.contains(SeriesInterner::global().intern("equiv-contains/x")));
+  EXPECT_EQ(
+      store.sample_count(SeriesInterner::global().intern("equiv-contains/x")),
+      1u);
   // Interned elsewhere but never inserted into this store.
   const SeriesId foreign = SeriesInterner::global().intern("equiv-foreign/y");
-  EXPECT_FALSE(store.contains(foreign));
+  EXPECT_EQ(store.sample_count(foreign), 0u);
+  EXPECT_FALSE(store.latest(foreign).has_value());
 }
 
 }  // namespace

@@ -184,7 +184,7 @@ TEST_F(CausalTraceTest, CollectPassFormsOneConnectedTrace) {
   // An analytics cell opened from inside a bus delivery: its span must
   // also join the pass trace through the bus.deliver context.
   bus.subscribe("facility/*", [](const telemetry::Reading&) {
-    ODA_CELL_SCOPE("building-infrastructure", "descriptive", "trace.cell");
+    ODA_CELL_SCOPE("trace.cell");
   });
 
   // Four untraced passes build up the failures; only the fifth is traced.
