@@ -1,7 +1,7 @@
 // Experiment P2 (DESIGN.md): analytics-kernel microbenchmarks — the
-// algorithmic costs underlying the four analytics types: FFT scaling,
-// AR/Holt-Winters fitting, PCA, isolation forest, random forest, and
-// DTW. These are the design-choice ablation data for DESIGN.md §6.
+// kernels behind the analytics cells the facility tick runs: FFT scaling,
+// Holt-Winters fitting, PCA, and isolation-forest fit and scoring. Each case
+// explains a cell line of the tick ledger (docs/OBSERVABILITY.md).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -9,10 +9,6 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
-#include "math/ar_model.hpp"
-#include "math/decision_tree.hpp"
-#include "math/distance.hpp"
 #include "math/fft.hpp"
 #include "math/isolation_forest.hpp"
 #include "math/pca.hpp"
@@ -57,15 +53,6 @@ void BM_FftBluestein(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FftBluestein)->Arg(1000)->Arg(4093);
-
-void BM_ArFit(benchmark::State& state) {
-  const auto xs = noisy_seasonal(static_cast<std::size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    auto model = math::ArModel::fit_yule_walker(xs, 8);
-    benchmark::DoNotOptimize(&model);
-  }
-}
-BENCHMARK(BM_ArFit)->Arg(1024)->Arg(8192);
 
 void BM_HoltWintersFit(benchmark::State& state) {
   const auto xs = noisy_seasonal(static_cast<std::size_t>(state.range(0)), 3);
@@ -125,47 +112,6 @@ void BM_IsolationForestScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IsolationForestScore);
-
-void BM_RandomForestFit(benchmark::State& state) {
-  Rng rng(17);
-  std::vector<math::LabeledSample> data;
-  for (int i = 0; i < 512; ++i) {
-    std::vector<double> f(10);
-    for (auto& v : f) v = rng.normal();
-    data.push_back({std::move(f), static_cast<std::size_t>(rng.uniform_int(0, 1))});
-  }
-  math::RandomForest::Params params;
-  params.n_trees = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    Rng local(17);
-    auto forest = math::RandomForest::fit(data, 2, params, local);
-    benchmark::DoNotOptimize(&forest);
-  }
-}
-BENCHMARK(BM_RandomForestFit)->Arg(10)->Arg(50);
-
-void BM_Dtw(benchmark::State& state) {
-  Rng rng(19);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> a(n), b(n);
-  for (auto& v : a) v = rng.normal();
-  for (auto& v : b) v = rng.normal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(math::dtw_distance(a, b, n / 10));
-  }
-}
-BENCHMARK(BM_Dtw)->Arg(128)->Arg(1024);
-
-void BM_P2QuantileAdd(benchmark::State& state) {
-  Rng rng(23);
-  P2Quantile q(0.95);
-  for (auto _ : state) {
-    q.add(rng.normal());
-  }
-  benchmark::DoNotOptimize(q.value());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_P2QuantileAdd);
 
 }  // namespace
 

@@ -10,8 +10,8 @@
 //     exposition cost factored out.
 //
 // Plain BenchReport executable: `--json <path>` writes the machine-readable
-// record scripts/collect_bench.py aggregates; `--quick` shortens the runs
-// to CI smoke pace.
+// record scripts/check_bench.py gates; `--quick` shortens the runs to CI
+// smoke pace.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>

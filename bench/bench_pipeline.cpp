@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "common/sync.hpp"
-#include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "sim/cluster.hpp"
@@ -218,20 +217,6 @@ void BM_TraceSpanFull(benchmark::State& state) {
   tracer.set_capacity(1 << 16);
 }
 BENCHMARK(BM_TraceSpanFull);
-
-// The profiler gate ladder (profiler.hpp's cost model): with the profiler
-// stopped, SamplingProfiler::active() must price at one relaxed load —
-// the entire steady-state cost instrumented threads pay when nobody is
-// profiling. Compare against BM_TraceSpanDisabled, the same claim for
-// spans.
-void BM_ProfilerGateDisabled(benchmark::State& state) {
-  for (auto _ : state) {
-    bool active = obs::SamplingProfiler::active();
-    benchmark::DoNotOptimize(active);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfilerGateDisabled);
 
 // The lock-accounting cost (contention.hpp's cost model): an uncontended
 // RAII acquisition takes the try_lock fast path and skips both clock reads.

@@ -1,24 +1,18 @@
-// Telemetry-store throughput bench: insert throughput single/multi-thread
-// for the sharded store vs. a faithful replica of the pre-shard design (one
-// shared_mutex over a string-keyed map, one lock per sample), plus query /
-// query_aggregated / frame latency and the collector's serial vs. parallel
-// pass time. Emits --json via bench_util.hpp for scripts/collect_bench.py;
-// --quick shrinks the workload for CI smoke runs.
+// Telemetry-store throughput bench: sharded-store insert throughput single-
+// and multi-thread, query / query_aggregated / frame latency and the
+// collector's serial vs. parallel pass time. `--json <path>` writes its
+// metrics through bench_util.hpp for scripts/check_bench.py; --quick shrinks
+// the workload for CI smoke runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <span>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/ring_buffer.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 #include "common/rng.hpp"
@@ -31,7 +25,6 @@
 
 namespace {
 
-using oda::RingBuffer;
 using oda::Rng;
 using oda::ThreadPool;
 using oda::TimePoint;
@@ -40,7 +33,6 @@ using oda::telemetry::IdReading;
 using oda::telemetry::Sample;
 using oda::telemetry::SeriesId;
 using oda::telemetry::SeriesInterner;
-using oda::telemetry::SeriesSlice;
 using oda::telemetry::TimeSeriesStore;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -48,54 +40,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-/// The pre-shard TimeSeriesStore ingest design, kept here as the comparison
-/// baseline: one reader/writer lock over a string-keyed ordered map, one
-/// lookup + lock acquisition per sample.
-class SingleMutexStore {
- public:
-  explicit SingleMutexStore(std::size_t capacity) : capacity_(capacity) {}
-
-  void insert(const std::string& path, Sample sample) {
-    std::unique_lock lock(mu_);
-    auto it = series_.find(path);
-    if (it == series_.end()) {
-      it = series_
-               .emplace(path,
-                        std::make_unique<RingBuffer<Sample>>(capacity_))
-               .first;
-    }
-    it->second->push(sample);
-  }
-
-  SeriesSlice query(const std::string& path, TimePoint from,
-                    TimePoint to) const {
-    std::shared_lock lock(mu_);
-    SeriesSlice out;
-    const auto it = series_.find(path);
-    if (it == series_.end()) return out;
-    const auto& buf = *it->second;
-    std::size_t lo = 0, hi = buf.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (buf[mid].time < from) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    for (std::size_t i = lo; i < buf.size() && buf[i].time < to; ++i) {
-      out.times.push_back(buf[i].time);
-      out.values.push_back(buf[i].value);
-    }
-    return out;
-  }
-
- private:
-  std::size_t capacity_;
-  mutable std::shared_mutex mu_;
-  std::map<std::string, std::unique_ptr<RingBuffer<Sample>>> series_;
-};
 
 std::vector<std::string> make_paths(std::size_t n) {
   std::vector<std::string> paths;
@@ -126,7 +70,7 @@ double timed_msps(std::size_t threads, std::size_t samples,
 }
 
 struct InsertNumbers {
-  double sharded_st = 0, sharded_mt = 0, legacy_st = 0, legacy_mt = 0;
+  double sharded_st = 0, sharded_mt = 0;
 };
 
 InsertNumbers bench_inserts(std::size_t n_paths, std::size_t per_thread,
@@ -154,15 +98,6 @@ InsertNumbers bench_inserts(std::size_t n_paths, std::size_t per_thread,
     }
     if (!buf.empty()) store.insert_batch(std::span<const IdReading>(buf));
   };
-  const auto legacy_writer = [&](SingleMutexStore& store, std::size_t t,
-                                 std::size_t nthreads) {
-    TimePoint now = 0;
-    for (std::size_t i = 0; i < per_thread; ++i) {
-      const std::size_t p = (t + i * nthreads) % n_paths;
-      store.insert(paths[p], {now, static_cast<double>(i)});
-      if (i % batch == batch - 1) ++now;
-    }
-  };
 
   {
     TimeSeriesStore store(1 << 12);
@@ -173,17 +108,6 @@ InsertNumbers bench_inserts(std::size_t n_paths, std::size_t per_thread,
     TimeSeriesStore store(1 << 12);
     out.sharded_mt = timed_msps(threads, per_thread * threads, [&](std::size_t t) {
       sharded_writer(store, t, threads);
-    });
-  }
-  {
-    SingleMutexStore store(1 << 12);
-    out.legacy_st =
-        timed_msps(1, per_thread, [&](std::size_t t) { legacy_writer(store, t, 1); });
-  }
-  {
-    SingleMutexStore store(1 << 12);
-    out.legacy_mt = timed_msps(threads, per_thread * threads, [&](std::size_t t) {
-      legacy_writer(store, t, threads);
     });
   }
   return out;
@@ -207,33 +131,22 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------------------- ingest
   const InsertNumbers ins = bench_inserts(n_paths, per_thread, threads, batch);
-  const double mt_speedup = ins.sharded_mt / ins.legacy_mt;
   std::printf("insert throughput (%zu paths, batch %zu):\n", n_paths, batch);
   std::printf("  sharded      1 thread  %8.2f Msamples/s\n", ins.sharded_st);
-  std::printf("  sharded     %2zu threads %8.2f Msamples/s\n", threads,
+  std::printf("  sharded     %2zu threads %8.2f Msamples/s\n\n", threads,
               ins.sharded_mt);
-  std::printf("  single-mutex 1 thread  %8.2f Msamples/s\n", ins.legacy_st);
-  std::printf("  single-mutex%2zu threads %8.2f Msamples/s\n", threads,
-              ins.legacy_mt);
-  std::printf("  multi-thread speedup vs single-mutex: x%.2f\n\n", mt_speedup);
   report.add("insert_sharded_1t_msps", ins.sharded_st, "Msamples/s");
   report.add("insert_sharded_mt_msps", ins.sharded_mt, "Msamples/s");
-  report.add("insert_single_mutex_1t_msps", ins.legacy_st, "Msamples/s");
-  report.add("insert_single_mutex_mt_msps", ins.legacy_mt, "Msamples/s");
-  report.add("insert_mt_speedup_vs_single_mutex", mt_speedup, "x");
   report.add("insert_threads", static_cast<double>(threads), "");
 
   // ------------------------------------------------------------- queries
   const std::size_t q_samples = quick ? 20'000 : 200'000;
   TimeSeriesStore store(q_samples + 1);
-  SingleMutexStore legacy(q_samples + 1);
   const std::vector<std::string> qpaths = make_paths(16);
   for (const auto& p : qpaths) {
     for (std::size_t i = 0; i < q_samples; ++i) {
-      const Sample s{static_cast<TimePoint>(i),
-                     static_cast<double>(i % 997) * 0.5};
-      store.insert(p, s);
-      legacy.insert(p, s);
+      store.insert(p, Sample{static_cast<TimePoint>(i),
+                             static_cast<double>(i % 997) * 0.5});
     }
   }
   const auto to = static_cast<TimePoint>(q_samples);
@@ -245,12 +158,6 @@ int main(int argc, char** argv) {
     sink += store.query(qpaths[r % qpaths.size()], to / 4, 3 * to / 4).size();
   }
   const double query_us = seconds_since(start) / q_reps * 1e6;
-
-  start = std::chrono::steady_clock::now();
-  for (int r = 0; r < q_reps; ++r) {
-    sink += legacy.query(qpaths[r % qpaths.size()], to / 4, 3 * to / 4).size();
-  }
-  const double legacy_query_us = seconds_since(start) / q_reps * 1e6;
 
   start = std::chrono::steady_clock::now();
   for (int r = 0; r < q_reps; ++r) {
@@ -278,13 +185,11 @@ int main(int argc, char** argv) {
   store.set_pool(nullptr);
 
   std::printf("query latency (%zu samples/series):\n", q_samples);
-  std::printf("  query half-range        %10.1f us   (single-mutex %10.1f us)\n",
-              query_us, legacy_query_us);
+  std::printf("  query half-range        %10.1f us\n", query_us);
   std::printf("  query_aggregated stddev %10.1f us\n", agg_us);
   std::printf("  frame 16 cols serial    %10.2f ms, pooled %10.2f ms (x%.2f)\n\n",
               frame_ms, frame_parallel_ms, frame_ms / frame_parallel_ms);
   report.add("query_us", query_us, "us");
-  report.add("query_single_mutex_us", legacy_query_us, "us");
   report.add("query_aggregated_stddev_us", agg_us, "us");
   report.add("frame_serial_ms", frame_ms, "ms");
   report.add("frame_parallel_ms", frame_parallel_ms, "ms");

@@ -11,7 +11,7 @@
 //       --profile-out <p>  sample the whole run, write folded stacks to <p>
 //       --trace-out <p>    enable the tracer, write Chrome trace JSON to <p>
 //
-// scripts/collect_bench.py aggregates either schema into one results file;
+// scripts/check_bench.py gates a BenchReport file's metrics in CI;
 // scripts/profile_smoke.py drives the --quick/--profile-out/--trace-out
 // combination to gate profiler overhead in CI.
 #pragma once

@@ -9,7 +9,7 @@
 //   ./export_trace [config_file] [sensor_glob] [hours] [trace_json] > trace.csv
 //
 // Config files use "section.key = value" lines; see
-// sim::cluster_params_to_config for every recognized key, e.g.:
+// the key table in sim/config.cpp for every recognized key, e.g.:
 //
 //   cluster.racks = 2
 //   workload.peak_arrival_rate_per_hour = 10

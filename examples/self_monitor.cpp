@@ -43,6 +43,7 @@
 // The always-on flight recorder's dump path (flight.json) is also installed
 // as the automatic postmortem destination used by assess_pipeline_health on
 // a healthy -> unhealthy edge.
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
@@ -56,6 +57,7 @@
 #include "analytics/descriptive/kpi.hpp"
 #include "analytics/diagnostic/anomaly.hpp"
 #include "analytics/diagnostic/software.hpp"
+#include "analytics/diagnostic/stress_test.hpp"
 #include "analytics/predictive/failure.hpp"
 #include "analytics/predictive/jobs.hpp"
 #include "analytics/predictive/spectral.hpp"
@@ -327,11 +329,15 @@ int main(int argc, char** argv) {
   std::printf("interval PUE: %.3f over %lld h\n", pue.pue,
               static_cast<long long>(hours));
 
-  // Diagnostic row.
-  if (hours >= 6) {
+  // Diagnostic row. The node monitor trains from the first hour (the first
+  // quarter on runs shorter than 4 h) to three quarters of the run and
+  // scans its end; the stress test perturbs a small twin of the plant, not
+  // the monitored one.
+  if (hours >= 2) {
     Rng rng(7);
     analytics::NodeAnomalyMonitor monitor({}, prefixes);
-    monitor.train(store, kHour, end / 2, rng);
+    monitor.train(store, std::min<TimePoint>(kHour, end / 4), 3 * end / 4,
+                  rng);
     std::size_t anomalous = 0;
     for (const auto& verdict : monitor.scan(store, cluster.now())) {
       if (verdict.anomalous) ++anomalous;
@@ -339,6 +345,15 @@ int main(int argc, char** argv) {
     std::printf("node anomaly scan: %zu/%zu flagged\n", anomalous,
                 cluster.node_count());
   }
+  sim::ClusterParams twin_params;
+  twin_params.racks = 1;
+  twin_params.nodes_per_rack = 2;
+  twin_params.workload.peak_arrival_rate_per_hour = 0.0;
+  sim::ClusterSimulation twin(twin_params);
+  twin.set_workload_enabled(false);
+  const auto stress = analytics::run_cooling_stress_test(twin, 0.0);
+  std::printf("cooling stress test on a twin plant: tau %.0f s\n",
+              stress.time_constant_s);
   const auto fwq =
       analytics::synthesize_fwq(2048, 1e-3, 0.1, 2e-4, 1e-3, /*seed=*/9);
   analytics::analyze_fwq({fwq.data(), fwq.size()}, 1e-3, 1e-3);

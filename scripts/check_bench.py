@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""CI gate over a collect_bench.py results file (the store bench smoke).
+"""CI gate over one bench's own --json file (the store and net bench smokes).
 
 Hard requirements (fail regardless of machine):
-  * every --require metric must be present in the named bench's record
-    (a refactor that silently drops frame_parallel_speedup or the
-    frame_cols_* scaling curve from bench_store --json fails here);
+  * the file is the named bench's report ({"bench", "metrics": [...]});
+  * every --require metric must be present in it (a refactor that silently
+    drops frame_parallel_speedup or the frame_cols_* scaling curve from
+    bench_store --json fails here);
   * metric values must be finite numbers.
 
-Threshold requirements (--min NAME=VALUE) are enforced only when the
-results file's meta.cpu_count is at least --min-cores (default 4): the
-parallel speedup floors are meaningless on the 1-2 core runners where the
-pool cannot win, but must hold on real multi-core CI machines.
+Threshold requirements (--min NAME=VALUE) are enforced only when this
+machine has at least --min-cores cores (default 4): the parallel speedup
+floors are meaningless on the 1-2 core runners where the pool cannot win,
+but must hold on real multi-core CI machines.
 
 Usage:
-  check_bench.py bench_smoke.json --bench bench_store \
+  bench_store --quick --json bs.json
+  check_bench.py bs.json --bench bench_store \
       --require frame_parallel_speedup --require collector_parallel_speedup \
       --require frame_cols_64_ms --require frame_cols_256_ms \
       --require frame_cols_1024_ms \
@@ -23,6 +25,7 @@ Usage:
 import argparse
 import json
 import math
+import os
 import sys
 
 
@@ -35,7 +38,7 @@ def parse_min(spec):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", help="collect_bench.py output file")
+    parser.add_argument("report", help="a bench's --json output file")
     parser.add_argument("--bench", default="bench_store",
                         help="bench record to check (default: bench_store)")
     parser.add_argument("--require", action="append", default=[],
@@ -49,13 +52,12 @@ def main():
                         help="cpu_count needed before --min floors apply")
     args = parser.parse_args()
 
-    with open(args.results, encoding="utf-8") as f:
-        doc = json.load(f)
+    with open(args.report, encoding="utf-8") as f:
+        record = json.load(f)
 
-    record = doc.get("benches", {}).get(args.bench)
-    if record is None:
-        print(f"check_bench: FAIL: no '{args.bench}' record in {args.results}",
-              file=sys.stderr)
+    if record.get("bench") != args.bench:
+        print(f"check_bench: FAIL: {args.report} is not a '{args.bench}' "
+              f"report", file=sys.stderr)
         return 1
 
     metrics = {}
@@ -75,7 +77,7 @@ def main():
                   f"{value!r}", file=sys.stderr)
             failures += 1
 
-    cpu_count = doc.get("meta", {}).get("cpu_count", 0)
+    cpu_count = os.cpu_count() or 0
     skipped = []
     if cpu_count >= args.min_cores:
         for name, floor in args.min:

@@ -31,6 +31,12 @@ lint error):
                   a capability id of the catalog in CELL_CATALOG, and no id
                   opens two scopes — the catalog is the one place a cell's
                   grid position is written
+  production-caller
+                  every namespace-scope function a header under src/
+                  declares is named somewhere in PRODUCTION_TREES outside
+                  that header and its own definition (a call from its own
+                  .cpp counts) — code only tests reach is deleted, or its
+                  ALLOW says why it stays (test seam, reference)
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -62,7 +68,7 @@ RAW_MUTEX_RE = re.compile(
 # name, then "(". Namespace members start in column 0 (namespaces are not
 # indented), which keeps class members out.
 FUNCTION_HEAD_RE = re.compile(
-    r"^(?:static\s+|inline\s+|constexpr\s+)*[\w:<>,]+(?:\s*[*&]+)?\s+[*&]?"
+    r"^(?:static\s+|inline\s+|constexpr\s+|const\s+)*[\w:<>,]+(?:\s*[*&]+)?\s+[*&]?"
     r"(?P<name>\w+)\s*\(", re.M)
 
 # Headers whose free functions are the one copy of a shared helper.
@@ -73,6 +79,11 @@ CELL_CATALOG = "src/core/bindings.cpp"
 CATALOG_ROW_RE = re.compile(r'\badd\(\s*"([^"]+)"')
 CELL_SCOPE_RE = re.compile(r"\bODA_CELL_SCOPE\s*\(")
 CELL_SCOPE_ID_RE = re.compile(r'\s*"([^"]*)"\s*\)')
+
+# The trees whose code counts as a caller for production-caller: the
+# library, the examples, the benches and the facility-tick benchmark.
+PRODUCTION_TREES = ("src", "examples", "bench", "tickbench")
+IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 
 
 class Finding:
@@ -276,6 +287,51 @@ def check_cell_ids(root: str, rels: list[str]) -> list[Finding]:
     return findings
 
 
+def check_production_callers(root: str) -> list[Finding]:
+    """production-caller: a free function declared in a src/ header whose
+    name no other production file mentions has only tests for callers."""
+    users: dict[str, set[str]] = {}  # identifier -> files naming it in code
+    sources: dict[str, str] = {}  # rel -> stripped text
+    headers: dict[str, str] = {}  # rel -> raw text
+    for top in PRODUCTION_TREES:
+        for dirpath, _, names in os.walk(os.path.join(root, top)):
+            for name in names:
+                if not name.endswith((".hpp", ".h", ".cpp", ".cc")):
+                    continue
+                rel = os.path.relpath(os.path.join(dirpath, name), root)
+                with open(os.path.join(root, rel), encoding="utf-8",
+                          errors="replace") as f:
+                    raw = f.read()
+                sources[rel] = strip_comments_and_strings(raw)
+                for ident in set(IDENT_RE.findall(sources[rel])):
+                    users.setdefault(ident, set()).add(rel)
+                if top == "src" and name.endswith((".hpp", ".h")):
+                    headers[rel] = raw
+    findings: list[Finding] = []
+    for rel, raw in sorted(headers.items()):
+        stripped = sources[rel]
+        impl = os.path.splitext(rel)[0] + ".cpp"
+        own_idents = IDENT_RE.findall(stripped)
+        impl_idents = IDENT_RE.findall(sources.get(impl, ""))
+        allow = allowances(raw.splitlines())
+        for m in FUNCTION_HEAD_RE.finditer(stripped):
+            name = m.group("name")
+            if m.group(0).split()[0] in ("class", "struct") or name.isupper():
+                continue  # a class head with an attribute macro
+            # Mentions in the header and its .cpp beyond the declaration and
+            # the definition are calls (or macro bodies) there.
+            in_impl = impl_idents.count(name)
+            inside = own_idents.count(name) + in_impl - 1 - (1 if in_impl else 0)
+            if inside > 0 or users.get(name, set()) - {rel, impl}:
+                continue
+            lineno = stripped.count("\n", 0, m.start()) + 1
+            if not is_allowed(allow, lineno, "production-caller", findings, rel):
+                findings.append(Finding(rel, lineno, "production-caller",
+                                        f"{name}() has no caller outside "
+                                        "tests; delete it or say why it stays"))
+    return findings
+
+
 def lint_file(root: str, rel: str, compiler: str | None, include_dir: str,
               helpers: dict[str, str]) -> list[Finding]:
     path = os.path.join(root, rel)
@@ -409,10 +465,11 @@ def main() -> int:
         for fut in futures:
             findings.extend(fut.result())
     findings.extend(check_cell_ids(root, files))
+    findings.extend(check_production_callers(root))
 
     for f in sorted(findings, key=lambda f: (f.path, f.line)):
         print(f)
-    checked_rules = 8 + (1 if args.compiler else 0)
+    checked_rules = 9 + (1 if args.compiler else 0)
     print(f"oda_lint: {len(files)} files, {checked_rules} rules, "
           f"{len(findings)} finding(s)")
     return 1 if findings else 0

@@ -42,6 +42,7 @@ std::vector<QuantileSummary> quantile_transport(
     const telemetry::SensorHealthTracker* health = nullptr);
 
 /// Removes IQR outliers: values outside [q1 - k*IQR, q3 + k*IQR].
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::vector<double> remove_outliers_iqr(const std::vector<double>& values,
                                         double k = 1.5);
 
@@ -56,6 +57,7 @@ struct SensorSnapshot {
 };
 /// Quarantined sensors are omitted when `health` is given (strict overlay:
 /// null tracker == previous behaviour).
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::vector<SensorSnapshot> snapshot_sensors(
     const telemetry::TimeSeriesStore& store, const std::string& pattern,
     TimePoint from, TimePoint to,

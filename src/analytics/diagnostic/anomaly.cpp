@@ -92,10 +92,6 @@ void StuckSensorDetector::observe(double value) {
 
 // ----------------------------------------------------------- window features
 
-namespace {
-
-/// Appends one column's feature triple (mean, stddev, Theil-Sen slope) over
-/// its non-NaN cells to `out`; zeros when every cell is NaN.
 void append_column_features(std::span<const double> column,
                             std::vector<double>& out) {
   std::vector<double> values;
@@ -110,17 +106,6 @@ void append_column_features(std::span<const double> column,
   out.push_back(mean(values));
   out.push_back(stddev(values));
   out.push_back(math::fit_theil_sen(values).slope);
-}
-
-}  // namespace
-
-std::vector<double> window_features(const telemetry::Frame& frame) {
-  std::vector<double> features;
-  features.reserve(frame.cols() * 3);
-  for (std::size_t c = 0; c < frame.cols(); ++c) {
-    append_column_features(frame.column_values(c), features);
-  }
-  return features;
 }
 
 // --------------------------------------------------------- NodeAnomalyMonitor
@@ -341,13 +326,6 @@ double DetectionMetrics::f1() const {
   const double p = precision();
   const double r = recall();
   return (p + r) > 0.0 ? 2.0 * p * r / (p + r) : 0.0;
-}
-double DetectionMetrics::accuracy() const {
-  const auto total =
-      true_positives + false_positives + false_negatives + true_negatives;
-  return total ? static_cast<double>(true_positives + true_negatives) /
-                     static_cast<double>(total)
-               : 0.0;
 }
 
 DetectionMetrics score_detection(const std::vector<bool>& predicted,

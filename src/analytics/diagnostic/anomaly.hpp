@@ -100,9 +100,11 @@ class StuckSensorDetector : public StreamingDetector {
 // Multivariate window-feature detectors.
 // ---------------------------------------------------------------------------
 
-/// Feature vector for one node over one window: per-sensor mean, std, and
-/// robust slope — the statistical fingerprint the classifiers consume.
-std::vector<double> window_features(const telemetry::Frame& frame);
+/// Appends one sensor column's window features (mean, stddev, Theil-Sen
+/// slope) over its non-NaN cells to `out`; zeros when every cell is NaN.
+/// The statistical fingerprint NodeAnomalyMonitor scores per node.
+void append_column_features(std::span<const double> column,
+                            std::vector<double>& out);
 
 struct AnomalyVerdict {
   std::string subject;  // e.g. node path
@@ -196,7 +198,6 @@ struct DetectionMetrics {
   double precision() const;
   double recall() const;
   double f1() const;
-  double accuracy() const;
 };
 
 /// Scores point predictions against boolean ground truth. (std::vector<bool>

@@ -42,7 +42,6 @@ ApplicationFingerprinter::ApplicationFingerprinter(Params params)
 
 void ApplicationFingerprinter::add_training(const std::string& label,
                                             std::vector<double> signature) {
-  knn_.add(signature, label);
   auto [it, inserted] = label_index_.emplace(label, index_label_.size());
   if (inserted) index_label_.push_back(label);
   samples_.push_back({std::move(signature), it->second});
@@ -53,15 +52,6 @@ void ApplicationFingerprinter::train(Rng& rng) {
   math::RandomForest::Params fp;
   fp.n_trees = params_.forest_trees;
   forest_ = math::RandomForest::fit(samples_, label_index_.size(), fp, rng);
-}
-
-ApplicationFingerprinter::Prediction ApplicationFingerprinter::predict_knn(
-    const std::vector<double>& signature) const {
-  ODA_REQUIRE(knn_.size() > 0, "no training data");
-  Prediction p;
-  p.label = knn_.predict(signature, params_.knn_k);
-  p.confidence = knn_.confidence(signature, params_.knn_k);
-  return p;
 }
 
 ApplicationFingerprinter::Prediction ApplicationFingerprinter::predict_forest(
@@ -76,10 +66,6 @@ ApplicationFingerprinter::Prediction ApplicationFingerprinter::predict_forest(
   p.label = index_label_[best];
   p.confidence = probs[best];
   return p;
-}
-
-std::vector<std::string> ApplicationFingerprinter::labels() const {
-  return index_label_;
 }
 
 }  // namespace oda::analytics

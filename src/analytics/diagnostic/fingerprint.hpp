@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "math/decision_tree.hpp"
-#include "math/knn.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/store.hpp"
 
@@ -27,7 +26,6 @@ std::vector<double> job_signature(const telemetry::TimeSeriesStore& store,
 class ApplicationFingerprinter {
  public:
   struct Params {
-    std::size_t knn_k = 5;
     std::size_t forest_trees = 40;
   };
   ApplicationFingerprinter() : ApplicationFingerprinter(Params{}) {}
@@ -35,23 +33,18 @@ class ApplicationFingerprinter {
 
   /// Adds a labeled training job (label = application/class name).
   void add_training(const std::string& label, std::vector<double> signature);
-  /// Trains the random-forest backend (kNN needs no training).
+  /// Trains the random forest.
   void train(Rng& rng);
 
   struct Prediction {
     std::string label;
     double confidence = 0.0;
   };
-  /// kNN prediction (available immediately).
-  Prediction predict_knn(const std::vector<double>& signature) const;
   /// Random-forest prediction (after train()).
   Prediction predict_forest(const std::vector<double>& signature) const;
 
-  std::vector<std::string> labels() const;
-
  private:
   Params params_;
-  math::KnnClassifier knn_;
   std::vector<math::LabeledSample> samples_;
   std::map<std::string, std::size_t> label_index_;
   std::vector<std::string> index_label_;

@@ -41,6 +41,7 @@ std::vector<double> synthesize_fwq(std::size_t quanta, double expected,
 // -------------------------------------------------------------- boundedness
 
 enum class Boundedness { kCompute, kMemory, kNetwork, kIo, kIdle };
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 const char* boundedness_name(Boundedness b);
 
 /// Classifies a running job from its mean resource utilizations over the

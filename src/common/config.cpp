@@ -1,7 +1,6 @@
 #include "common/config.hpp"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -26,19 +25,6 @@ Config Config::from_text(const std::string& text) {
     cfg.values_[key] = value;
   }
   return cfg;
-}
-
-void Config::set(const std::string& key, std::string value) {
-  values_[key] = std::move(value);
-}
-void Config::set(const std::string& key, double value) {
-  values_[key] = format_double(value, 10, true);
-}
-void Config::set(const std::string& key, std::int64_t value) {
-  values_[key] = std::to_string(value);
-}
-void Config::set(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
 }
 
 bool Config::contains(const std::string& key) const {
@@ -84,11 +70,6 @@ std::int64_t Config::get_int(const std::string& key) const {
   return i;
 }
 
-std::int64_t Config::get_int_or(const std::string& key,
-                                std::int64_t fallback) const {
-  return contains(key) ? get_int(key) : fallback;
-}
-
 bool Config::get_bool(const std::string& key) const {
   const std::string v = to_lower(get_string(key));
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
@@ -100,19 +81,13 @@ Config Config::scoped(const std::string& prefix) const {
   Config out;
   const std::string full = prefix + ".";
   for (const auto& [k, v] : values_) {
-    if (starts_with(k, full)) out.values_[k.substr(full.size())] = v;
+    if (k.starts_with(full)) out.values_[k.substr(full.size())] = v;
   }
   return out;
 }
 
 void Config::merge(const Config& other) {
   for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
-std::string Config::to_text() const {
-  std::ostringstream out;
-  for (const auto& [k, v] : values_) out << k << " = " << v << "\n";
-  return out.str();
 }
 
 }  // namespace oda

@@ -1,7 +1,6 @@
-// Flat key-value configuration with typed accessors. Parsed from
-// "key = value" text (comments with '#') or set programmatically; every
-// simulator and analytics component takes its parameters through this so
-// experiments are scriptable from one place.
+// Flat key-value configuration with typed accessors, parsed from
+// "key = value" text (comments with '#') so experiments are scriptable from
+// one place.
 #pragma once
 
 #include <cstdint>
@@ -19,20 +18,14 @@ class Config {
   /// Parses "key = value" lines; '#' starts a comment; blank lines ignored.
   static Config from_text(const std::string& text);
 
-  void set(const std::string& key, std::string value);
-  void set(const std::string& key, double value);
-  void set(const std::string& key, std::int64_t value);
-  void set(const std::string& key, bool value);
-
   bool contains(const std::string& key) const;
   std::vector<std::string> keys() const;
 
-  /// Typed getters: get_int_or returns the fallback when the key is
-  /// missing; the others throw ConfigError when it is missing or malformed.
+  /// Typed getters; each throws ConfigError when the key is missing or
+  /// malformed.
   std::string get_string(const std::string& key) const;
   double get_double(const std::string& key) const;
   std::int64_t get_int(const std::string& key) const;
-  std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   bool get_bool(const std::string& key) const;
 
   /// Returns a sub-config of keys under "prefix." with the prefix stripped.
@@ -40,8 +33,6 @@ class Config {
 
   /// Merges other into this; other's values win on conflict.
   void merge(const Config& other);
-
-  std::string to_text() const;
 
  private:
   std::optional<std::string> raw(const std::string& key) const;

@@ -57,8 +57,6 @@ void RunningStats::merge(const RunningStats& o) {
   max_ = std::max(max_, o.max_);
 }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -175,8 +173,6 @@ void Ewma::add(double x) {
   var_ = (1.0 - alpha_) * (var_ + alpha_ * delta * delta);
 }
 
-double Ewma::stddev() const { return std::sqrt(var_); }
-
 // -------------------------------------------------------------- RollingWindow
 
 RollingWindow::RollingWindow(std::size_t capacity) : capacity_(capacity) {
@@ -211,28 +207,8 @@ double RollingWindow::variance() const {
 
 double RollingWindow::stddev() const { return std::sqrt(variance()); }
 
-double RollingWindow::min() const {
-  ODA_REQUIRE(!window_.empty(), "min of empty window");
-  return *std::min_element(window_.begin(), window_.end());
-}
-
-double RollingWindow::max() const {
-  ODA_REQUIRE(!window_.empty(), "max of empty window");
-  return *std::max_element(window_.begin(), window_.end());
-}
-
-double RollingWindow::quantile(double q) const {
-  const auto v = to_vector();
-  return oda::quantile(v, q);
-}
-
 std::vector<double> RollingWindow::to_vector() const {
   return std::vector<double>(window_.begin(), window_.end());
-}
-
-void RollingWindow::clear() {
-  window_.clear();
-  sum_ = sum_sq_ = 0.0;
 }
 
 // -------------------------------------------------------------- batch helpers

@@ -16,7 +16,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void reset();
 
   std::size_t count() const { return n_; }
   bool empty() const { return n_ == 0; }
@@ -70,7 +69,6 @@ class Ewma {
   bool empty() const { return !initialized_; }
   double mean() const { return mean_; }
   double variance() const { return var_; }
-  double stddev() const;
   double alpha() const { return alpha_; }
 
  private:
@@ -81,7 +79,7 @@ class Ewma {
 };
 
 /// Sliding window over the last `capacity` samples with O(1) mean/variance
-/// updates and on-demand min/max/quantiles.
+/// updates.
 class RollingWindow {
  public:
   explicit RollingWindow(std::size_t capacity);
@@ -93,15 +91,10 @@ class RollingWindow {
   double mean() const;
   double variance() const;
   double stddev() const;
-  double min() const;
-  double max() const;
-  /// Exact quantile of the current window contents (copies + sorts).
-  double quantile(double q) const;
   double front() const { return window_.front(); }
   double back() const { return window_.back(); }
   const std::deque<double>& values() const { return window_; }
   std::vector<double> to_vector() const;
-  void clear();
 
  private:
   std::size_t capacity_;
@@ -120,6 +113,7 @@ double quantile(std::span<const double> xs, double q);
 /// Median absolute deviation (scaled by 1.4826 to be sigma-consistent).
 double mad(std::span<const double> xs);
 /// Pearson correlation; 0 if either side is constant.
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 double correlation(std::span<const double> xs, std::span<const double> ys);
 /// Sample autocorrelation at the given lag.
 double autocorrelation(std::span<const double> xs, std::size_t lag);

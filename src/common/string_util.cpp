@@ -49,10 +49,6 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool glob_match(std::string_view pattern, std::string_view text) {
   // Iterative wildcard matching with backtracking over the last '*'.
   std::size_t p = 0, t = 0;

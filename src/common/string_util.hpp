@@ -11,7 +11,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 std::string_view trim(std::string_view s);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 std::string to_lower(std::string_view s);
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Glob-style match where '*' matches any run of characters and '?' one
 /// character. Used for wildcard sensor-topic subscriptions.
@@ -22,6 +21,7 @@ bool glob_match(std::string_view pattern, std::string_view text);
 std::string format_double(double v, int precision = 3, bool trim_zeros = false);
 
 /// Formats v with SI prefix (e.g. 1234567 -> "1.23M").
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::string si_format(double v, int precision = 2);
 
 }  // namespace oda

@@ -42,8 +42,11 @@ inline constexpr double kMega = 1e6;
 inline constexpr double kWattsPerKilowatt = 1e3;
 inline constexpr double kJoulesPerKilowattHour = 3.6e6;
 
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 inline constexpr double celsius_to_kelvin(double c) { return c + 273.15; }
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 inline constexpr double kelvin_to_celsius(double k) { return k - 273.15; }
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 inline constexpr double joules_to_kwh(double j) { return j / kJoulesPerKilowattHour; }
 }  // namespace units
 

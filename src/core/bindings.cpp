@@ -89,7 +89,7 @@ FrameworkGrid implemented_capabilities() {
       {{P::kSystemSoftware, T::kDiagnostic}},
       {"FWQ benchmark trace"}, {"NoiseReport"});
   add("diag.appfp", "Application fingerprinting [analytics/diagnostic/fingerprint]",
-      "kNN/random-forest classification of job telemetry signatures "
+      "Random-forest classification of job telemetry signatures "
       "(crypto-miner detection).",
       {{P::kApplications, T::kDiagnostic}},
       {"rack*/node*/{cpu,mem,net,io}*", "job records"}, {"class label"});

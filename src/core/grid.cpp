@@ -7,10 +7,6 @@
 
 namespace oda::core {
 
-std::string to_string(const GridCell& cell) {
-  return std::string(to_string(cell.type)) + "/" + to_string(cell.pillar);
-}
-
 bool CapabilityDescriptor::occupies(const GridCell& cell) const {
   return std::find(cells.begin(), cells.end(), cell) != cells.end();
 }

@@ -23,8 +23,6 @@ struct GridCell {
   auto operator<=>(const GridCell&) const = default;
 };
 
-std::string to_string(const GridCell& cell);
-
 // Set measures over a cell list (a capability's or a system's cells);
 // duplicate cells count once.
 

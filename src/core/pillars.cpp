@@ -1,7 +1,5 @@
 #include "core/pillars.hpp"
 
-#include "common/error.hpp"
-
 namespace oda::core {
 
 namespace {
@@ -62,20 +60,6 @@ const char* to_string(Insight i) {
     case Insight::kForesight: return "foresight";
   }
   return "?";
-}
-
-Pillar pillar_from_string(const std::string& name) {
-  for (const auto& t : kPillarTraits) {
-    if (name == t.name) return t.pillar;
-  }
-  throw ContractError("unknown pillar: " + name);
-}
-
-AnalyticsType type_from_string(const std::string& name) {
-  for (const auto& t : kTypeTraits) {
-    if (name == t.name) return t.type;
-  }
-  throw ContractError("unknown analytics type: " + name);
 }
 
 }  // namespace oda::core

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 namespace oda::core {
 
@@ -64,10 +63,5 @@ const TypeTraits& traits(AnalyticsType t);
 const char* to_string(Pillar p);
 const char* to_string(AnalyticsType t);
 const char* to_string(Insight i);
-
-/// Parses "building-infrastructure", "system-hardware", ... (throws on
-/// unknown names).
-Pillar pillar_from_string(const std::string& name);
-AnalyticsType type_from_string(const std::string& name);
 
 }  // namespace oda::core

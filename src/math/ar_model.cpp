@@ -5,8 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "math/matrix.hpp"
-#include "math/regression.hpp"
 
 namespace oda::math {
 
@@ -63,29 +61,6 @@ ArModel ArModel::fit_yule_walker(std::span<const double> xs, std::size_t order) 
     prev = phi;
   }
   model.phi_ = std::move(phi);
-  return model;
-}
-
-ArModel ArModel::fit_least_squares(std::span<const double> xs, std::size_t order) {
-  ODA_REQUIRE(order >= 1, "AR order must be >= 1");
-  ODA_REQUIRE(xs.size() > 2 * order + 1, "series too short for AR-LS order");
-  ArModel model;
-  model.mean_ = oda::mean(xs);
-
-  const std::size_t n = xs.size();
-  const std::size_t rows = n - order;
-  Matrix x(rows, order);
-  std::vector<double> y(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < order; ++c) {
-      // Column c holds lag c+1 (most recent lag first).
-      x(r, c) = xs[r + order - 1 - c] - model.mean_;
-    }
-    y[r] = xs[r + order] - model.mean_;
-  }
-  // Ridge with a tiny lambda guards against collinear lags.
-  const auto lm = fit_ridge(x, y, 1e-8);
-  model.phi_ = lm.coefficients;
   return model;
 }
 

@@ -1,6 +1,5 @@
-// Autoregressive AR(p) models fit by Yule–Walker (Levinson–Durbin recursion)
-// or conditional least squares. The predictive pillar's sensor forecasters
-// build on these.
+// Autoregressive AR(p) models fit by Yule–Walker (Levinson–Durbin recursion).
+// The predictive pillar's sensor forecasters build on these.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +12,6 @@ class ArModel {
  public:
   /// Yule–Walker fit via Levinson–Durbin. Stable by construction.
   static ArModel fit_yule_walker(std::span<const double> xs, std::size_t order);
-  /// Conditional least-squares fit (QR on the lag matrix). Can be more
-  /// accurate for short series but is not guaranteed stationary.
-  static ArModel fit_least_squares(std::span<const double> xs, std::size_t order);
 
   std::size_t order() const { return phi_.size(); }
   const std::vector<double>& coefficients() const { return phi_; }

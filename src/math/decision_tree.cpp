@@ -150,12 +150,6 @@ std::vector<double> DecisionTree::predict_proba(
                              first + static_cast<std::ptrdiff_t>(n_classes_));
 }
 
-std::size_t DecisionTree::predict(std::span<const double> features) const {
-  const auto probs = predict_proba(features);
-  return static_cast<std::size_t>(
-      std::max_element(probs.begin(), probs.end()) - probs.begin());
-}
-
 RandomForest RandomForest::fit(const std::vector<LabeledSample>& data,
                                std::size_t n_classes, const Params& params,
                                Rng& rng) {
@@ -195,12 +189,6 @@ std::vector<double> RandomForest::predict_proba(
   }
   for (double& p : probs) p /= static_cast<double>(trees_.size());
   return probs;
-}
-
-std::size_t RandomForest::predict(std::span<const double> features) const {
-  const auto probs = predict_proba(features);
-  return static_cast<std::size_t>(
-      std::max_element(probs.begin(), probs.end()) - probs.begin());
 }
 
 }  // namespace oda::math

@@ -31,7 +31,6 @@ class DecisionTree {
   static DecisionTree fit(const std::vector<LabeledSample>& data,
                           std::size_t n_classes, const Params& params, Rng& rng);
 
-  std::size_t predict(std::span<const double> features) const;
   /// Per-class probability estimate from the reached leaf.
   std::vector<double> predict_proba(std::span<const double> features) const;
   std::size_t n_classes() const { return n_classes_; }
@@ -67,7 +66,7 @@ class RandomForest {
   static RandomForest fit(const std::vector<LabeledSample>& data,
                           std::size_t n_classes, const Params& params, Rng& rng);
 
-  std::size_t predict(std::span<const double> features) const;
+  /// Per-class probability: the mean of the trees' estimates.
   std::vector<double> predict_proba(std::span<const double> features) const;
   std::size_t tree_count() const { return trees_.size(); }
   std::size_t n_classes() const { return n_classes_; }

@@ -63,11 +63,4 @@ double TransitionEntropy::entropy() const {
   return h;
 }
 
-void TransitionEntropy::reset() {
-  counts_.clear();
-  last_state_.clear();
-  has_last_ = false;
-  total_ = 0;
-}
-
 }  // namespace oda::math

@@ -16,9 +16,11 @@ namespace oda::math {
 double shannon_entropy(std::span<const std::size_t> counts);
 
 /// Entropy (bits) of a continuous sample using equal-width binning.
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 double binned_entropy(std::span<const double> xs, std::size_t bins);
 
 /// Normalized entropy in [0,1]: entropy / log2(#nonzero states).
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 double normalized_entropy(std::span<const std::size_t> counts);
 
 /// Streaming state-transition entropy: feed a sequence of discrete state
@@ -31,7 +33,6 @@ class TransitionEntropy {
   double entropy() const;
   std::size_t transition_count() const { return total_; }
   std::size_t distinct_transitions() const { return counts_.size(); }
-  void reset();
 
  private:
   std::map<std::pair<std::string, std::string>, std::size_t> counts_;

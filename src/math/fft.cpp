@@ -21,16 +21,15 @@ std::size_t next_power_of_two(std::size_t n) {
 
 /// Bluestein's algorithm: re-expresses an arbitrary-size DFT as a
 /// convolution, evaluated with power-of-two FFTs.
-std::vector<Complex> bluestein(const std::vector<Complex>& x, bool inverse) {
+std::vector<Complex> bluestein(const std::vector<Complex>& x) {
   const std::size_t n = x.size();
-  const double sign = inverse ? 1.0 : -1.0;
 
-  // Chirp w_k = exp(sign * i * pi * k^2 / n); k^2 mod 2n keeps the argument
+  // Chirp w_k = exp(-i * pi * k^2 / n); k^2 mod 2n keeps the argument
   // bounded for large k.
   std::vector<Complex> chirp(n);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t k2 = (k * k) % (2 * n);
-    const double angle = sign * M_PI * static_cast<double>(k2) / static_cast<double>(n);
+    const double angle = -M_PI * static_cast<double>(k2) / static_cast<double>(n);
     chirp[k] = Complex(std::cos(angle), std::sin(angle));
   }
 
@@ -93,25 +92,7 @@ std::vector<Complex> fft(std::vector<Complex> data) {
     fft_radix2(data, false);
     return data;
   }
-  return bluestein(data, false);
-}
-
-std::vector<Complex> ifft(std::vector<Complex> data) {
-  if (data.empty()) return data;
-  if (is_power_of_two(data.size())) {
-    fft_radix2(data, true);
-    return data;
-  }
-  auto out = bluestein(data, true);
-  const double inv = 1.0 / static_cast<double>(out.size());
-  for (auto& c : out) c *= inv;
-  return out;
-}
-
-std::vector<Complex> fft_real(std::span<const double> signal) {
-  std::vector<Complex> data(signal.size());
-  for (std::size_t i = 0; i < signal.size(); ++i) data[i] = Complex(signal[i], 0.0);
-  return fft(std::move(data));
+  return bluestein(data);
 }
 
 double bin_frequency(std::size_t k, std::size_t n) {
@@ -156,19 +137,6 @@ std::vector<SpectralComponent> dominant_components(std::span<const double> signa
     c.amplitude = (nyquist ? 1.0 : 2.0) * magnitude[k] / static_cast<double>(n);
     c.phase = std::arg(spec[k]);
     out.push_back(c);
-  }
-  return out;
-}
-
-std::vector<double> synthesize(double mean,
-                               std::span<const SpectralComponent> components,
-                               std::size_t length) {
-  std::vector<double> out(length, mean);
-  for (const auto& c : components) {
-    for (std::size_t t = 0; t < length; ++t) {
-      out[t] += c.amplitude *
-                std::cos(2.0 * M_PI * c.frequency * static_cast<double>(t) + c.phase);
-    }
   }
   return out;
 }

@@ -18,10 +18,6 @@ void fft_radix2(std::vector<Complex>& data, bool inverse);
 
 /// FFT of arbitrary size (radix-2 when possible, Bluestein otherwise).
 std::vector<Complex> fft(std::vector<Complex> data);
-std::vector<Complex> ifft(std::vector<Complex> data);
-
-/// Forward FFT of a real signal; returns the full complex spectrum.
-std::vector<Complex> fft_real(std::span<const double> signal);
 
 /// Frequency (cycles per sample) of one-sided bin k for an n-point transform.
 double bin_frequency(std::size_t k, std::size_t n);
@@ -38,14 +34,8 @@ struct SpectralComponent {
 std::vector<SpectralComponent> dominant_components(std::span<const double> signal,
                                                    std::size_t count);
 
-/// Reconstructs mean + sum of the given components at sample positions
-/// [0, length); extends beyond the input when length > signal size, which is
-/// how the spectral forecaster extrapolates.
-std::vector<double> synthesize(double mean,
-                               std::span<const SpectralComponent> components,
-                               std::size_t length);
-
 /// Fast cyclic autocorrelation via FFT (biased, normalized by lag-0).
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::vector<double> fft_autocorrelation(std::span<const double> signal,
                                         std::size_t max_lag);
 

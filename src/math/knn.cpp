@@ -49,19 +49,6 @@ std::vector<std::size_t> KnnRegressor::nearest(std::span<const double> features,
   return k_nearest(points_, features, k);
 }
 
-double KnnRegressor::predict(std::span<const double> features, std::size_t k) const {
-  if (targets_.empty()) return 0.0;
-  const auto idx = nearest(features, k);
-  double weight_sum = 0.0, acc = 0.0;
-  for (std::size_t i : idx) {
-    const double d = euclidean(points_[i], features);
-    const double w = 1.0 / (d + 1e-9);
-    weight_sum += w;
-    acc += w * targets_[i];
-  }
-  return acc / weight_sum;
-}
-
 double KnnRegressor::predict_quantile(std::span<const double> features,
                                       std::size_t k, double q) const {
   if (targets_.empty()) return 0.0;

@@ -15,9 +15,6 @@ class KnnRegressor {
   void add(std::vector<double> features, double target);
   std::size_t size() const { return targets_.size(); }
 
-  /// Distance-weighted mean of the k nearest targets; falls back to the
-  /// global mean when empty.
-  double predict(std::span<const double> features, std::size_t k) const;
   /// Quantile of the k nearest targets (runtime predictors often want a
   /// high quantile to avoid underestimation penalties).
   double predict_quantile(std::span<const double> features, std::size_t k,

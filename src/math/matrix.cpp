@@ -132,15 +132,6 @@ double Matrix::frobenius_norm() const {
   return std::sqrt(s);
 }
 
-double Matrix::max_abs_diff(const Matrix& rhs) const {
-  ODA_REQUIRE(rows_ == rhs.rows_ && cols_ == rhs.cols_, "matrix diff mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::abs(data_[i] - rhs.data_[i]));
-  }
-  return m;
-}
-
 std::vector<double> lu_solve(Matrix a, std::vector<double> b) {
   const std::size_t n = a.rows();
   ODA_REQUIRE(a.cols() == n, "lu_solve needs a square matrix");

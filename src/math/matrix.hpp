@@ -42,8 +42,6 @@ class Matrix {
   Matrix operator*(double s) const;
 
   double frobenius_norm() const;
-  /// Max absolute element difference; used in tests.
-  double max_abs_diff(const Matrix& rhs) const;
 
   const std::vector<double>& data() const { return data_; }
 
@@ -54,6 +52,7 @@ class Matrix {
 
 /// Solves A x = b by LU with partial pivoting. Throws ContractError when A is
 /// singular to working precision.
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::vector<double> lu_solve(Matrix a, std::vector<double> b);
 
 /// Cholesky factor L (lower) of a symmetric positive-definite A, so A = L Lᵀ.
@@ -61,6 +60,7 @@ std::vector<double> lu_solve(Matrix a, std::vector<double> b);
 Matrix cholesky(const Matrix& a);
 
 /// Solves A x = b for SPD A via Cholesky.
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 std::vector<double> cholesky_solve(const Matrix& a, std::span<const double> b);
 
 /// Thin Householder QR of an m×n matrix (m >= n): returns R (n×n upper) and
@@ -76,6 +76,7 @@ struct QrDecomposition {
   Matrix r() const;
 };
 
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 QrDecomposition qr_decompose(const Matrix& a);
 
 /// Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.

@@ -29,10 +29,12 @@ struct OptResultND {
 };
 
 /// Golden-section search on [lo, hi] (assumes unimodality there).
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 OptResult1D golden_section(const Objective1D& f, double lo, double hi,
                            double tol = 1e-6, std::size_t max_iter = 200);
 
 /// Cyclic coordinate descent with shrinking steps from an initial point.
+// ODA-LINT-ALLOW(production-caller): only tests call it (ROADMAP item 12)
 OptResultND coordinate_descent(const ObjectiveND& f, std::vector<double> x0,
                                std::vector<double> step,
                                std::size_t max_iter = 200, double tol = 1e-8);

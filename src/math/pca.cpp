@@ -53,8 +53,6 @@ Pca Pca::fit(const Matrix& data, std::size_t components, bool scale) {
   }
 
   const auto eig = jacobi_eigen(cov);
-  pca.total_variance_ = 0.0;
-  for (double v : eig.values) pca.total_variance_ += std::max(v, 0.0);
 
   pca.components_ = Matrix(d, components);
   pca.explained_.resize(components);
@@ -65,13 +63,6 @@ Pca Pca::fit(const Matrix& data, std::size_t components, bool scale) {
     }
   }
   return pca;
-}
-
-double Pca::explained_variance_ratio() const {
-  if (total_variance_ <= 0.0) return 1.0;
-  double kept = 0.0;
-  for (double v : explained_) kept += v;
-  return kept / total_variance_;
 }
 
 std::vector<double> Pca::transform(std::span<const double> sample) const {

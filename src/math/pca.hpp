@@ -23,8 +23,6 @@ class Pca {
   std::size_t input_dim() const { return mean_.size(); }
   std::size_t n_components() const { return components_.cols(); }
   const std::vector<double>& explained_variance() const { return explained_; }
-  /// Fraction of total variance captured by the kept components.
-  double explained_variance_ratio() const;
 
   /// Projects a sample into component space.
   std::vector<double> transform(std::span<const double> sample) const;
@@ -39,7 +37,6 @@ class Pca {
   std::vector<double> scale_;      // per-feature std (1.0 when not scaling)
   Matrix components_;              // input_dim × n_components
   std::vector<double> explained_;  // per kept component
-  double total_variance_ = 0.0;
 };
 
 }  // namespace oda::math

@@ -2,100 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace oda::math {
-
-double LinearModel::predict(std::span<const double> features) const {
-  ODA_REQUIRE(features.size() == coefficients.size(),
-              "feature count mismatch in LinearModel::predict");
-  double acc = intercept;
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    acc += coefficients[i] * features[i];
-  }
-  return acc;
-}
-
-namespace {
-
-double compute_r_squared(const Matrix& x, std::span<const double> y,
-                         const LinearModel& model) {
-  const double ym = oda::mean(y);
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double pred = model.predict(x.row(i));
-    ss_res += (y[i] - pred) * (y[i] - pred);
-    ss_tot += (y[i] - ym) * (y[i] - ym);
-  }
-  if (ss_tot <= 0.0) return ss_res <= 1e-12 ? 1.0 : 0.0;
-  return 1.0 - ss_res / ss_tot;
-}
-
-}  // namespace
-
-LinearModel fit_ols(const Matrix& x, std::span<const double> y) {
-  ODA_REQUIRE(x.rows() == y.size(), "OLS row/target mismatch");
-  ODA_REQUIRE(x.rows() > x.cols(), "OLS needs more observations than features");
-  // Augment with an intercept column.
-  Matrix aug(x.rows(), x.cols() + 1);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    aug(r, 0) = 1.0;
-    for (std::size_t c = 0; c < x.cols(); ++c) aug(r, c + 1) = x(r, c);
-  }
-  const auto qr = qr_decompose(aug);
-  const auto beta = qr.solve(y);
-
-  LinearModel model;
-  model.intercept = beta[0];
-  model.coefficients.assign(beta.begin() + 1, beta.end());
-  model.r_squared = compute_r_squared(x, y, model);
-  return model;
-}
-
-LinearModel fit_ridge(const Matrix& x, std::span<const double> y, double lambda) {
-  ODA_REQUIRE(x.rows() == y.size(), "ridge row/target mismatch");
-  ODA_REQUIRE(lambda >= 0.0, "ridge lambda must be non-negative");
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-
-  // Center so the intercept drops out of the penalized system.
-  std::vector<double> xm(p, 0.0);
-  for (std::size_t c = 0; c < p; ++c) {
-    for (std::size_t r = 0; r < n; ++r) xm[c] += x(r, c);
-    xm[c] /= static_cast<double>(n);
-  }
-  const double ym = oda::mean(y);
-
-  // Normal equations on centered data: (XcᵀXc + lambda I) beta = Xcᵀ yc.
-  Matrix gram(p, p);
-  std::vector<double> rhs(p, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t i = 0; i < p; ++i) {
-      const double xi = x(r, i) - xm[i];
-      rhs[i] += xi * (y[r] - ym);
-      for (std::size_t j = i; j < p; ++j) {
-        gram(i, j) += xi * (x(r, j) - xm[j]);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < p; ++i) {
-    gram(i, i) += lambda;
-    for (std::size_t j = 0; j < i; ++j) gram(i, j) = gram(j, i);
-  }
-
-  LinearModel model;
-  model.coefficients = lambda > 0.0 || n > p ? cholesky_solve(gram, rhs)
-                                             : lu_solve(gram, rhs);
-  model.intercept = ym;
-  for (std::size_t i = 0; i < p; ++i) {
-    model.intercept -= model.coefficients[i] * xm[i];
-  }
-  model.r_squared = compute_r_squared(x, y, model);
-  return model;
-}
 
 TrendLine fit_trend(std::span<const double> y) {
   const std::size_t n = y.size();
@@ -120,34 +32,6 @@ TrendLine fit_trend(std::span<const double> y) {
   t.intercept = ym - t.slope * tm;
   t.r_squared = (stt > 0.0 && syy > 0.0) ? (sty * sty) / (stt * syy) : 0.0;
   return t;
-}
-
-std::vector<double> fit_polynomial(std::span<const double> y, std::size_t degree) {
-  const std::size_t n = y.size();
-  ODA_REQUIRE(n > degree, "polynomial fit needs more points than degree");
-  Matrix x(n, degree);  // powers 1..degree; intercept handled by fit_ols
-  for (std::size_t r = 0; r < n; ++r) {
-    double p = 1.0;
-    for (std::size_t d = 0; d < degree; ++d) {
-      p *= static_cast<double>(r);
-      x(r, d) = p;
-    }
-  }
-  if (degree == 0) {
-    return {oda::mean(y)};
-  }
-  const auto model = fit_ols(x, y);
-  std::vector<double> coeffs;
-  coeffs.reserve(degree + 1);
-  coeffs.push_back(model.intercept);
-  coeffs.insert(coeffs.end(), model.coefficients.begin(), model.coefficients.end());
-  return coeffs;
-}
-
-double eval_polynomial(std::span<const double> coeffs, double t) {
-  double acc = 0.0;
-  for (std::size_t i = coeffs.size(); i-- > 0;) acc = acc * t + coeffs[i];
-  return acc;
 }
 
 TrendLine fit_theil_sen(std::span<const double> y, std::size_t max_pairs) {

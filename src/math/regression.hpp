@@ -1,28 +1,11 @@
-// Linear models: ordinary least squares (QR-based), ridge regression,
-// polynomial fitting, and the robust Theil–Sen slope used by drift detectors.
+// Trend lines over t = 0..n-1: the closed-form least-squares line and the
+// robust Theil–Sen slope used by drift detectors.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
-
-#include "math/matrix.hpp"
 
 namespace oda::math {
-
-struct LinearModel {
-  std::vector<double> coefficients;  // one per feature
-  double intercept = 0.0;
-  double r_squared = 0.0;
-
-  double predict(std::span<const double> features) const;
-};
-
-/// OLS fit of y ~ X (rows = observations). Throws on rank deficiency.
-LinearModel fit_ols(const Matrix& x, std::span<const double> y);
-
-/// Ridge regression with L2 penalty lambda >= 0 (intercept not penalized).
-LinearModel fit_ridge(const Matrix& x, std::span<const double> y, double lambda);
 
 /// Simple regression y ~ a + b t over t = 0..n-1. Returns {intercept, slope}.
 struct TrendLine {
@@ -33,11 +16,6 @@ struct TrendLine {
   double at(double t) const { return intercept + slope * t; }
 };
 TrendLine fit_trend(std::span<const double> y);
-
-/// Polynomial fit of the given degree over t = 0..n-1; coefficients are in
-/// ascending power order.
-std::vector<double> fit_polynomial(std::span<const double> y, std::size_t degree);
-double eval_polynomial(std::span<const double> coeffs, double t);
 
 /// Theil–Sen estimator: the median of pairwise slopes. Robust against up to
 /// ~29% outliers; used for memory-leak and sensor-drift detection. For long

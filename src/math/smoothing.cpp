@@ -48,10 +48,6 @@ void HoltSmoother::add(double x) {
   ++n_;
 }
 
-double HoltSmoother::forecast(std::size_t h) const {
-  return level_ + static_cast<double>(h) * trend_;
-}
-
 void HoltSmoother::fit(std::span<const double> xs) {
   for (double x : xs) add(x);
 }

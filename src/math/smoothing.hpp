@@ -34,7 +34,6 @@ class HoltSmoother {
   void add(double x);
   double level() const { return level_; }
   double trend() const { return trend_; }
-  double forecast(std::size_t h = 1) const;
   void fit(std::span<const double> xs);
 
  private:

@@ -96,6 +96,7 @@ InstrumentationHandles register_flight_recorder(MetricsRegistry& registry);
 /// Exports a BlockingQueue's depth gauge and reject counter:
 ///   oda_queue_depth{queue=}, oda_queue_rejected_total{queue=}.
 template <typename T>
+// ODA-LINT-ALLOW(production-caller): BlockingQueue metrics hook; tests drive it
 InstrumentationHandles register_blocking_queue(MetricsRegistry& registry,
                                                const BlockingQueue<T>& queue,
                                                const std::string& queue_label) {

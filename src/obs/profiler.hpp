@@ -22,9 +22,8 @@
 //
 // Output: folded stacks ("role;frame;frame;... count", root first — the
 // format scripts/stack_collapse-style tooling and flamegraph.pl consume),
-// plus raw samples for tests. The disabled runtime cost of an
-// installed-but-stopped profiler is one relaxed load
-// (SamplingProfiler::active(), measured by BM_ProfilerGateDisabled).
+// plus raw samples for tests. An installed-but-stopped profiler sends no
+// signal, so profiled threads pay nothing while it is stopped.
 #pragma once
 
 #include <atomic>

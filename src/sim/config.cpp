@@ -10,18 +10,14 @@ namespace oda::sim {
 
 namespace {
 
-/// Uniform key table: each entry knows how to read its value from and write
-/// it into a ClusterParams. One table serves parsing, serialization, and
-/// unknown-key detection.
-struct KeyBinding {
-  std::function<void(ClusterParams&, const Config&, const std::string&)> apply;
-  std::function<void(const ClusterParams&, Config&, const std::string&)> save;
-};
+/// Uniform key table: each entry knows how to read its value into a
+/// ClusterParams. One table serves parsing and unknown-key detection.
+using KeyBinding =
+    std::function<void(ClusterParams&, const Config&, const std::string&)>;
 
 template <typename T, typename Field>
 KeyBinding bind(Field field) {
-  KeyBinding b;
-  b.apply = [field](ClusterParams& p, const Config& c, const std::string& key) {
+  return [field](ClusterParams& p, const Config& c, const std::string& key) {
     if constexpr (std::is_same_v<T, double>) {
       p.*field = c.get_double(key);
     } else if constexpr (std::is_same_v<T, bool>) {
@@ -30,23 +26,12 @@ KeyBinding bind(Field field) {
       p.*field = static_cast<T>(c.get_int(key));
     }
   };
-  b.save = [field](const ClusterParams& p, Config& c, const std::string& key) {
-    if constexpr (std::is_same_v<T, double>) {
-      c.set(key, static_cast<double>(p.*field));
-    } else if constexpr (std::is_same_v<T, bool>) {
-      c.set(key, static_cast<bool>(p.*field));
-    } else {
-      c.set(key, static_cast<std::int64_t>(p.*field));
-    }
-  };
-  return b;
 }
 
 template <typename T, typename Sub, typename SubField>
 KeyBinding bind_sub(Sub sub, SubField field) {
-  KeyBinding b;
-  b.apply = [sub, field](ClusterParams& p, const Config& c,
-                         const std::string& key) {
+  return [sub, field](ClusterParams& p, const Config& c,
+                      const std::string& key) {
     if constexpr (std::is_same_v<T, double>) {
       (p.*sub).*field = c.get_double(key);
     } else if constexpr (std::is_same_v<T, bool>) {
@@ -55,17 +40,6 @@ KeyBinding bind_sub(Sub sub, SubField field) {
       (p.*sub).*field = static_cast<T>(c.get_int(key));
     }
   };
-  b.save = [sub, field](const ClusterParams& p, Config& c,
-                        const std::string& key) {
-    if constexpr (std::is_same_v<T, double>) {
-      c.set(key, static_cast<double>((p.*sub).*field));
-    } else if constexpr (std::is_same_v<T, bool>) {
-      c.set(key, static_cast<bool>((p.*sub).*field));
-    } else {
-      c.set(key, static_cast<std::int64_t>((p.*sub).*field));
-    }
-  };
-  return b;
 }
 
 const std::map<std::string, KeyBinding>& key_table() {
@@ -114,14 +88,11 @@ const std::map<std::string, KeyBinding>& key_table() {
       {"node.memory_capacity_gb", bind_sub<double>(&ClusterParams::node, &NodeParams::memory_capacity_gb)},
       // scheduler
       {"scheduler.backfill",
-       {[](ClusterParams& p, const Config& c, const std::string& key) {
-          p.scheduler.discipline = c.get_bool(key)
-                                       ? QueueDiscipline::kEasyBackfill
-                                       : QueueDiscipline::kFcfs;
-        },
-        [](const ClusterParams& p, Config& c, const std::string& key) {
-          c.set(key, p.scheduler.discipline == QueueDiscipline::kEasyBackfill);
-        }}},
+       [](ClusterParams& p, const Config& c, const std::string& key) {
+         p.scheduler.discipline = c.get_bool(key)
+                                      ? QueueDiscipline::kEasyBackfill
+                                      : QueueDiscipline::kFcfs;
+       }},
   };
   return kTable;
 }
@@ -136,21 +107,13 @@ ClusterParams cluster_params_from_config(const Config& config,
     if (it == table.end()) {
       throw ConfigError("unknown simulation config key: " + key);
     }
-    it->second.apply(base, config, key);
+    it->second(base, config, key);
   }
   return base;
 }
 
 ClusterParams cluster_params_from_config(const Config& config) {
   return cluster_params_from_config(config, ClusterParams{});
-}
-
-Config cluster_params_to_config(const ClusterParams& params) {
-  Config out;
-  for (const auto& [key, binding] : key_table()) {
-    binding.save(params, out, key);
-  }
-  return out;
 }
 
 }  // namespace oda::sim

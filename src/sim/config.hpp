@@ -16,8 +16,4 @@ ClusterParams cluster_params_from_config(const Config& config);
 ClusterParams cluster_params_from_config(const Config& config,
                                          ClusterParams base);
 
-/// The full parameter set of `params` as config text (round-trips through
-/// cluster_params_from_config).
-Config cluster_params_to_config(const ClusterParams& params);
-
 }  // namespace oda::sim

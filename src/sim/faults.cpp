@@ -8,23 +8,6 @@
 
 namespace oda::sim {
 
-const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kSensorStuck: return "sensor-stuck";
-    case FaultKind::kSensorDrift: return "sensor-drift";
-    case FaultKind::kSensorSpike: return "sensor-spike";
-    case FaultKind::kSensorNoise: return "sensor-noise";
-    case FaultKind::kSensorDropout: return "sensor-dropout";
-    case FaultKind::kSensorStall: return "sensor-stall";
-    case FaultKind::kFanFailure: return "fan-failure";
-    case FaultKind::kThermalDegradation: return "thermal-degradation";
-    case FaultKind::kPumpDegradation: return "pump-degradation";
-    case FaultKind::kChillerFouling: return "chiller-fouling";
-    case FaultKind::kNetworkDegradation: return "network-degradation";
-  }
-  return "?";
-}
-
 bool is_sensor_fault(FaultKind k) {
   switch (k) {
     case FaultKind::kSensorStuck:
@@ -190,22 +173,6 @@ ReadFault FaultInjector::roll_read_faults(const EventList& list, TimePoint now,
     }
   }
   return out;
-}
-
-std::vector<FaultEvent> FaultInjector::active_at(TimePoint t) const {
-  std::vector<FaultEvent> out;
-  for (const auto& e : events_) {
-    if (e.active_at(t)) out.push_back(e);
-  }
-  return out;
-}
-
-bool FaultInjector::any_active_at(TimePoint t,
-                                  const std::string& target_prefix) const {
-  for (const auto& e : events_) {
-    if (e.active_at(t) && e.target.rfind(target_prefix, 0) == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace oda::sim

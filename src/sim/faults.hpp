@@ -40,7 +40,6 @@ enum class FaultKind {
   kNetworkDegradation,  // target = rack index as string; magnitude = capacity factor
 };
 
-const char* fault_kind_name(FaultKind k);
 /// True for the kinds applied as sensor-reading overlays or read faults.
 bool is_sensor_fault(FaultKind k);
 /// True for the kinds that affect the read outcome (dropout/stall) rather
@@ -133,11 +132,6 @@ class FaultInjector {
     const EventList& list = target_lists_[sensor];
     return list.empty() ? ReadFault{} : roll_read_faults(list, now, rng);
   }
-
-  /// Ground truth: faults of any kind active at `t` (optionally filtered to
-  /// those touching the given path/target).
-  std::vector<FaultEvent> active_at(TimePoint t) const;
-  bool any_active_at(TimePoint t, const std::string& target_prefix) const;
 
  private:
   using EventList = std::vector<std::uint32_t>;

@@ -266,6 +266,7 @@ class TimeSeriesStore {
 
 /// Aggregates a value list (helper shared with dashboards). Implemented on
 /// AggAccumulator, so it matches query_aggregated() bit-for-bit.
+// ODA-LINT-ALLOW(production-caller): reference the store equivalence tests use
 double aggregate(const std::vector<double>& values, Aggregation agg);
 
 }  // namespace oda::telemetry

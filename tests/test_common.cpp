@@ -247,8 +247,6 @@ TEST(RollingWindow, VarianceMatchesBatch) {
   for (int i = 0; i < 200; ++i) w.add(rng.uniform(0, 100));
   const auto v = w.to_vector();
   EXPECT_NEAR(w.variance(), variance(v), 1e-6);
-  EXPECT_DOUBLE_EQ(w.min(), *std::min_element(v.begin(), v.end()));
-  EXPECT_DOUBLE_EQ(w.max(), *std::max_element(v.begin(), v.end()));
 }
 
 TEST(BatchStats, QuantileInterpolates) {
@@ -455,7 +453,6 @@ TEST(Config, MissingAndMalformed) {
   const auto cfg = Config::from_text("x = notanumber\n");
   EXPECT_THROW(cfg.get_double("x"), ConfigError);
   EXPECT_THROW(cfg.get_string("missing"), ConfigError);
-  EXPECT_EQ(cfg.get_int_or("missing", 9), 9);
   EXPECT_THROW(Config::from_text("no_equals_here\n"), ConfigError);
 }
 
@@ -464,9 +461,7 @@ TEST(Config, ScopedAndMerge) {
   const auto sim = cfg.scoped("sim");
   EXPECT_EQ(sim.get_int("dt"), 15);
   EXPECT_FALSE(sim.contains("other"));
-  Config extra;
-  extra.set("sim.dt", static_cast<std::int64_t>(30));
-  cfg.merge(extra);
+  cfg.merge(Config::from_text("sim.dt = 30\n"));
   EXPECT_EQ(cfg.get_int("sim.dt"), 30);
 }
 

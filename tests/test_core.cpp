@@ -27,16 +27,15 @@ TEST(Pillars, TraitsAndRoundTrip) {
   for (const auto& p : kAllPillars) {
     const auto& t = traits(p);
     EXPECT_EQ(t.pillar, p);
-    EXPECT_EQ(pillar_from_string(t.name), p);
+    EXPECT_STREQ(to_string(p), t.name);
   }
-  EXPECT_THROW(pillar_from_string("bogus"), ContractError);
 }
 
 TEST(Types, StagedOrderAndQuestions) {
   for (const auto& t : kAllTypes) {
     const auto& tt = traits(t);
     EXPECT_EQ(tt.type, t);
-    EXPECT_EQ(type_from_string(tt.name), t);
+    EXPECT_STREQ(to_string(t), tt.name);
   }
   // Value and difficulty increase along the staircase.
   for (std::size_t i = 1; i < kAllTypes.size(); ++i) {
@@ -146,7 +145,7 @@ TEST(Survey, Table1CellCountsMatchPaper) {
   for (const auto& type : kAllTypes) {
     for (const auto& pillar : kAllPillars) {
       EXPECT_FALSE(catalog.in_cell({pillar, type}).empty())
-          << to_string(GridCell{pillar, type});
+          << to_string(type) << "/" << to_string(pillar);
     }
   }
   // Exact bullet counts per paper row.
@@ -361,7 +360,7 @@ TEST(CellCosts, MultiCellCapabilityLandsInItsFirstCell) {
       const bool home = type == AnalyticsType::kPredictive &&
                         pillar == Pillar::kBuildingInfrastructure;
       EXPECT_EQ(row[static_cast<std::size_t>(pillar)], home ? "1 @ 4.00" : "-")
-          << to_string(GridCell{pillar, type});
+          << to_string(type) << "/" << to_string(pillar);
     }
   }
 }

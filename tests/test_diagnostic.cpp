@@ -205,7 +205,10 @@ TEST(WindowFeatures, ShapeAndSlope) {
     frame.at(r, 0) = static_cast<double>(r);
     frame.at(r, 1) = 5.0;
   }
-  const auto f = window_features(frame);
+  std::vector<double> f;
+  for (std::size_t c = 0; c < frame.cols(); ++c) {
+    append_column_features(frame.column_values(c), f);
+  }
   ASSERT_EQ(f.size(), 6u);
   EXPECT_NEAR(f[0], 1.5, 1e-12);  // mean(a)
   EXPECT_NEAR(f[2], 1.0, 1e-12);  // slope(a)
@@ -224,9 +227,8 @@ TEST(ApplicationFingerprinter, SeparatesSyntheticClasses) {
                             0.5 + rng.normal(0, 0.1), 0.3});
   }
   fp.train(rng);
-  EXPECT_EQ(fp.predict_knn({0.995, 0.02, 0.04, 0.01}).label, "miner");
   EXPECT_EQ(fp.predict_forest({0.995, 0.02, 0.04, 0.01}).label, "miner");
-  EXPECT_EQ(fp.predict_knn({0.78, 0.2, 0.6, 0.35}).label, "hpc");
+  EXPECT_EQ(fp.predict_forest({0.78, 0.2, 0.6, 0.35}).label, "hpc");
   EXPECT_GT(fp.predict_forest({0.995, 0.02, 0.04, 0.01}).confidence, 0.7);
 }
 

@@ -59,19 +59,6 @@ TEST(SimConfig, UnknownKeyThrows) {
   EXPECT_THROW(sim::cluster_params_from_config(cfg), ConfigError);
 }
 
-TEST(SimConfig, RoundTripsThroughText) {
-  sim::ClusterParams params;
-  params.racks = 3;
-  params.workload.leak_fraction = 0.125;
-  params.node.freq_nominal_ghz = 2.1;
-  const auto cfg = sim::cluster_params_to_config(params);
-  const auto back = sim::cluster_params_from_config(
-      Config::from_text(cfg.to_text()));
-  EXPECT_EQ(back.racks, 3u);
-  EXPECT_DOUBLE_EQ(back.workload.leak_fraction, 0.125);
-  EXPECT_DOUBLE_EQ(back.node.freq_nominal_ghz, 2.1);
-}
-
 TEST(SimConfig, ConfigDrivenClusterRuns) {
   const auto params = sim::cluster_params_from_config(Config::from_text(
       "cluster.racks = 1\ncluster.nodes_per_rack = 2\ncluster.seed = 5\n"));

@@ -195,6 +195,43 @@ def main() -> int:
           "tests/t.cpp": "void t() { ODA_CELL_SCOPE(\"unit.cell\"); }\n"},
          set(), {"cell-id"})
 
+    case("production-caller: a header function only tests call is flagged",
+         {"src/m/k.hpp": HEADER + "namespace oda {\n"
+                         "double orphan(double x);\n"
+                         "double used(double x);\n}\n",
+          "src/m/k.cpp": "#include \"m/k.hpp\"\nnamespace oda {\n"
+                         "double orphan(double x) { return x; }\n"
+                         "double used(double x) { return x; }\n}\n",
+          "examples/e.cpp": "#include \"m/k.hpp\"\n"
+                            "int main() { return oda::used(1.0) > 0; }\n",
+          "tests/t.cpp": "#include \"m/k.hpp\"\n"
+                         "double t() { return oda::orphan(1.0); }\n"},
+         {"production-caller"},
+         expect_lines=("src/m/k.hpp:3: [production-caller] orphan()",
+                       ", 1 finding(s)"))
+
+    case("production-caller: callers in examples, bench, tickbench and the "
+         "own .cpp, members and an allowed test seam stay quiet",
+         {"src/m/k.hpp": HEADER + "namespace oda {\n"
+                         "double from_example(double x);\n"
+                         "double from_bench(double x);\n"
+                         "double from_tickbench(double x);\n"
+                         "double helper(double x);\n"
+                         "double api(double x);\n"
+                         "// ODA-LINT-ALLOW(production-caller): test seam\n"
+                         "double seam(double x);\n"
+                         "struct S {\n  double member(double x) const;\n};\n"
+                         "}\n",
+          "src/m/k.cpp": "#include \"m/k.hpp\"\nnamespace oda {\n"
+                         "double helper(double x) { return x; }\n"
+                         "double api(double x) { return helper(x); }\n"
+                         "}\n",
+          "examples/e.cpp": "double y = oda::from_example(1.0) + oda::api(2.0);\n",
+          "bench/b.cpp": "double z = oda::from_bench(1.0);\n",
+          "tickbench/f.cpp": "double w = oda::from_tickbench(1.0);\n",
+          "tests/t.cpp": "double t() { return oda::seam(1.0); }\n"},
+         set(), {"production-caller"})
+
     print()
     if FAILURES:
         print(f"test_oda_lint: {len(FAILURES)} failed expectation(s)")
