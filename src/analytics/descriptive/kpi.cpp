@@ -4,7 +4,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -20,19 +22,34 @@ namespace {
 /// Integrates a sensor over [from, to) by trapezoid-free step integration
 /// (samples are step-held), returning kWh. `watts` maps each sample value
 /// to the power it stands for; by default the sensor reads watts itself.
+/// The samples are folded in place under the store's read lock.
 template <typename ToWatts = std::identity>
 double integrate_kwh(const telemetry::TimeSeriesStore& store,
-                     const std::string& path, TimePoint from, TimePoint to,
+                     telemetry::SeriesId id, TimePoint from, TimePoint to,
                      ToWatts watts = {}) {
-  const auto slice = store.query(path, from, to);
-  if (slice.empty()) return 0.0;
   double joules = 0.0;
-  for (std::size_t i = 0; i < slice.size(); ++i) {
-    const TimePoint t_next = i + 1 < slice.size() ? slice.times[i + 1] : to;
-    joules += watts(slice.values[i]) *
-              static_cast<double>(t_next - slice.times[i]);
-  }
+  std::optional<telemetry::Sample> last;
+  store.read_range(id, from, to,
+                   [&](std::span<const telemetry::Sample> a,
+                       std::span<const telemetry::Sample> b) {
+                     for (const auto range : {a, b}) {
+                       for (const telemetry::Sample& s : range) {
+                         if (last) {
+                           joules += watts(last->value) *
+                                     static_cast<double>(s.time - last->time);
+                         }
+                         last = s;
+                       }
+                     }
+                   });
+  if (!last) return 0.0;
+  joules += watts(last->value) * static_cast<double>(to - last->time);
   return joules / units::kJoulesPerKilowattHour;
+}
+
+telemetry::SeriesId id_of(const std::string& path) {
+  return telemetry::SeriesInterner::global().lookup(path).value_or(
+      telemetry::SeriesId{});
 }
 
 }  // namespace
@@ -49,7 +66,7 @@ PueReport compute_pue(const telemetry::TimeSeriesStore& store, TimePoint from,
       return 0.0;
     }
     ++usable;
-    return integrate_kwh(store, path, from, to);
+    return integrate_kwh(store, id_of(path), from, to);
   };
   report.facility_energy_kwh = usable_kwh("facility/total_power");
   report.it_energy_kwh = usable_kwh("cluster/it_power");
@@ -67,15 +84,16 @@ ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
                         double psu_overhead_fraction) {
   ODA_CELL_SCOPE("kpi.itue");
   ItueReport report;
-  report.it_energy_kwh = integrate_kwh(store, "cluster/it_power", from, to);
+  report.it_energy_kwh =
+      integrate_kwh(store, id_of("cluster/it_power"), from, to);
 
   // Fan energy: cubic law applied to each node's fan_speed series.
   const auto fan_watts = [fan_max_power_w](double s) {
     return fan_max_power_w * s * s * s;
   };
   double fan_kwh = 0.0;
-  for (const auto& path : store.match("rack*/node*/fan_speed")) {
-    fan_kwh += integrate_kwh(store, path, from, to, fan_watts);
+  for (const telemetry::SeriesId id : store.match_ids("rack*/node*/fan_speed")) {
+    fan_kwh += integrate_kwh(store, id, from, to, fan_watts);
   }
   report.fan_energy_kwh = fan_kwh;
 
@@ -86,7 +104,7 @@ ItueReport compute_itue(const telemetry::TimeSeriesStore& store, TimePoint from,
 
   // PUE over the same interval, as compute_pue() defines it.
   const double facility_kwh =
-      integrate_kwh(store, "facility/total_power", from, to);
+      integrate_kwh(store, id_of("facility/total_power"), from, to);
   const double pue = report.it_energy_kwh > 0.0
                          ? facility_kwh / report.it_energy_kwh
                          : 0.0;

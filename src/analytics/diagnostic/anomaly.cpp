@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "math/regression.hpp"
+#include "telemetry/agg_kernels.hpp"
 
 #include "obs/cell.hpp"
 
@@ -92,20 +94,20 @@ void StuckSensorDetector::observe(double value) {
 
 // ----------------------------------------------------------- window features
 
-void append_column_features(std::span<const double> column,
-                            std::vector<double>& out) {
-  std::vector<double> values;
-  values.reserve(column.size());
+void column_features(std::span<const double> column, FeatureScratch& scratch,
+                     std::span<double, 3> out) {
+  std::vector<double>& values = scratch.values;
+  values.clear();
   for (double v : column) {
     if (!std::isnan(v)) values.push_back(v);
   }
   if (values.empty()) {
-    out.insert(out.end(), {0.0, 0.0, 0.0});
+    std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  out.push_back(mean(values));
-  out.push_back(stddev(values));
-  out.push_back(math::fit_theil_sen(values).slope);
+  out[0] = mean(values);
+  out[1] = stddev(values);
+  out[2] = math::theil_sen_slope(values, scratch.slopes);
 }
 
 // --------------------------------------------------------- NodeAnomalyMonitor
@@ -136,16 +138,33 @@ std::span<const telemetry::SeriesId> NodeAnomalyMonitor::sensor_ids(
                                                             n_nodes);
 }
 
-std::vector<std::vector<double>> NodeAnomalyMonitor::batch_features(
+std::vector<double> NodeAnomalyMonitor::batch_features(
     const telemetry::TimeSeriesStore& store, TimePoint from,
     TimePoint to) const {
   const std::size_t n_nodes = node_prefixes_.size();
-  // Raw window features per node first, one frame per sensor...
-  std::vector<std::vector<double>> features(n_nodes);
+  const std::size_t dim = feature_dim();
+  // Raw window features per node first: each series' window is bucketed
+  // in place into one reused column, the cells its frame() column holds...
+  const Duration bucket = params_.bucket;
+  const auto n_buckets = static_cast<std::size_t>(
+      std::max<TimePoint>(0, (to - from + bucket - 1) / bucket));
+  std::vector<double> column(n_buckets);
+  std::vector<double> features(n_nodes * dim);
+  FeatureScratch scratch;
   for (std::size_t s_idx = 0; s_idx < params_.per_node_sensors.size(); ++s_idx) {
-    const auto frame = store.frame(sensor_ids(s_idx), from, to, params_.bucket);
+    const auto ids = sensor_ids(s_idx);
     for (std::size_t c = 0; c < n_nodes; ++c) {
-      append_column_features(frame.column_values(c), features[c]);
+      std::fill(column.begin(), column.end(),
+                std::numeric_limits<double>::quiet_NaN());
+      store.read_range(ids[c], from, to,
+                       [&](std::span<const telemetry::Sample> a,
+                           std::span<const telemetry::Sample> b) {
+                         telemetry::bucket_aggregate_dense(
+                             a, b, from, bucket, telemetry::Aggregation::kMean,
+                             n_buckets, column.data());
+                       });
+      column_features(column, scratch,
+                      std::span<double, 3>(&features[c * dim + s_idx * 3], 3));
     }
   }
 
@@ -154,48 +173,46 @@ std::vector<std::vector<double>> NodeAnomalyMonitor::batch_features(
   // faulty peer's oscillations in its own features only (a per-bucket
   // reference would jitter with every swing of a throttling neighbour),
   // while rack-common modes (inlet-temperature shifts) still cancel.
-  const auto trimmed_mean = [](std::vector<double> vals) {
-    std::sort(vals.begin(), vals.end());
-    const std::size_t trim = vals.size() / 4;
-    double sum = 0.0;
-    for (std::size_t i = trim; i < vals.size() - trim; ++i) sum += vals[i];
-    return sum / static_cast<double>(vals.size() - 2 * trim);
-  };
-  const std::size_t dim = features.empty() ? 0 : features[0].size();
+  std::vector<double> vals;
   for (std::size_t d = 0; d < dim; ++d) {
     for (const auto& members : rack_members_) {
-      std::vector<double> vals;
-      vals.reserve(members.size());
-      for (std::size_t c : members) vals.push_back(features[c][d]);
-      const double reference = trimmed_mean(vals);
-      for (std::size_t c : members) features[c][d] -= reference;
+      vals.clear();
+      for (std::size_t c : members) vals.push_back(features[c * dim + d]);
+      std::sort(vals.begin(), vals.end());
+      const std::size_t trim = vals.size() / 4;
+      double sum = 0.0;
+      for (std::size_t i = trim; i < vals.size() - trim; ++i) sum += vals[i];
+      const double reference =
+          sum / static_cast<double>(vals.size() - 2 * trim);
+      for (std::size_t c : members) features[c * dim + d] -= reference;
     }
   }
   return features;
 }
 
-std::vector<double> NodeAnomalyMonitor::standardize(
-    std::vector<double> features) const {
+void NodeAnomalyMonitor::standardize(std::span<double> features) const {
   ODA_REQUIRE(features.size() == feature_mean_.size(),
               "feature dimension changed between train and scan");
   for (std::size_t d = 0; d < features.size(); ++d) {
     features[d] = (features[d] - feature_mean_[d]) / feature_std_[d];
   }
-  return features;
 }
 
 void NodeAnomalyMonitor::train(const telemetry::TimeSeriesStore& store,
                                TimePoint from, TimePoint to, Rng& rng) {
+  const std::size_t dim = feature_dim();
   std::vector<std::vector<double>> samples;
   for (TimePoint t = from + params_.window; t <= to; t += params_.window) {
-    for (auto& f : batch_features(store, t - params_.window, t)) {
-      if (!f.empty()) samples.push_back(std::move(f));
+    const auto batch = batch_features(store, t - params_.window, t);
+    for (std::size_t r = 0; r < node_prefixes_.size(); ++r) {
+      samples.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(r * dim),
+                           batch.begin() +
+                               static_cast<std::ptrdiff_t>((r + 1) * dim));
     }
   }
   ODA_REQUIRE(samples.size() >= 16, "not enough healthy windows to train");
 
   // Fit the standardization on the healthy windows, then standardize them.
-  const std::size_t dim = samples[0].size();
   feature_mean_.assign(dim, 0.0);
   feature_std_.assign(dim, 0.0);
   for (const auto& s : samples) {
@@ -242,7 +259,7 @@ void NodeAnomalyMonitor::train(const telemetry::TimeSeriesStore& store,
   for (double& v : feature_std_) {
     if (v < 1e-9) v = 1.0;
   }
-  for (auto& s : samples) s = standardize(std::move(s));
+  for (auto& s : samples) standardize(s);
 
   math::IsolationForest::Params fp;
   fp.n_trees = params_.trees;
@@ -296,15 +313,23 @@ std::vector<AnomalyVerdict> NodeAnomalyMonitor::scan(
     const telemetry::TimeSeriesStore& store, TimePoint now) const {
   ODA_CELL_SCOPE("diag.node");
   ODA_REQUIRE(trained(), "scan before train");
+  const std::size_t n_nodes = node_prefixes_.size();
+  const std::size_t dim = feature_dim();
+  auto rows = batch_features(store, now - params_.window, now);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    standardize(std::span<double>(rows).subspan(i * dim, dim));
+  }
+  std::vector<double> forest_scores(n_nodes);
+  std::vector<double> pca_errors(n_nodes);
+  forest_->score(rows, forest_scores);
+  pca_->reconstruction_error(rows, pca_errors);
   std::vector<AnomalyVerdict> out;
-  out.reserve(node_prefixes_.size());
-  const auto batch = batch_features(store, now - params_.window, now);
-  for (std::size_t i = 0; i < node_prefixes_.size(); ++i) {
-    const auto f = standardize(batch[i]);
+  out.reserve(n_nodes);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
     AnomalyVerdict v;
     v.subject = node_prefixes_[i];
-    v.forest_score = forest_->score(f) / forest_threshold_;
-    v.pca_score = pca_->reconstruction_error(f) / pca_threshold_;
+    v.forest_score = forest_scores[i] / forest_threshold_;
+    v.pca_score = pca_errors[i] / pca_threshold_;
     v.score = std::max(v.forest_score, v.pca_score);
     v.anomalous = v.score >= 1.0;
     out.push_back(std::move(v));

@@ -100,11 +100,18 @@ class StuckSensorDetector : public StreamingDetector {
 // Multivariate window-feature detectors.
 // ---------------------------------------------------------------------------
 
-/// Appends one sensor column's window features (mean, stddev, Theil-Sen
+/// Reusable buffers for column_features(), so a caller that featurizes many
+/// columns allocates once, not per column.
+struct FeatureScratch {
+  std::vector<double> values;  // the column's non-NaN cells
+  std::vector<double> slopes;  // Theil-Sen pairwise slopes
+};
+
+/// Writes one sensor column's window features (mean, stddev, Theil-Sen
 /// slope) over its non-NaN cells to `out`; zeros when every cell is NaN.
 /// The statistical fingerprint NodeAnomalyMonitor scores per node.
-void append_column_features(std::span<const double> column,
-                            std::vector<double>& out);
+void column_features(std::span<const double> column, FeatureScratch& scratch,
+                     std::span<double, 3> out);
 
 struct AnomalyVerdict {
   std::string subject;  // e.g. node path
@@ -158,11 +165,14 @@ class NodeAnomalyMonitor {
   const Params& params() const { return params_; }
 
  private:
-  /// Rack-relative window features for every monitored node at once.
-  std::vector<std::vector<double>> batch_features(
-      const telemetry::TimeSeriesStore& store, TimePoint from,
-      TimePoint to) const;
-  std::vector<double> standardize(std::vector<double> features) const;
+  /// Features per node: mean, stddev and slope per sensor.
+  std::size_t feature_dim() const { return params_.per_node_sensors.size() * 3; }
+  /// Rack-relative window features for every monitored node at once, one
+  /// row of feature_dim() per node, row-major.
+  std::vector<double> batch_features(const telemetry::TimeSeriesStore& store,
+                                     TimePoint from, TimePoint to) const;
+  /// Standardizes one node's features in place.
+  void standardize(std::span<double> features) const;
 
   /// The `per_node_sensors.size() * nodes` series this monitor reads,
   /// sensor-major (sensor s of node n at s * nodes + n). Resolved once at

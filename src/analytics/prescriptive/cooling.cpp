@@ -4,14 +4,16 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 #include "obs/cell.hpp"
 
 namespace oda::analytics {
 
 CoolingSetpointOptimizer::CoolingSetpointOptimizer(Params params)
-    : params_(params), step_c_(params.initial_step_c) {
+    : params_(params),
+      facility_power_(
+          telemetry::SeriesInterner::global().intern("facility/total_power")),
+      step_c_(params.initial_step_c) {
   ODA_REQUIRE(params.initial_step_c > 0.0, "step must be positive");
 }
 
@@ -20,8 +22,7 @@ double CoolingSetpointOptimizer::measure_power(
   const auto window =
       static_cast<Duration>(static_cast<double>(params_.period) *
                             params_.measure_fraction);
-  const auto slice = store.query("facility/total_power", now - window, now);
-  return slice.empty() ? -1.0 : mean(slice.values);
+  return store.window_mean(facility_power_, now - window, now).value_or(-1.0);
 }
 
 void CoolingSetpointOptimizer::act(sim::ClusterSimulation& cluster,
@@ -32,8 +33,8 @@ void CoolingSetpointOptimizer::act(sim::ClusterSimulation& cluster,
 
   // Safety: back off immediately if any CPU is near its limit.
   double max_cpu = 0.0;
-  for (const auto& snap : store.match("rack*/node*/cpu_temp")) {
-    const auto latest = store.latest(snap);
+  for (const telemetry::SeriesId id : store.match_ids("rack*/node*/cpu_temp")) {
+    const auto latest = store.latest(id);
     if (latest) max_cpu = std::max(max_cpu, latest->value);
   }
   const double setpoint = cluster.knobs().get("facility/supply_setpoint");

@@ -12,6 +12,7 @@
 
 #include "analytics/predictive/forecaster.hpp"
 #include "analytics/prescriptive/controller.hpp"
+#include "telemetry/series_id.hpp"
 
 namespace oda::analytics {
 
@@ -42,6 +43,7 @@ class CoolingSetpointOptimizer : public Controller {
                        TimePoint now) const;
 
   Params params_;
+  telemetry::SeriesId facility_power_;  // facility/total_power
   double step_c_;
   double direction_ = +1.0;
   double last_power_w_ = -1.0;

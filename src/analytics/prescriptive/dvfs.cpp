@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stats.hpp"
 
 #include "obs/cell.hpp"
 
@@ -44,12 +43,13 @@ void DvfsGovernor::act_energy(sim::ClusterSimulation& cluster,
   const TimePoint now = cluster.now();
   const auto& nodes = inputs(cluster);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto cpu = store.query(nodes[i].cpu_util, now - params_.period, now);
+    const auto cpu =
+        store.window_mean(nodes[i].cpu_util, now - params_.period, now);
     const auto mem =
-        store.query(nodes[i].mem_bw_util, now - params_.period, now);
-    if (cpu.empty() || mem.empty()) continue;
-    const double cpu_mean = mean(cpu.values);
-    const double mem_mean = mean(mem.values);
+        store.window_mean(nodes[i].mem_bw_util, now - params_.period, now);
+    if (!cpu || !mem) continue;
+    const double cpu_mean = *cpu;
+    const double mem_mean = *mem;
     const std::string& knob = nodes[i].knob;
     const double nominal = cluster.node(i).params().freq_nominal_ghz;
 

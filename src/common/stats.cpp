@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -230,16 +231,91 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double quantile(std::span<const double> xs, double q) {
+namespace {
+
+/// The k-th smallest of xs (0-based) by quickselect, reordering xs so every
+/// element before k compares <= it and every one after >= it. Each pass
+/// partitions branch-free (a swap and a counter add per element, never a
+/// data-dependent jump), so the short windows NodeAnomalyMonitor selects
+/// from every tick cost no mispredicts. When the pivot is the least value
+/// left, a second pass splits its ties off, so a window of equal values (a
+/// flat signal's slopes) ends in one level.
+/// After an unlucky run of pivots it finishes with std::nth_element, which
+/// bounds the worst case at O(n log n).
+double select_kth(std::span<double> xs, std::size_t k) {
+  double* a = xs.data();
+  std::size_t lo = 0;
+  std::size_t hi = xs.size();
+  std::size_t budget = 2 * static_cast<std::size_t>(std::bit_width(xs.size())) + 4;
+  while (hi - lo > 1) {
+    if (budget-- == 0) {
+      // Through span iterators: GCC 12 reports a false -Warray-bounds in
+      // the sanitizer builds when this shares its double* instantiation
+      // with P2Quantile::value()'s five-element sort.
+      const auto at = [&xs](std::size_t i) {
+        return xs.begin() + static_cast<std::ptrdiff_t>(i);
+      };
+      std::nth_element(at(lo), at(k), at(hi));
+      return a[k];
+    }
+    const double x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1];
+    const double pivot = std::max(std::min(x, y), std::min(std::max(x, y), z));
+    // [lo, i) < pivot <= [i, hi).
+    std::size_t i = lo;
+    for (std::size_t j = lo; j < hi; ++j) {
+      const double v = a[j];
+      a[j] = a[i];
+      a[i] = v;
+      i += static_cast<std::size_t>(v < pivot);
+    }
+    if (k < i) {
+      hi = i;
+      continue;
+    }
+    if (i > lo) {
+      lo = i;
+      continue;
+    }
+    // The pivot is the range's least value: split its ties off so the
+    // range still shrinks. [i, e) == pivot < [e, hi).
+    std::size_t e = i;
+    for (std::size_t j = i; j < hi; ++j) {
+      const double v = a[j];
+      a[j] = a[e];
+      a[e] = v;
+      e += static_cast<std::size_t>(!(pivot < v));
+    }
+    if (k < e) return a[k];
+    lo = e;
+  }
+  return a[lo];
+}
+
+}  // namespace
+
+double quantile_inplace(std::span<double> xs, double q) {
   ODA_REQUIRE(!xs.empty(), "quantile of empty span");
   ODA_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  const double pos = q * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
+  // The lo-th order statistic by selection, then the hi-th as the least of
+  // what selection left above it: the two values a full sort would put at
+  // lo and hi. Only +0.0 and -0.0 compare equal with different bits, and
+  // the interpolation below returns the same bits whichever zero lands at
+  // either position, so the result is a sort's to the bit.
+  const double v_lo = select_kth(xs, lo);
+  const double v_hi =
+      hi == lo ? v_lo
+               : *std::min_element(
+                     xs.begin() + static_cast<std::ptrdiff_t>(hi), xs.end());
+  return v_lo + frac * (v_hi - v_lo);
+}
+
+double quantile(std::span<const double> xs, double q) {
+  std::vector<double> v(xs.begin(), xs.end());
+  return quantile_inplace(v, q);
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
@@ -249,7 +325,7 @@ double mad(std::span<const double> xs) {
   const double med = median(xs);
   std::vector<double> dev(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) dev[i] = std::abs(xs[i] - med);
-  return 1.4826 * median(dev);
+  return 1.4826 * quantile_inplace(dev, 0.5);
 }
 
 double correlation(std::span<const double> xs, std::span<const double> ys) {

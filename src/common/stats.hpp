@@ -110,6 +110,9 @@ double stddev(std::span<const double> xs);
 double median(std::span<const double> xs);
 /// Exact quantile with linear interpolation (type-7, as in numpy default).
 double quantile(std::span<const double> xs, double q);
+/// quantile() over a buffer it may reorder: selects the two order
+/// statistics in place, with no copy. Same result, bit for bit.
+double quantile_inplace(std::span<double> xs, double q);
 /// Median absolute deviation (scaled by 1.4826 to be sigma-consistent).
 double mad(std::span<const double> xs);
 /// Pearson correlation; 0 if either side is constant.

@@ -65,43 +65,65 @@ Pca Pca::fit(const Matrix& data, std::size_t components, bool scale) {
   return pca;
 }
 
-std::vector<double> Pca::transform(std::span<const double> sample) const {
-  ODA_REQUIRE(sample.size() == input_dim(), "PCA transform dim mismatch");
+void Pca::project(std::span<const double> sample,
+                  std::span<double> coords) const {
   const std::size_t d = input_dim();
-  const std::size_t k = n_components();
-  std::vector<double> out(k, 0.0);
+  const std::size_t k = coords.size();
+  const double* c = components_.data().data();  // d x k, row-major
   for (std::size_t j = 0; j < k; ++j) {
     double acc = 0.0;
     for (std::size_t i = 0; i < d; ++i) {
-      acc += components_(i, j) * (sample[i] - mean_[i]) / scale_[i];
+      acc += c[i * k + j] * (sample[i] - mean_[i]) / scale_[i];
     }
-    out[j] = acc;
+    coords[j] = acc;
   }
+}
+
+double Pca::reconstruct(std::size_t i, std::span<const double> coords) const {
+  const std::size_t k = coords.size();
+  const double* c = components_.data().data();
+  double acc = 0.0;
+  for (std::size_t j = 0; j < k; ++j) acc += c[i * k + j] * coords[j];
+  return acc * scale_[i] + mean_[i];
+}
+
+std::vector<double> Pca::transform(std::span<const double> sample) const {
+  ODA_REQUIRE(sample.size() == input_dim(), "PCA transform dim mismatch");
+  std::vector<double> out(n_components());
+  project(sample, out);
   return out;
 }
 
 std::vector<double> Pca::inverse_transform(std::span<const double> coords) const {
   ODA_REQUIRE(coords.size() == n_components(), "PCA inverse dim mismatch");
-  const std::size_t d = input_dim();
-  std::vector<double> out(d, 0.0);
-  for (std::size_t i = 0; i < d; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < coords.size(); ++j) {
-      acc += components_(i, j) * coords[j];
-    }
-    out[i] = acc * scale_[i] + mean_[i];
-  }
+  std::vector<double> out(input_dim());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = reconstruct(i, coords);
   return out;
 }
 
-double Pca::reconstruction_error(std::span<const double> sample) const {
-  const auto recon = inverse_transform(transform(sample));
-  double err = 0.0;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    const double diff = (sample[i] - recon[i]) / scale_[i];
-    err += diff * diff;
+void Pca::reconstruction_error(std::span<const double> rows,
+                               std::span<double> out) const {
+  const std::size_t d = input_dim();
+  ODA_REQUIRE(rows.size() == out.size() * d, "PCA batch shape mismatch");
+  // transform() then inverse_transform() per row, through one coordinate
+  // buffer for the whole batch.
+  std::vector<double> coords(n_components());
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    const std::span<const double> sample = rows.subspan(r * d, d);
+    project(sample, coords);
+    double err = 0.0;
+    for (std::size_t i = 0; i < d; ++i) {
+      const double diff = (sample[i] - reconstruct(i, coords)) / scale_[i];
+      err += diff * diff;
+    }
+    out[r] = std::sqrt(err);
   }
-  return std::sqrt(err);
+}
+
+double Pca::reconstruction_error(std::span<const double> sample) const {
+  double err = 0.0;
+  reconstruction_error(sample, std::span<double>(&err, 1));
+  return err;
 }
 
 }  // namespace oda::math

@@ -31,8 +31,18 @@ class Pca {
   /// L2 distance between a sample and its projection onto the subspace —
   /// the PCA reconstruction-error anomaly score.
   double reconstruction_error(std::span<const double> sample) const;
+  /// The reconstruction error of each row of `rows` (row-major, input_dim()
+  /// features each) into `out`, bit-equal to the one-row form, with one
+  /// coordinate buffer for the whole batch.
+  void reconstruction_error(std::span<const double> rows,
+                            std::span<double> out) const;
 
  private:
+  /// transform() into `coords` (n_components() doubles).
+  void project(std::span<const double> sample, std::span<double> coords) const;
+  /// Coordinate i of inverse_transform(coords).
+  double reconstruct(std::size_t i, std::span<const double> coords) const;
+
   std::vector<double> mean_;
   std::vector<double> scale_;      // per-feature std (1.0 when not scaling)
   Matrix components_;              // input_dim × n_components

@@ -34,14 +34,11 @@ TrendLine fit_trend(std::span<const double> y) {
   return t;
 }
 
-TrendLine fit_theil_sen(std::span<const double> y, std::size_t max_pairs) {
+double theil_sen_slope(std::span<const double> y, std::vector<double>& slopes,
+                       std::size_t max_pairs) {
   const std::size_t n = y.size();
-  TrendLine t;
-  if (n < 2) {
-    t.intercept = n == 1 ? y[0] : 0.0;
-    return t;
-  }
-  std::vector<double> slopes;
+  if (n < 2) return 0.0;
+  slopes.clear();
   const std::size_t total_pairs = n * (n - 1) / 2;
   if (total_pairs <= max_pairs) {
     slopes.reserve(total_pairs);
@@ -63,13 +60,24 @@ TrendLine fit_theil_sen(std::span<const double> y, std::size_t max_pairs) {
       slopes.push_back((y[j] - y[i]) / static_cast<double>(j - i));
     }
   }
-  t.slope = oda::median(slopes);
-  // Intercept: median of y_i - slope*i.
-  std::vector<double> intercepts(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    intercepts[i] = y[i] - t.slope * static_cast<double>(i);
+  return oda::quantile_inplace(slopes, 0.5);
+}
+
+TrendLine fit_theil_sen(std::span<const double> y, std::size_t max_pairs) {
+  const std::size_t n = y.size();
+  TrendLine t;
+  if (n < 2) {
+    t.intercept = n == 1 ? y[0] : 0.0;
+    return t;
   }
-  t.intercept = oda::median(intercepts);
+  std::vector<double> scratch;
+  t.slope = theil_sen_slope(y, scratch, max_pairs);
+  // Intercept: median of y_i - slope*i.
+  scratch.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch[i] = y[i] - t.slope * static_cast<double>(i);
+  }
+  t.intercept = oda::quantile_inplace(scratch, 0.5);
   return t;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 namespace oda::math {
 
@@ -21,5 +22,10 @@ TrendLine fit_trend(std::span<const double> y);
 /// ~29% outliers; used for memory-leak and sensor-drift detection. For long
 /// series a random subsample of pairs is used (deterministic).
 TrendLine fit_theil_sen(std::span<const double> y, std::size_t max_pairs = 10000);
+/// fit_theil_sen's slope alone, with the pairwise slopes kept in the
+/// caller's `slopes` buffer (overwritten), so a caller that fits many short
+/// windows reuses one allocation. 0 for fewer than two points.
+double theil_sen_slope(std::span<const double> y, std::vector<double>& slopes,
+                       std::size_t max_pairs = 10000);
 
 }  // namespace oda::math

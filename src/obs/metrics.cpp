@@ -254,15 +254,15 @@ CallbackHandle MetricsRegistry::add_callback(const std::string& name,
   const auto fam = families_.find(name);
   ODA_REQUIRE(fam == families_.end() || fam->second.type == type,
               "metric family re-registered with a different type: " + name);
-  CallbackSeries cb;
-  cb.id = next_callback_id_++;
-  cb.name = name;
-  cb.help = help;
-  cb.type = type;
-  cb.labels = sorted;
-  cb.fn = std::move(fn);
-  callbacks_.push_back(std::move(cb));
-  return CallbackHandle(this, callbacks_.back().id);
+  auto cb = std::make_shared<CallbackSeries>();
+  cb->id = next_callback_id_++;
+  cb->name = name;
+  cb->help = help;
+  cb->type = type;
+  cb->labels = sorted;
+  cb->fn = std::move(fn);
+  callbacks_.push_back(cb);
+  return CallbackHandle(this, cb->id);
 }
 
 CallbackHandle MetricsRegistry::gauge_callback(const std::string& name,
@@ -290,45 +290,79 @@ CallbackHandle MetricsRegistry::histogram_callback(
   ODA_REQUIRE(fam == families_.end() ||
                   fam->second.type == MetricType::kHistogram,
               "metric family re-registered with a different type: " + name);
-  CallbackSeries cb;
-  cb.id = next_callback_id_++;
-  cb.name = name;
-  cb.help = help;
-  cb.type = MetricType::kHistogram;
-  cb.labels = sorted;
-  cb.hist_fn = std::move(fn);
-  callbacks_.push_back(std::move(cb));
-  return CallbackHandle(this, callbacks_.back().id);
+  auto cb = std::make_shared<CallbackSeries>();
+  cb->id = next_callback_id_++;
+  cb->name = name;
+  cb->help = help;
+  cb->type = MetricType::kHistogram;
+  cb->labels = sorted;
+  cb->hist_fn = std::move(fn);
+  callbacks_.push_back(cb);
+  return CallbackHandle(this, cb->id);
 }
 
 void MetricsRegistry::remove_callback(std::uint64_t id) {
-  MutexLock lock(mu_);
-  callbacks_.erase(std::remove_if(callbacks_.begin(), callbacks_.end(),
-                                  [id](const CallbackSeries& cb) {
-                                    return cb.id == id;
-                                  }),
-                   callbacks_.end());
+  std::shared_ptr<CallbackSeries> gone;
+  {
+    MutexLock lock(mu_);
+    const auto it = std::find_if(
+        callbacks_.begin(), callbacks_.end(),
+        [id](const std::shared_ptr<CallbackSeries>& cb) { return cb->id == id; });
+    if (it == callbacks_.end()) return;
+    gone = std::move(*it);
+    callbacks_.erase(it);
+  }
+  // Waits out a snapshot() that is calling it now; a snapshot that
+  // gathered it earlier sees `removed` and skips it.
+  MutexLock call(gone->call_mu);
+  gone->removed = true;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  MutexLock lock(mu_);
+  // Under the lock, only gather: the families in name order with their
+  // instruments, and the callback series. Families and instruments are
+  // never removed and a map insertion moves no node, so the pointers stay
+  // valid, and what they point at is immutable once registered (values are
+  // atomics).
+  struct Gathered {
+    const std::string* name;
+    const Family* family;
+    std::vector<const Instrument*> series;
+  };
+  std::vector<Gathered> families;
+  std::vector<std::shared_ptr<CallbackSeries>> callbacks;
+  {
+    MutexLock lock(mu_);
+    families.reserve(families_.size());
+    for (const auto& [name, fam] : families_) {
+      Gathered g{&name, &fam, {}};
+      g.series.reserve(fam.series.size());
+      for (const auto& [key, inst] : fam.series) {
+        static_cast<void>(key);
+        g.series.push_back(&inst);
+      }
+      families.push_back(std::move(g));
+    }
+    callbacks = callbacks_;
+  }
+
   MetricsSnapshot snap;
   std::map<std::string, std::size_t> index;  // name -> families index
-  for (const auto& [name, fam] : families_) {
+  for (const Gathered& g : families) {
+    const Family& fam = *g.family;
     MetricFamily out;
-    out.name = name;
+    out.name = *g.name;
     out.help = fam.help;
     out.type = fam.type;
-    for (const auto& [key, inst] : fam.series) {
-      static_cast<void>(key);
+    for (const Instrument* inst : g.series) {
       if (fam.type == MetricType::kHistogram) {
         HistogramValue h;
-        h.labels = inst.labels;
-        h.bounds = inst.histogram->bounds();
-        h.counts = inst.histogram->bucket_counts();
-        h.sum = inst.histogram->sum();
-        h.count = inst.histogram->count();
-        const Histogram::Exemplar ex = inst.histogram->exemplar();
+        h.labels = inst->labels;
+        h.bounds = inst->histogram->bounds();
+        h.counts = inst->histogram->bucket_counts();
+        h.sum = inst->histogram->sum();
+        h.count = inst->histogram->count();
+        const Histogram::Exemplar ex = inst->histogram->exemplar();
         if (ex.trace_id != 0) {
           h.exemplar_value = ex.value;
           h.exemplar_trace_id = ex.trace_id;
@@ -336,17 +370,21 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         out.histograms.push_back(std::move(h));
       } else {
         SeriesValue v;
-        v.labels = inst.labels;
+        v.labels = inst->labels;
         v.value = fam.type == MetricType::kCounter
-                      ? static_cast<double>(inst.counter->value())
-                      : inst.gauge->value();
+                      ? static_cast<double>(inst->counter->value())
+                      : inst->gauge->value();
         out.values.push_back(std::move(v));
       }
     }
-    index[name] = snap.families.size();
+    index[out.name] = snap.families.size();
     snap.families.push_back(std::move(out));
   }
-  for (const auto& cb : callbacks_) {
+  for (const auto& cb_ptr : callbacks) {
+    const CallbackSeries& cb = *cb_ptr;
+    // Held across the call, so an unregister waits for it to finish.
+    MutexLock call(cb.call_mu);
+    if (cb.removed) continue;
     const auto it = index.find(cb.name);
     if (it == index.end()) {
       MetricFamily fam;
@@ -386,7 +424,7 @@ std::size_t MetricsRegistry::family_count() const {
     static_cast<void>(fam);
     names[name] = true;
   }
-  for (const auto& cb : callbacks_) names[cb.name] = true;
+  for (const auto& cb : callbacks_) names[cb->name] = true;
   return names.size();
 }
 

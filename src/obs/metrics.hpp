@@ -255,6 +255,11 @@ class MetricsRegistry {
     MetricType type = MetricType::kCounter;
     std::map<std::string, Instrument> series;  // key: serialized labels
   };
+  /// A pull series. Immutable once registered except `removed`; shared so
+  /// snapshot() can call it after releasing the registry lock. `call_mu`
+  /// is held across each call and by remove_callback() when it marks the
+  /// series removed, so once unregistering returns no call is running and
+  /// none starts: the objects the callback reads may then be destroyed.
   struct CallbackSeries {
     std::uint64_t id = 0;
     std::string name;
@@ -263,6 +268,8 @@ class MetricsRegistry {
     LabelSet labels;
     std::function<double()> fn;                    // counter/gauge callbacks
     std::function<HistogramSnapshot()> hist_fn;    // histogram callbacks
+    mutable Mutex call_mu{LockRankId::kMetrics};
+    bool removed ODA_GUARDED_BY(call_mu) = false;
   };
 
   friend class CallbackHandle;
@@ -274,13 +281,15 @@ class MetricsRegistry {
                               std::function<double()> fn) ODA_EXCLUDES(mu_);
 
   /// Registration-path lock only (instrument hot paths are lock-free
-  /// atomics). Held while snapshot() runs pull callbacks, which therefore
-  /// must not re-enter the registry — but may log or trace (both rank
-  /// below metrics).
+  /// atomics). snapshot() holds it only to gather the instruments and the
+  /// callback series, and reads values and runs callbacks after releasing
+  /// it, so a scrape does not stall registration. Pull callbacks run under
+  /// their series' call_mu (same rank) and must not re-enter the registry,
+  /// but may log or trace (both rank below metrics).
   mutable Mutex mu_ ODA_ACQUIRED_AFTER(lock_order::metrics)
       ODA_ACQUIRED_BEFORE(lock_order::trace){LockRankId::kMetrics};
   std::map<std::string, Family> families_ ODA_GUARDED_BY(mu_);
-  std::vector<CallbackSeries> callbacks_ ODA_GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<CallbackSeries>> callbacks_ ODA_GUARDED_BY(mu_);
   std::uint64_t next_callback_id_ ODA_GUARDED_BY(mu_) = 1;
 };
 

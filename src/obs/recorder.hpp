@@ -108,6 +108,7 @@ struct SpanRecord {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;
   TraceEventKind kind = TraceEventKind::kSpan;
+  std::uint64_t count = 0;  // TraceEvent::count; not kept in the ring
 };
 
 /// Everything one thread records: its tid, the flight-recorder ring and the
@@ -152,8 +153,8 @@ struct ThreadSpans {
 
 /// The public form of `ev`, owned strings and the thread's tid.
 inline TraceEvent to_trace_event(const SpanRecord& ev, std::uint32_t tid) {
-  return {ev.name, ev.category, ev.ts_us,   ev.dur_us,  tid,
-          ev.kind, ev.trace_id, ev.span_id, ev.parent_id};
+  return {ev.name,     ev.category, ev.ts_us,     ev.dur_us, tid,
+          ev.kind,     ev.trace_id, ev.span_id, ev.parent_id, ev.count};
 }
 
 /// The calling thread's record, created and registered on first use.

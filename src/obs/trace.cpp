@@ -71,10 +71,11 @@ void dispatch(const SpanRecord& ev, unsigned mode) {
 
 void finish_span(const char* name, const char* category,
                  std::uint64_t start_us, TraceContext ctx,
-                 std::uint64_t parent_span_id, unsigned mode) {
+                 std::uint64_t parent_span_id, unsigned mode,
+                 std::uint64_t count) {
   const std::uint64_t end_us = Tracer::global().now_us();
   dispatch({name, category, start_us, end_us - start_us, ctx.trace_id,
-            ctx.span_id, parent_span_id, TraceEventKind::kSpan},
+            ctx.span_id, parent_span_id, TraceEventKind::kSpan, count},
            mode);
 }
 
@@ -193,10 +194,17 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  const auto emit_ids = [&out](const TraceEvent& ev) {
-    out << ",\"args\":{\"trace_id\":\"" << trace_id_hex(ev.trace_id)
-        << "\",\"span_id\":\"" << trace_id_hex(ev.span_id)
-        << "\",\"parent_id\":\"" << trace_id_hex(ev.parent_id) << "\"}";
+  const auto emit_args = [&out](const TraceEvent& ev) {
+    if (ev.trace_id == 0 && ev.count == 0) return;
+    out << ",\"args\":{";
+    if (ev.trace_id != 0) {
+      out << "\"trace_id\":\"" << trace_id_hex(ev.trace_id)
+          << "\",\"span_id\":\"" << trace_id_hex(ev.span_id)
+          << "\",\"parent_id\":\"" << trace_id_hex(ev.parent_id) << '"';
+      if (ev.count != 0) out << ',';
+    }
+    if (ev.count != 0) out << "\"count\":" << ev.count;
+    out << '}';
   };
   for (const auto& ev : events) {
     if (!first) out << ',';
@@ -209,7 +217,7 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
       out << ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ev.ts_us;
     }
     out << ",\"pid\":1,\"tid\":" << ev.tid;
-    if (ev.trace_id != 0) emit_ids(ev);
+    emit_args(ev);
     out << '}';
   }
   // Flow pairs for every cross-thread parent->child edge: the "s" end sits

@@ -61,6 +61,10 @@ struct TraceEvent {
   std::uint64_t trace_id = 0;   // causal chain id; 0 = untraced event
   std::uint64_t span_id = 0;    // this event's own id
   std::uint64_t parent_id = 0;  // enclosing span's id; 0 = trace root
+  /// A span's count argument (TraceSpan::set_count), e.g. the deliveries
+  /// one bus.deliver span covers; 0 = none. Traced events only: the flight
+  /// recorder does not keep it.
+  std::uint64_t count = 0;
 };
 
 namespace detail {
@@ -86,7 +90,8 @@ void dispatch(const SpanRecord& ev, unsigned mode);
 /// instant to whichever sinks `mode` has armed.
 void finish_span(const char* name, const char* category,
                  std::uint64_t start_us, TraceContext ctx,
-                 std::uint64_t parent_span_id, unsigned mode);
+                 std::uint64_t parent_span_id, unsigned mode,
+                 std::uint64_t count);
 void emit_instant(const char* name, const char* category, unsigned mode);
 
 }  // namespace detail
@@ -185,14 +190,19 @@ class TraceSpan {
     if (mode_ == 0) return;
     exchange_trace_context(parent_);
     detail::finish_span(name_, category_, start_us_, ctx_, parent_.span_id,
-                        mode_);
+                        mode_, count_);
   }
+
+  /// Sets the span's count argument (TraceEvent::count), for a span that
+  /// stands for several units of work.
+  void set_count(std::uint64_t count) { count_ = count; }
 
  private:
   const char* name_;
   const char* category_;
   std::uint64_t start_us_ = 0;
   unsigned mode_ = 0;
+  std::uint64_t count_ = 0;
   TraceContext parent_;
   TraceContext ctx_;
 };

@@ -175,44 +175,63 @@ void MessageBus::dispatch(std::span<const IdReading> readings,
     wall_mark = Clock::now();
     cpu_mark = thread_cpu_seconds();
   }
-  for (const Routed& d : routed) {
-    std::optional<Reading> built;
-    if (single == nullptr) {
-      built.emplace(Reading{*d.path, readings[d.index].sample});
-    }
-    const Reading& reading = single != nullptr ? *single : *built;
-    for (std::size_t k = d.first; k < d.first + d.count; ++k) {
-      SubStats& t = *targets[k];
-      // Child of the publish span (same-thread nesting), so each
-      // subscriber's work hangs off the publish in the causal trace.
-      ODA_TRACE_SPAN_CAT("bus.deliver", "bus");
-      const Clock::time_point t0 = Clock::now();
-      t.callback(reading);
-      const Clock::time_point t1 = Clock::now();
-      const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
-      publish_seconds += elapsed_s;
-      delivered_.fetch_add(1, std::memory_order_relaxed);
-      metrics.delivered.inc();
-      t.per_pattern->inc();
-      if (elapsed_s <= kSlowDeliverySeconds) continue;
-      const double cpu_now = thread_cpu_seconds();
-      const double cpu_s =
-          cpu_now - cpu_mark -
-          std::chrono::duration<double>(t0 - wall_mark).count();
-      wall_mark = t1;
-      cpu_mark = cpu_now;
-      if (cpu_s > kSlowDeliverySeconds) {
-        metrics.slow.inc();
-        // relaxed exchange: warned is a best-effort once-flag for log noise
-        // control; a duplicate warning under a rare race would be harmless.
-        if (!t.warned.exchange(true, std::memory_order_relaxed)) {
-          ODA_LOG_WARN << "slow bus subscriber (pattern '" << t.pattern
-                       << "'): delivery used " << cpu_s * 1e3
-                       << " ms of CPU (threshold " << kSlowDeliverySeconds * 1e3
-                       << " ms)";
-        }
+  const auto deliver = [&](SubStats& t, const Reading& reading) {
+    const Clock::time_point t0 = Clock::now();
+    t.callback(reading);
+    const Clock::time_point t1 = Clock::now();
+    const double elapsed_s = std::chrono::duration<double>(t1 - t0).count();
+    publish_seconds += elapsed_s;
+    delivered_.fetch_add(1, std::memory_order_relaxed);
+    metrics.delivered.inc();
+    t.per_pattern->inc();
+    if (elapsed_s <= kSlowDeliverySeconds) return;
+    const double cpu_now = thread_cpu_seconds();
+    const double cpu_s = cpu_now - cpu_mark -
+                         std::chrono::duration<double>(t0 - wall_mark).count();
+    wall_mark = t1;
+    cpu_mark = cpu_now;
+    if (cpu_s > kSlowDeliverySeconds) {
+      metrics.slow.inc();
+      // relaxed exchange: warned is a best-effort once-flag for log noise
+      // control; a duplicate warning under a rare race would be harmless.
+      if (!t.warned.exchange(true, std::memory_order_relaxed)) {
+        ODA_LOG_WARN << "slow bus subscriber (pattern '" << t.pattern
+                     << "'): delivery used " << cpu_s * 1e3
+                     << " ms of CPU (threshold " << kSlowDeliverySeconds * 1e3
+                     << " ms)";
       }
     }
+  };
+  std::optional<Reading> built;
+  std::size_t built_for = routed.size();
+  const auto reading_of = [&](std::size_t i) -> const Reading& {
+    if (single != nullptr) return *single;
+    if (built_for != i) {
+      built.emplace(Reading{*routed[i].path, readings[routed[i].index].sample});
+      built_for = i;
+    }
+    return *built;
+  };
+  // Deliveries run in the documented order: routed reading i to
+  // targets[routed[i].first ..+ count). Each run of consecutive deliveries
+  // to one subscriber is one bus.deliver span, a child of the publish span
+  // (same-thread nesting), with the run's length as its count argument:
+  // a batch whose matched readings all go to one subscriber (a group pass
+  // feeding one alert rule) records one span, not one per reading.
+  std::size_t i = 0;
+  std::size_t k = routed.empty() ? 0 : routed[0].first;
+  while (i < routed.size()) {
+    const SubStats* const run_target = targets[k].get();
+    obs::TraceSpan span("bus.deliver", "bus");
+    std::uint64_t run = 0;
+    do {
+      deliver(*targets[k], reading_of(i));
+      ++run;
+      if (++k == routed[i].first + routed[i].count && ++i < routed.size()) {
+        k = routed[i].first;
+      }
+    } while (i < routed.size() && targets[k].get() == run_target);
+    span.set_count(run);
   }
   metrics.publish_seconds.observe(publish_seconds);
 }

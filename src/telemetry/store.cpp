@@ -51,35 +51,42 @@ struct StoreMetrics {
   }
 };
 
-/// Number of samples with time < t, over the ring's two ascending spans
-/// (the logical lower bound the original single-buffer binary search found).
-std::size_t lower_index(std::span<const Sample> a, std::span<const Sample> b,
-                        TimePoint t) {
-  const auto less = [](const Sample& s, TimePoint tp) { return s.time < tp; };
-  if (!b.empty() && b.front().time < t) {
-    return a.size() +
-           static_cast<std::size_t>(
-               std::lower_bound(b.begin(), b.end(), t, less) - b.begin());
+/// std::lower_bound's index for t in the ascending span s, given that
+/// every sample from s[end] on has time >= t: gallops back from `end` in
+/// steps of 1, 2, 4, ..., then bisects the last step with a branch-free
+/// update.
+std::size_t gallop_back(std::span<const Sample> s, TimePoint t,
+                        std::size_t end) {
+  std::size_t hi = end;
+  std::size_t lo = 0;
+  for (std::size_t step = 1; hi > 0; step *= 2) {
+    const std::size_t probe = hi > step ? hi - step : 0;
+    if (s[probe].time < t) {
+      lo = probe + 1;
+      break;
+    }
+    hi = probe;
   }
-  return static_cast<std::size_t>(
-      std::lower_bound(a.begin(), a.end(), t, less) - a.begin());
-}
-
-/// Restricts the two spans to the logical index range [lo, hi).
-std::pair<std::span<const Sample>, std::span<const Sample>> cut_range(
-    std::span<const Sample> a, std::span<const Sample> b, std::size_t lo,
-    std::size_t hi) {
-  const auto cut = [](std::span<const Sample> s, std::size_t l, std::size_t h) {
-    l = std::min(l, s.size());
-    h = std::min(h, s.size());
-    return s.subspan(l, h - l);
-  };
-  const std::size_t blo = lo > a.size() ? lo - a.size() : 0;
-  const std::size_t bhi = hi > a.size() ? hi - a.size() : 0;
-  return {cut(a, lo, hi), cut(b, blo, bhi)};
+  // Every index below lo is < t, every one from hi is >= t.
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const bool below = s[mid].time < t;
+    lo = below ? mid + 1 : lo;
+    hi = below ? hi : mid;
+  }
+  return lo;
 }
 
 }  // namespace
+
+std::size_t tail_lower_bound(std::span<const Sample> a,
+                             std::span<const Sample> b, TimePoint t,
+                             std::size_t end) {
+  const std::size_t na = a.size();
+  // The answer lies in b when b's first sample is still below t.
+  if (end > na && b.front().time < t) return na + gallop_back(b, t, end - na);
+  return gallop_back(a, t, std::min(end, na));
+}
 
 double AggAccumulator::result(Aggregation agg) const {
   if (count == 0) return std::nan("");
@@ -125,6 +132,8 @@ void Frame::allocate(std::size_t rows, std::size_t cols) {
   base_ = misalign == 0 ? 0 : kLine - misalign;
 }
 
+void TimeSeriesStore::count_query() { StoreMetrics::get().queries.inc(); }
+
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_sensor)
     : capacity_(capacity_per_sensor) {
   ODA_REQUIRE(capacity_per_sensor > 0, "store capacity must be positive");
@@ -141,20 +150,22 @@ TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_sensor)
 
 TimeSeriesStore::Series& TimeSeriesStore::series_locked(Shard& shard,
                                                         SeriesId id) {
-  auto it = shard.series.find(id.value);
-  if (it == shard.series.end()) {
-    it = shard.series.emplace(id.value, std::make_unique<Series>(capacity_))
-             .first;
-    // Ring storage is preallocated: capacity slots plus map-node overhead.
+  const std::size_t slot = id.value / kShards;
+  if (slot >= shard.slots.size()) shard.slots.resize(slot + 1);
+  std::optional<Series>& series = shard.slots[slot];
+  if (!series) {
+    series.emplace(capacity_);
+    // Ring storage is preallocated: capacity samples plus the slot and the
+    // interned path the series is named by.
     StoreMetrics::get().memory_bytes.add(static_cast<double>(
-        capacity_ * sizeof(Sample) +
-        SeriesInterner::global().path(id).size() + 64));
+        capacity_ * sizeof(Sample) + sizeof(std::optional<Series>) +
+        SeriesInterner::global().path(id).size()));
     shard_series_[id.value % kShards]->add(1.0);
     // release: a match() that reads this count also sees the new series
-    // in its paths() pass (see match()).
+    // in its catalog() pass (see with_match()).
     series_count_.fetch_add(1, std::memory_order_release);
   }
-  return *it->second;
+  return *series;
 }
 
 void TimeSeriesStore::insert(SeriesId id, Sample sample) {
@@ -227,60 +238,81 @@ void TimeSeriesStore::insert_batch(std::span<const IdReading> readings) {
   metrics.inserts.inc(readings.size());
 }
 
-std::vector<std::string> TimeSeriesStore::paths() const {
+std::vector<std::pair<std::string, SeriesId>> TimeSeriesStore::catalog()
+    const {
   SeriesInterner& interner = SeriesInterner::global();
-  std::vector<std::string> out;
-  for (const auto& shard : shards_) {
-    ReaderLock lock(shard->mu);
-    for (const auto& [id, s] : shard->series) {
-      out.push_back(interner.path(SeriesId{id}));
+  std::vector<std::pair<std::string, SeriesId>> out;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const Shard& shard = *shards_[s];
+    ReaderLock lock(shard.mu);
+    for (std::size_t slot = 0; slot < shard.slots.size(); ++slot) {
+      if (!shard.slots[slot]) continue;
+      const SeriesId id{static_cast<std::uint32_t>(slot * kShards + s)};
+      out.emplace_back(interner.path(id), id);
     }
   }
-  // Sorted output preserves the original string-keyed map's iteration order.
+  // Sorted by path: the original string-keyed map's iteration order.
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<std::string> TimeSeriesStore::match(const std::string& pattern) const {
+std::vector<std::string> TimeSeriesStore::paths() const {
+  std::vector<std::string> out;
+  for (auto& [path, id] : catalog()) out.push_back(std::move(path));
+  return out;
+}
+
+template <typename Fn>
+auto TimeSeriesStore::with_match(const std::string& pattern, Fn&& fn) const {
   // acquire: pairs with series_locked's release increment, so every series
-  // this count includes is visible to the paths() pass below. A memo
+  // this count includes is visible to the catalog() pass below. A memo
   // stamped with the current count therefore lists every stored match
-  // (series are never removed); one stamped older is recomputed.
+  // (series are never removed); one stamped older is recomputed, with the
+  // memo mutex released across the catalog() pass.
   const std::uint64_t series = series_count_.load(std::memory_order_acquire);
   {
     MutexLock lock(match_mu_);
     const auto it = match_memo_.find(pattern);
     if (it != match_memo_.end() && it->second.series == series) {
-      return it->second.paths;
+      return fn(it->second);
     }
   }
-  std::vector<std::string> out = paths();
-  out.erase(std::remove_if(
-                out.begin(), out.end(),
-                [&](const std::string& p) { return !glob_match(pattern, p); }),
-            out.end());
+  MatchMemo memo{series, {}, {}};
+  for (auto& [path, id] : catalog()) {
+    if (!glob_match(pattern, path)) continue;
+    memo.paths.push_back(std::move(path));
+    memo.ids.push_back(id);
+  }
   MutexLock lock(match_mu_);
-  match_memo_[pattern] = MatchMemo{series, out};
-  return out;
+  MatchMemo& entry = match_memo_[pattern];
+  entry = std::move(memo);
+  return fn(entry);
+}
+
+std::vector<std::string> TimeSeriesStore::match(const std::string& pattern) const {
+  return with_match(pattern, [](const MatchMemo& m) { return m.paths; });
+}
+
+std::vector<SeriesId> TimeSeriesStore::match_ids(
+    const std::string& pattern) const {
+  return with_match(pattern, [](const MatchMemo& m) { return m.ids; });
 }
 
 std::size_t TimeSeriesStore::sample_count(SeriesId id) const {
   if (!id.valid()) return 0;
   Shard& shard = shard_of(id);
   ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  return it == shard.series.end() ? 0 : it->second->samples.size();
+  const Series* series = shard.find(id);
+  return series == nullptr ? 0 : series->samples.size();
 }
 
 std::optional<Sample> TimeSeriesStore::latest(SeriesId id) const {
   if (!id.valid()) return std::nullopt;
   Shard& shard = shard_of(id);
   ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  if (it == shard.series.end() || it->second->samples.empty()) {
-    return std::nullopt;
-  }
-  return it->second->samples.back();
+  const Series* series = shard.find(id);
+  if (series == nullptr || series->samples.empty()) return std::nullopt;
+  return series->samples.back();
 }
 
 std::optional<Sample> TimeSeriesStore::latest(const std::string& path) const {
@@ -288,27 +320,8 @@ std::optional<Sample> TimeSeriesStore::latest(const std::string& path) const {
   return id ? latest(*id) : std::nullopt;
 }
 
-template <typename Fn>
-void TimeSeriesStore::read_range(SeriesId id, TimePoint from, TimePoint to,
-                                 Fn&& fn) const {
-  if (!id.valid()) return;
-  Shard& shard = shard_of(id);
-  ReaderLock lock(shard.mu);
-  const auto it = shard.series.find(id.value);
-  if (it == shard.series.end()) return;
-  // Samples are time-ordered (monotone inserts); binary-search the range
-  // over the ring's two contiguous spans.
-  const auto [a, b] = it->second->samples.spans();
-  const std::size_t lo = lower_index(a, b, from);
-  const std::size_t hi = lower_index(a, b, to);
-  if (lo >= hi) return;
-  const auto [ra, rb] = cut_range(a, b, lo, hi);
-  fn(ra, rb);
-}
-
 SeriesSlice TimeSeriesStore::query(SeriesId id, TimePoint from,
                                    TimePoint to) const {
-  StoreMetrics::get().queries.inc();
   SeriesSlice out;
   read_range(id, from, to,
              [&](std::span<const Sample> ra, std::span<const Sample> rb) {
@@ -336,11 +349,25 @@ SeriesSlice TimeSeriesStore::query_all(const std::string& path) const {
   return query(path, kTimeMin, kTimeMax);
 }
 
+std::optional<double> TimeSeriesStore::window_mean(SeriesId id, TimePoint from,
+                                                   TimePoint to) const {
+  double sum = 0.0;
+  std::size_t n = 0;
+  read_range(id, from, to,
+             [&](std::span<const Sample> ra, std::span<const Sample> rb) {
+               for (const auto range : {ra, rb}) {
+                 for (const Sample& s : range) sum += s.value;
+               }
+               n = ra.size() + rb.size();
+             });
+  if (n == 0) return std::nullopt;
+  return sum / static_cast<double>(n);
+}
+
 SeriesSlice TimeSeriesStore::query_aggregated(SeriesId id, TimePoint from,
                                               TimePoint to, Duration bucket,
                                               Aggregation agg) const {
   ODA_REQUIRE(bucket > 0, "aggregation bucket must be positive");
-  StoreMetrics::get().queries.inc();
   SeriesSlice out;
   read_range(id, from, to,
              [&](std::span<const Sample> ra, std::span<const Sample> rb) {
@@ -371,7 +398,6 @@ void TimeSeriesStore::fill_columns(Frame& f, std::size_t lo, std::size_t hi,
   // analyzer still sees the fan-out width (frame_parallelism) from the
   // trace, at a span cost per chunk rather than per column.
   ODA_TRACE_SPAN_CAT("store.fill_column", "store");
-  StoreMetrics::get().queries.inc(hi - lo);
   for (std::size_t col = lo; col < hi; ++col) {
     // Unknown sensors (no interner entry, or interned but never inserted
     // here) leave the column all-NaN — never an aliased series' data.

@@ -16,6 +16,7 @@
 // query semantics identical to the original single-map store.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -169,6 +171,9 @@ class TimeSeriesStore {
   /// scan; otherwise it copies the memo. The memo keeps one entry per
   /// distinct pattern, which suits the fixed patterns callers use.
   std::vector<std::string> match(const std::string& pattern) const;
+  /// The ids of match(pattern), in the same path order, from the same memo:
+  /// for callers that read the matched series every run and need no names.
+  std::vector<SeriesId> match_ids(const std::string& pattern) const;
   std::size_t sample_count(SeriesId id) const;
   std::uint64_t total_inserted() const {
     // relaxed: monotonic statistics counter; synchronizes nothing (matches
@@ -184,6 +189,11 @@ class TimeSeriesStore {
   SeriesSlice query(SeriesId id, TimePoint from, TimePoint to) const;
   /// All retained samples.
   SeriesSlice query_all(const std::string& path) const;
+  /// Mean of the samples with time in [from, to), read in place: the same
+  /// left-to-right sum over the count as oda::mean() of query()'s values,
+  /// without the copy. nullopt when no sample falls in the range.
+  std::optional<double> window_mean(SeriesId id, TimePoint from,
+                                    TimePoint to) const;
 
   /// Downsamples [from, to) into fixed buckets of `bucket` seconds.
   SeriesSlice query_aggregated(const std::string& path, TimePoint from,
@@ -206,31 +216,44 @@ class TimeSeriesStore {
               TimePoint to, Duration bucket,
               Aggregation agg = Aggregation::kMean) const;
 
+  /// The one range lookup of the read path: under the series' shard reader
+  /// lock, calls fn(a, b) with the samples of `id` in [from, to) as the
+  /// ring's two contiguous spans, oldest first. Calls nothing when `id` is
+  /// invalid or unknown here, or when no sample falls in the range. Counts
+  /// one query (oda_store_queries_total) either way. Cells that fold a
+  /// window (a sum, an integral, a bucketing) read it here in place instead
+  /// of copying it out with query(). `fn` must not call back into the store.
+  template <typename Fn>
+  void read_range(SeriesId id, TimePoint from, TimePoint to, Fn&& fn) const;
+
  private:
   struct Series {
     RingBuffer<Sample> samples;
     explicit Series(std::size_t cap) : samples(cap) {}
   };
 
-  /// One lock stripe: its own reader/writer lock and id-keyed series map.
-  /// The shard lock is held across interner path lookups and (first-use)
-  /// metric registration in series_locked, hence the BEFORE(interner) edge.
+  /// One lock stripe: its own reader/writer lock and its series in a dense
+  /// slot vector, series `id` at slot id.value / kShards (empty slots are
+  /// ids this store has not seen). The shard lock is held across interner
+  /// path lookups and (first-use) metric registration in series_locked,
+  /// hence the BEFORE(interner) edge.
   struct Shard {
     mutable SharedMutex mu ODA_ACQUIRED_AFTER(lock_order::store_shard)
         ODA_ACQUIRED_BEFORE(lock_order::interner){LockRankId::kStoreShard};
-    std::unordered_map<std::uint32_t, std::unique_ptr<Series>> series
-        ODA_GUARDED_BY(mu);
+    std::vector<std::optional<Series>> slots ODA_GUARDED_BY(mu);
+
+    /// The series of `id` (which must map to this shard), or null.
+    const Series* find(SeriesId id) const ODA_REQUIRES_SHARED(mu) {
+      const std::size_t slot = id.value / kShards;
+      return slot < slots.size() && slots[slot] ? &*slots[slot] : nullptr;
+    }
   };
 
   Shard& shard_of(SeriesId id) const { return *shards_[id.value % kShards]; }
+  /// Adds one to oda_store_queries_total (read_range's accounting).
+  static void count_query();
   /// Creates the series for `id` if absent; caller holds the shard lock.
   Series& series_locked(Shard& shard, SeriesId id) ODA_REQUIRES(shard.mu);
-  /// The one range lookup of the read path: under the series' shard reader
-  /// lock, calls fn(a, b) with the samples of `id` in [from, to) as the
-  /// ring's two contiguous spans. Calls nothing when `id` is invalid or
-  /// unknown here, or when no sample falls in the range.
-  template <typename Fn>
-  void read_range(SeriesId id, TimePoint from, TimePoint to, Fn&& fn) const;
   /// Fills columns [lo, hi) of `f` from ids[lo, hi) under one span.
   void fill_columns(Frame& f, std::size_t lo, std::size_t hi,
                     std::span<const SeriesId> ids, TimePoint from,
@@ -243,7 +266,14 @@ class TimeSeriesStore {
   struct MatchMemo {
     std::uint64_t series = 0;
     std::vector<std::string> paths;
+    std::vector<SeriesId> ids;  // ids[i] names paths[i]
   };
+  /// Every stored series as (path, id), sorted by path.
+  std::vector<std::pair<std::string, SeriesId>> catalog() const;
+  /// The memo entry for `pattern` at the current series count, rescanning
+  /// the catalog first when a series was created since its last scan.
+  template <typename Fn>
+  auto with_match(const std::string& pattern, Fn&& fn) const;
 
   std::size_t capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;  // kShards entries
@@ -251,7 +281,7 @@ class TimeSeriesStore {
   /// Series created so far; bumped only where series_locked creates one.
   std::atomic<std::uint64_t> series_count_{0};
   /// Leaf lock: held only to read or replace a memo entry, never across
-  /// paths() (which takes the shard locks).
+  /// catalog() (which takes the shard locks).
   mutable Mutex match_mu_{LockRankId::kStoreCatalog};
   mutable std::unordered_map<std::string, MatchMemo> match_memo_
       ODA_GUARDED_BY(match_mu_);
@@ -263,6 +293,38 @@ class TimeSeriesStore {
   // uniform oda_lock_wait_seconds{rank="store_shard"} contention table.
   std::vector<obs::Gauge*> shard_series_;
 };
+
+/// Index of the first sample with time >= t in the ring's two ascending
+/// spans read as one sequence a ++ b: std::lower_bound's index over it, for
+/// every t. `end` bounds the search from above: every sample at or after
+/// index `end` must have time >= t (pass a.size() + b.size() when nothing is
+/// known). The search gallops back from `end` in steps of 1, 2, 4, ... and
+/// then bisects the last step, so a window that ends near the newest sample
+/// costs O(log window) probes, all of them in the window's own cache lines.
+std::size_t tail_lower_bound(std::span<const Sample> a,
+                             std::span<const Sample> b, TimePoint t,
+                             std::size_t end);
+
+template <typename Fn>
+void TimeSeriesStore::read_range(SeriesId id, TimePoint from, TimePoint to,
+                                 Fn&& fn) const {
+  count_query();
+  if (!id.valid() || from >= to) return;
+  Shard& shard = shard_of(id);
+  ReaderLock lock(shard.mu);
+  const Series* series = shard.find(id);
+  if (series == nullptr) return;
+  // Samples are time-ordered (monotone inserts). Both ends are found from
+  // the tail: `to` from the newest sample, then `from` back from `to`.
+  const auto [a, b] = series->samples.spans();
+  const std::size_t hi = tail_lower_bound(a, b, to, a.size() + b.size());
+  const std::size_t lo = tail_lower_bound(a, b, from, hi);
+  if (lo >= hi) return;
+  // Logical [lo, hi) as (part of a, part of b).
+  const auto in_a = [na = a.size()](std::size_t i) { return std::min(i, na); };
+  fn(a.subspan(in_a(lo), in_a(hi) - in_a(lo)),
+     b.subspan(lo - in_a(lo), (hi - in_a(hi)) - (lo - in_a(lo))));
+}
 
 /// Aggregates a value list (helper shared with dashboards). Implemented on
 /// AggAccumulator, so it matches query_aggregated() bit-for-bit.

@@ -2,8 +2,11 @@
 // containers, concurrency primitives, and text/config utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <thread>
 
@@ -255,6 +258,45 @@ TEST(BatchStats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(median(xs), 2.5);
+}
+
+TEST(BatchStats, SelectionQuantileMatchesSortBitForBit) {
+  // quantile() selects its two order statistics; the reference sorts a
+  // copy. Values come from a small pool so ties are common, and the pool
+  // holds both zeros: +0.0 and -0.0 compare equal, so the two methods may
+  // put different zeros at an order position, and the interpolation must
+  // still return the same bits.
+  const double pool[] = {-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 2.5, -2.5, 1e-300,
+                         -1e300, 7.0, 7.0};
+  const double qs[] = {0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.99, 1.0};
+  const auto sorted_quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] + frac * (v[hi] - v[lo]);
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(107);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = trial % 2 == 0 ? pool[rng.uniform_int(0, 11)] : rng.normal();
+      }
+      for (const double q : qs) {
+        EXPECT_EQ(bits(quantile(xs, q)), bits(sorted_quantile(xs, q)))
+            << "n " << n << " trial " << trial << " q " << q;
+        std::vector<double> scratch = xs;
+        EXPECT_EQ(bits(quantile_inplace(scratch, q)),
+                  bits(sorted_quantile(xs, q)));
+      }
+    }
+  }
+  // All-zero windows of mixed sign: the median is +0.0 either way.
+  const std::vector<double> zeros = {-0.0, 0.0, -0.0, -0.0, 0.0, -0.0};
+  EXPECT_EQ(bits(median(zeros)), bits(sorted_quantile(zeros, 0.5)));
 }
 
 TEST(BatchStats, MadRobustToOutlier) {

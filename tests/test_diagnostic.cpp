@@ -196,6 +196,80 @@ TEST_F(MonitorFixture, ScanScoresPinnedBitForBit) {
   EXPECT_TRUE(verdicts[6].anomalous);  // the fan failure
 }
 
+// A seeded synthetic store shaped like diag.node's input at a smaller
+// scale: 3 racks x 7 nodes (two full groups of the forest's interleaved
+// walk and a tail), per-minute samples with dropped readings, flat
+// sensors (all-equal Theil-Sen slopes) and one drifting node.
+TEST(NodeAnomalyMonitor, SeededStoreVerdictsPinnedBitForBit) {
+  const std::vector<std::string> leaves = {"power", "cpu_temp", "cpu_util",
+                                           "fan_speed", "mem_bw_util"};
+  const std::vector<double> base = {300.0, 55.0, 0.6, 0.4, 0.3};
+  const std::vector<double> noise = {12.0, 1.5, 0.08, 0.03, 0.05};
+  std::vector<std::string> prefixes;
+  for (int r = 0; r < 3; ++r) {
+    for (int n = 0; n < 7; ++n) {
+      prefixes.push_back("pinmon/rack" + std::to_string(r) + "/node" +
+                         std::to_string(n));
+    }
+  }
+  telemetry::TimeSeriesStore store(1 << 10);
+  Rng rng(4242);
+  for (TimePoint t = 0; t < 3 * kHour + 20 * kMinute; t += kMinute) {
+    for (std::size_t c = 0; c < prefixes.size(); ++c) {
+      for (std::size_t s = 0; s < leaves.size(); ++s) {
+        if (rng.uniform() < 0.08) continue;  // dropped reading
+        double v = base[s] + 0.02 * base[s] * static_cast<double>(c % 5) +
+                   rng.normal(0.0, noise[s]);
+        if (c == 4 && s == 3) v = 0.5;  // stuck fan reading: flat window
+        if (c == 9 && s == 2) v = 0.0;  // idle node: flat utilization
+        if (c == 13 && s == 1 && t >= 3 * kHour) {
+          v += 0.5 * static_cast<double>(t - 3 * kHour) / kMinute;
+        }
+        store.insert(prefixes[c] + "/" + leaves[s], {t, v});
+      }
+    }
+  }
+  NodeAnomalyMonitor monitor({}, prefixes);
+  Rng train_rng(77);
+  monitor.train(store, kHour, 3 * kHour, train_rng);
+  const auto verdicts = monitor.scan(store, 3 * kHour + 20 * kMinute);
+  // Member scores printed with %a by the per-row forest walk, sort-based
+  // quantiles and frame() reads: the batched scoring, selection and
+  // in-place window reads must reproduce them exactly.
+  const std::vector<std::pair<double, double>> want = {
+      {0x1.495bbe0c79e41p-1, 0x1.014a37ebf3dacp-1},
+      {0x1.3d9ae6dd5036bp-1, 0x1.f805396d09de7p-2},
+      {0x1.346e84331dbf9p-1, 0x1.828174c330c55p-2},
+      {0x1.4f51f07662945p-1, 0x1.2b5b47ee662d3p-2},
+      {0x1.8d474f042a155p-1, 0x1.20c1fb27bca57p-1},
+      {0x1.4c9567832b944p-1, 0x1.f9376a05c6916p-2},
+      {0x1.66b299c81a0d7p-1, 0x1.60a21c71ac24dp-1},
+      {0x1.6311ae891a08cp-1, 0x1.a735e7b257829p-1},
+      {0x1.70d09f2a4f3d3p-1, 0x1.e4a3c809e93f3p-2},
+      {0x1.abb5e03ae081p-1, 0x1.7e60481ea0b91p-1},
+      {0x1.65f65f291bab9p-1, 0x1.2a2d9752d181fp-1},
+      {0x1.5933c56e64198p-1, 0x1.1cf18935e008fp-1},
+      {0x1.44607d0f63b2p-1, 0x1.2cf2c12b3a155p-1},
+      {0x1.444905cb35f1bp-1, 0x1.8a14ab31ef492p+0},
+      {0x1.76284fb16f80fp-1, 0x1.6cc75ef56908ep-2},
+      {0x1.80c0ee007841fp-1, 0x1.600f8398a2f35p-1},
+      {0x1.6b9c56bee431dp-1, 0x1.9857f189c1e8p-1},
+      {0x1.4474387ae56bdp-1, 0x1.d0c2a9c130e27p-2},
+      {0x1.858d4112767d8p-1, 0x1.6ac425d2714cap-2},
+      {0x1.4a485a28a4d77p-1, 0x1.9f0174dfc90c2p-2},
+      {0x1.530d9ca819503p-1, 0x1.e411e85f5e9f2p-2},
+  };
+  ASSERT_EQ(verdicts.size(), want.size());
+  for (std::size_t i = 0; i < verdicts.size(); ++i) {
+    EXPECT_EQ(verdicts[i].subject, prefixes[i]);
+    EXPECT_EQ(verdicts[i].forest_score, want[i].first)
+        << prefixes[i] << " " << std::hexfloat << verdicts[i].forest_score;
+    EXPECT_EQ(verdicts[i].pca_score, want[i].second)
+        << prefixes[i] << " " << std::hexfloat << verdicts[i].pca_score;
+  }
+  EXPECT_TRUE(verdicts[13].anomalous);  // the drifting node
+}
+
 TEST(WindowFeatures, ShapeAndSlope) {
   telemetry::Frame frame;
   frame.columns = {"a", "b"};
@@ -205,11 +279,12 @@ TEST(WindowFeatures, ShapeAndSlope) {
     frame.at(r, 0) = static_cast<double>(r);
     frame.at(r, 1) = 5.0;
   }
-  std::vector<double> f;
+  std::vector<double> f(6, -1.0);
+  FeatureScratch scratch;
   for (std::size_t c = 0; c < frame.cols(); ++c) {
-    append_column_features(frame.column_values(c), f);
+    column_features(frame.column_values(c), scratch,
+                    std::span<double, 3>(&f[c * 3], 3));
   }
-  ASSERT_EQ(f.size(), 6u);
   EXPECT_NEAR(f[0], 1.5, 1e-12);  // mean(a)
   EXPECT_NEAR(f[2], 1.0, 1e-12);  // slope(a)
   EXPECT_NEAR(f[5], 0.0, 1e-12);  // slope(b)

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -377,6 +380,58 @@ TEST(IsolationForest, ScoresPinnedBitForBit) {
   EXPECT_EQ(forest.score(data[123]), 0x1.10796aa9334b5p-1);
   EXPECT_EQ(forest.score(std::vector<double>{-0.3, 1.2, -0.7}),
             0x1.cf781ce37c7dcp-2);
+}
+
+/// The bits of a double, so a comparison tells -0.0 from 0.0 and matches NaNs.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(IsolationForest, BatchScoresEqualPerRowScoresBitForBit) {
+  // Feature 2 is constant, so splits only ever use features 0 and 1 and
+  // the constant-valued duplicates end in leaves above max depth.
+  Rng gen(97);
+  std::vector<std::vector<double>> data;
+  for (int i = 0; i < 200; ++i) {
+    data.push_back({gen.normal(), gen.normal(0.0, 2.0), 1.5});
+  }
+  for (int i = 0; i < 30; ++i) data.push_back(data[static_cast<std::size_t>(i % 3)]);
+  Rng rng(101);
+  IsolationForest::Params params;
+  params.n_trees = 40;
+  const auto forest = IsolationForest::fit(data, params, rng);
+  // Rows with NaN features go right at every split they meet.
+  const double nan = std::nan("");
+  std::vector<double> rows;
+  for (int r = 0; r < 37; ++r) {
+    rows.push_back(r % 5 == 0 ? nan : gen.normal(0.0, 2.0));
+    rows.push_back(r % 7 == 0 ? nan : gen.normal(0.0, 3.0));
+    rows.push_back(r % 11 == 0 ? nan : 1.5);
+  }
+  // Every batch length from 1 to 37 covers whole interleaved groups and
+  // every length of tail.
+  for (std::size_t n = 1; n <= 37; ++n) {
+    std::vector<double> batch(n);
+    forest.score(std::span<const double>(rows.data(), n * 3), batch);
+    for (std::size_t r = 0; r < n; ++r) {
+      const double one =
+          forest.score(std::span<const double>(rows.data() + r * 3, 3));
+      EXPECT_EQ(bits(batch[r]), bits(one)) << "batch " << n << " row " << r;
+    }
+  }
+
+  // Constant data: every tree is one leaf, walked in zero steps.
+  const std::vector<std::vector<double>> flat(50, std::vector<double>{2.0, -1.0});
+  Rng flat_rng(103);
+  const auto stump = IsolationForest::fit(flat, params, flat_rng);
+  const std::vector<double> flat_rows = {2.0, -1.0, 9.0, nan, nan, 0.0,
+                                         2.0, -1.0, 1.0, 1.0, 3.0, 3.0,
+                                         2.0, -1.0, 1.0, 1.0, 3.0, 3.0};
+  std::vector<double> flat_scores(9);
+  stump.score(flat_rows, flat_scores);
+  for (std::size_t r = 0; r < flat_scores.size(); ++r) {
+    EXPECT_EQ(bits(flat_scores[r]),
+              bits(stump.score(std::span<const double>(&flat_rows[r * 2], 2))));
+    EXPECT_EQ(flat_scores[r], flat_scores[0]);  // one leaf, one path length
+  }
 }
 
 // ---------------------------------------------------------- decision tree

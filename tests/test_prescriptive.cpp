@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <deque>
 
 #include "analytics/prescriptive/autotune.hpp"
 #include "analytics/prescriptive/controller.hpp"
@@ -203,6 +205,78 @@ TEST(Cooling, OptimizerBacksOffWhenNodesHot) {
   rig.loop->add(std::make_shared<CoolingSetpointOptimizer>(op));
   rig.run_for(12 * kHour);
   EXPECT_LT(rig.cluster->knobs().get("facility/supply_setpoint"), 44.0);
+}
+
+/// FNV-1a over an audit log's fields, floats by their bits: equal hashes
+/// mean the same actuations, at the same times, with the same values.
+std::uint64_t audit_hash(const std::deque<Actuation>& log) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Actuation& a : log) {
+    mix(&a.time, sizeof a.time);
+    mix(a.knob.data(), a.knob.size());
+    mix(&a.old_value, sizeof a.old_value);
+    mix(&a.new_value, sizeof a.new_value);
+    mix(a.reason.data(), a.reason.size());
+  }
+  return h;
+}
+
+TEST(Dvfs, EnergyActuationsPinnedBitForBit) {
+  // The live scheduler's mix of jobs moves nodes between memory- and
+  // compute-bound phases, so the governor's window means decide often.
+  Rig rig(small_cluster(31));
+  DvfsGovernor::Params gp;
+  gp.mode = DvfsGovernor::Mode::kEnergy;
+  rig.loop->add(std::make_shared<DvfsGovernor>(gp));
+  rig.run_for(4 * kHour);
+  const auto& log = rig.loop->audit_log();
+  // Taken when each window was copied out with query() and averaged: the
+  // in-place window means must reproduce them exactly.
+  EXPECT_EQ(log.size(), 26u);
+  EXPECT_EQ(audit_hash(log), 0xba4cc08930470f50ULL) << std::hex << audit_hash(log);
+}
+
+TEST(Cooling, SetpointActuationsPinnedBitForBit) {
+  Rig rig(small_cluster(37));
+  CoolingSetpointOptimizer::Params op;
+  op.period = 30 * kMinute;
+  rig.loop->add(std::make_shared<CoolingSetpointOptimizer>(op));
+  rig.run_for(8 * kHour);
+  const auto& log = rig.loop->audit_log();
+  // Taken when the power window was copied out with query() and each
+  // cpu_temp series looked up by path: reading in place by id must
+  // reproduce them exactly.
+  const std::vector<double> want = {
+      0x1p+5,
+      0x1.ec395810624ddp+4,
+      0x1.f87210be9424ep+4,
+      0x1.f0e483fce90e1p+4,
+      0x1.f58f730a19f4cp+4,
+      0x1.fa3a62174adb7p+4,
+      0x1.fee551247bc22p+4,
+      0x1.01c82018d6546p+5,
+      0x1.041d979f6ec7cp+5,
+      0x1.06730f26073b2p+5,
+      0x1.04730f26073b2p+5,
+      0x1.02730f26073b2p+5,
+      0x1.00730f26073b2p+5,
+      0x1.fce61e4c0e764p+4,
+      0x1.00730f26073b2p+5,
+      0x1.02730f26073b2p+5,
+  };
+  ASSERT_EQ(log.size(), want.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].new_value, want[i])
+        << i << " " << std::hexfloat << log[i].new_value;
+  }
+  EXPECT_EQ(audit_hash(log), 0x4dfda661927c529bULL) << std::hex << audit_hash(log);
 }
 
 // -------------------------------------------------------------------- DVFS

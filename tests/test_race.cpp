@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -504,6 +505,57 @@ TEST(RaceMetricsRegistry, ConcurrentIncObserveSnapshot) {
   ASSERT_EQ(hist->histograms.size(), 1u);
   EXPECT_EQ(hist->histograms.front().count,
             static_cast<std::uint64_t>(kWriters) * kEventsEach);
+}
+
+// snapshot() runs pull callbacks after releasing the registry lock. An
+// unregister that races a snapshot must still return only once no call of
+// that callback is running, so its owner may free what the callback reads:
+// here every callback reads a heap object its owner deletes right after
+// releasing the handle (TSan and ASan flag a late call), while other
+// threads register counters, forcing the gather to see the registry move.
+TEST(RaceMetricsRegistry, UnregisterDuringSnapshotWaitsForTheCall) {
+  obs::MetricsRegistry reg;
+  constexpr int kOwners = 3;
+  constexpr int kRounds = 400;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> snapshots{0};
+  std::vector<std::thread> scrapers;
+  for (int s = 0; s < 2; ++s) {
+    scrapers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const obs::MetricsSnapshot snap = reg.snapshot();
+        // Every live series reads 7: a freed object would not.
+        if (const obs::MetricFamily* fam = snap.find("oda_race_pull")) {
+          for (const auto& v : fam->values) ASSERT_EQ(v.value, 7.0);
+        }
+        snapshots.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::thread> owners;
+  for (int o = 0; o < kOwners; ++o) {
+    owners.emplace_back([&reg, o] {
+      for (int r = 0; r < kRounds; ++r) {
+        auto value = std::make_unique<std::atomic<double>>(7.0);
+        obs::CallbackHandle handle = reg.gauge_callback(
+            "oda_race_pull", "pull series", {{"owner", std::to_string(o)}},
+            [v = value.get()] { return v->load(std::memory_order_relaxed); });
+        reg.counter("oda_race_registrations_total", "registrations",
+                    {{"round", std::to_string(r % 17)}})
+            .inc();
+        handle.release();
+        // Poison, then free: a call still running (or starting) after
+        // release() returned would read -1 or freed memory.
+        value->store(-1.0, std::memory_order_relaxed);
+        value.reset();
+      }
+    });
+  }
+  for (auto& t : owners) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : scrapers) t.join();
+  EXPECT_GT(snapshots.load(), 0u);
+  EXPECT_EQ(reg.snapshot().find("oda_race_pull"), nullptr);
 }
 
 // The instrumented bus publish path updates per-instance counters, global

@@ -6,6 +6,7 @@
 // mix of string, id, and batch ingest paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
 #include "telemetry/series_id.hpp"
@@ -381,6 +383,45 @@ TEST(StoreEquivalence, ContainsAndInvalidHandles) {
   const SeriesId foreign = SeriesInterner::global().intern("equiv-foreign/y");
   EXPECT_EQ(store.sample_count(foreign), 0u);
   EXPECT_FALSE(store.latest(foreign).has_value());
+}
+
+TEST(StoreEquivalence, TailLowerBoundMatchesLowerBound) {
+  // Rings of every fill level up to twice their capacity (so wrapped and
+  // unwrapped, empty included), ascending times with runs of repeats, and
+  // probes before, inside, between and after the retained samples.
+  Rng rng(109);
+  for (std::size_t cap = 1; cap <= 24; ++cap) {
+    for (std::size_t pushes = 0; pushes <= 2 * cap + 1; ++pushes) {
+      RingBuffer<Sample> ring(cap);
+      TimePoint t = rng.uniform_int(-50, 50);
+      for (std::size_t i = 0; i < pushes; ++i) {
+        t += rng.uniform_int(0, 3);  // 0: a repeated timestamp
+        ring.push({t, 0.0});
+      }
+      const auto [a, b] = ring.spans();
+      const std::vector<Sample> all = ring.to_vector();
+      const auto less = [](const Sample& s, TimePoint tp) { return s.time < tp; };
+      const auto reference = [&](TimePoint probe) {
+        return static_cast<std::size_t>(
+            std::lower_bound(all.begin(), all.end(), probe, less) - all.begin());
+      };
+      const TimePoint first = all.empty() ? 0 : all.front().time;
+      const TimePoint last = all.empty() ? 0 : all.back().time;
+      for (TimePoint from = first - 3; from <= last + 3; ++from) {
+        const std::size_t want_lo = reference(from);
+        EXPECT_EQ(tail_lower_bound(a, b, from, all.size()), want_lo)
+            << "cap " << cap << " pushes " << pushes << " t " << from;
+        for (TimePoint to = from; to <= last + 3; to += 2) {
+          // The read path's second search starts from the first's answer.
+          const std::size_t want_hi = reference(to);
+          ASSERT_EQ(tail_lower_bound(a, b, to, all.size()), want_hi);
+          EXPECT_EQ(tail_lower_bound(a, b, from, want_hi), want_lo)
+              << "cap " << cap << " pushes " << pushes << " [" << from
+              << ", " << to << ")";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
